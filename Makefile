@@ -5,9 +5,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint reprolint graphlint lint-changed typecheck smoke test sanitize-smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke
+.PHONY: verify lint reprolint graphlint lint-changed typecheck smoke test sanitize-smoke sparse-smoke store-smoke scale-smoke train-parallel-smoke
 
-verify: lint graphlint typecheck smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke
+verify: lint graphlint typecheck smoke sparse-smoke store-smoke scale-smoke train-parallel-smoke
 
 lint: reprolint
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -54,17 +54,6 @@ sparse-smoke:
 # speedup gate needs full-scale builds; benchmarks cover it).
 store-smoke:
 	$(PYTHON) -m pytest -q benchmarks/test_bench_store.py -k "smoke"
-
-# Fused-kernel gradcheck/parity gate (the 2x epoch speedup gate needs the
-# full table-2 scale run; benchmarks/test_bench_kernels.py covers it).
-kernels-smoke:
-	$(PYTHON) -m pytest -q tests/test_kernels.py
-
-# Serving correctness gate: index freeze/load, batched == single bit-identity,
-# fold-in, HTTP round trips (the 500 rps / p99 throughput gate needs full
-# scale; benchmarks/test_bench_serving.py covers it).
-serving-smoke:
-	$(PYTHON) -m pytest -q tests/test_serving.py tests/test_serving_server.py
 
 # Out-of-core pipeline gate at 3e4 users in a subprocess: peak-RSS ceiling,
 # warm-rerun bit-safety (the 1e6-user run with the 10^7-interaction floor

@@ -69,9 +69,9 @@ class LintConfig:
 
     kernel_consumer_paths: Tuple[str, ...] = ("models/", "eval/", "serving/")
     """Paths consuming the fused kernels, where RPL010 requires every
-    ``repro.kernels`` import to name ``dispatch`` — backend selection, the
-    numba availability gate and the oracle fallback live there, and raw
-    backend imports silently bypass all three.  ``serving/`` scores every
+    ``repro.kernels`` import to name ``dispatch`` — the oracle fallback and
+    the sanitizer/profiler instrumentation live there, and raw backend
+    imports silently bypass both.  ``serving/`` scores every
     request through the same funnel, so its ranking stays bit-identical to
     offline evaluation across backends."""
 

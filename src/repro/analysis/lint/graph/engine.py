@@ -83,12 +83,9 @@ class GraphConfig:
     funnel_modules: Tuple[str, ...] = ("repro.io", "repro.store", "repro.kernels.dispatch")
     """RPL014: sanctioned funnel modules — escape propagation stops here."""
 
-    kernel_backend_modules: Tuple[str, ...] = (
-        "repro.kernels.numpy_backend",
-        "repro.kernels.numba_backend",
-    )
+    kernel_backend_modules: Tuple[str, ...] = ("repro.kernels.numpy_backend",)
     """RPL014: raw kernel implementations (calling these directly bypasses
-    backend selection, the numba gate, and the oracle fallback)."""
+    the oracle fallback and the sanitizer/profiler instrumentation)."""
 
     max_depth: int = 8
     """Bound on interprocedural evaluation and taint-propagation depth."""

@@ -1,14 +1,12 @@
 """RPL010 — fused-kernel access outside the dispatch funnel.
 
-The fused cache-blocked kernels (:mod:`repro.kernels.numpy_backend`,
-:mod:`repro.kernels.numba_backend`) are raw-ndarray routines with no tape,
-no backend selection and no availability guard; the **only** sanctioned way
-for model and evaluation code to reach them is
-:mod:`repro.kernels.dispatch`, which owns backend resolution
-(``REPRO_KERNELS``), the numba self-check gate, the oracle escape hatch and
-the Tensor-building wrappers the sanitizer/profiler instrument.  A model
-importing a backend module directly pins one implementation, silently skips
-the oracle fallback path, and produces tensors the instrumentation never
+The fused cache-blocked kernels (:mod:`repro.kernels.numpy_backend`) are
+raw-ndarray routines with no tape and no backend selection; the **only**
+sanctioned way for model and evaluation code to reach them is
+:mod:`repro.kernels.dispatch`, which owns the fused-vs-oracle switch
+(``REPRO_KERNELS``) and the Tensor-building wrappers the sanitizer/profiler
+instrument.  A model importing the backend module directly silently skips
+the oracle fallback path and produces tensors the instrumentation never
 sees.  The rule flags any ``repro.kernels`` import other than ``dispatch``
 in the consumer paths; a deliberate exception (a benchmark pitting backends
 against each other, a parity test) lives outside those paths or carries an
@@ -59,10 +57,10 @@ class KernelImportFunnelRule(Rule):
     name = "kernel-dispatch-funnel"
     description = (
         "direct imports of repro.kernels backends bypass the dispatch "
-        "funnel — backend selection, the numba availability gate, the "
-        "oracle fallback and sanitizer/profiler instrumentation all live "
-        "in repro.kernels.dispatch; import that instead, or suppress with "
-        "a comment stating why a raw backend is required here."
+        "funnel — the oracle fallback and sanitizer/profiler "
+        "instrumentation live in repro.kernels.dispatch; import that "
+        "instead, or suppress with a comment stating why a raw backend is "
+        "required here."
     )
     node_types = (ast.Import, ast.ImportFrom)
 

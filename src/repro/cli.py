@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "--backend",
-        choices=("auto", "numpy", "numba", "oracle"),
+        choices=("numpy", "oracle"),
         default=None,
         help="profile only this kernel backend instead of oracle + fused",
     )
@@ -638,11 +638,8 @@ def _cmd_profile(args) -> int:
     ckg = ds.build_ckg()
     graph = ds.prepared_graph()
     ckat_cfg = CKATConfig(attention_mode=args.attention_mode)
-    if args.backend is not None:
-        backends = [args.backend if args.backend != "auto" else dispatch.get_backend()]
-    else:
-        # Oracle first, fused second: before/after in one run.
-        backends = ["oracle", dispatch.get_backend()]
+    # Oracle first, fused second: before/after in one run.
+    backends = [args.backend] if args.backend is not None else ["oracle", "numpy"]
     walls = {}
     for backend in backends:
         with dispatch.kernel_backend(backend):

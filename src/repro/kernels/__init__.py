@@ -2,13 +2,11 @@
 
 Layout:
 
-- :mod:`repro.kernels.numpy_backend` — raw-ndarray cache-blocked kernels
-  (always available).
-- :mod:`repro.kernels.numba_backend` — optional jitted mirrors, auto-detected
-  and self-checked at import; never required.
-- :mod:`repro.kernels.dispatch` — backend selection plus the differentiable
-  Tensor-level wrappers.  **The only module models/eval code may import**
-  (reprolint RPL010).
+- :mod:`repro.kernels.numpy_backend` — raw-ndarray cache-blocked kernels,
+  the one implementation of every fused op.
+- :mod:`repro.kernels.dispatch` — fused-vs-oracle selection plus the
+  differentiable Tensor-level wrappers.  **The only module models/eval code
+  may import** (reprolint RPL010).
 """
 
-__all__ = ["dispatch", "numpy_backend", "numba_backend"]
+__all__ = ["dispatch", "numpy_backend"]

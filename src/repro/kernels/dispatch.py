@@ -1,27 +1,21 @@
-"""Backend dispatch for the fused kernels — the single sanctioned entry point.
+"""Fused-kernel dispatch — the single sanctioned entry point.
 
 Models and evaluators call the fused ops **only** through this module
-(reprolint RPL010 enforces the funnel); the raw cache-blocked implementations
-live in :mod:`repro.kernels.numpy_backend` and, when numba is importable and
-passes its import-time self-check, :mod:`repro.kernels.numba_backend`.
+(reprolint RPL010 enforces the funnel); the raw cache-blocked
+implementations live in :mod:`repro.kernels.numpy_backend`.
 
 Backends
 --------
 ``numpy``
-    Always available: cache-blocked NumPy kernels.
-``numba``
-    Auto-detected, never required.  Only the gather/reduce-bound edge loops
-    route here; BLAS-bound pieces (attention backward matmuls, evaluation
-    scoring) stay on NumPy where a tuned GEMM wins.
+    The default: every fused op runs its cache-blocked NumPy kernel.
 ``oracle``
     Fusion disabled: callers fall back to their original per-op autograd
-    chains, which remain the parity oracle for every fused kernel (the PR 1
-    legacy-loop pattern).  Select it to benchmark against or to bisect a
-    suspected kernel bug out of a run.
+    chains, which remain the parity oracle for every fused kernel.  Select
+    it to benchmark against or to bisect a suspected kernel bug out of a run.
 
-Selection: ``REPRO_KERNELS`` environment variable (``auto``/``numpy``/
-``numba``/``oracle``; unset means ``auto``) read once at first use, then
-:func:`set_backend` / the :func:`kernel_backend` context manager.
+Selection: ``REPRO_KERNELS`` environment variable (``numpy`` or ``oracle``;
+unset means ``numpy``) read once at first use, then :func:`set_backend` /
+the :func:`kernel_backend` context manager.
 
 The differentiable wrappers (:func:`edge_attention_scores`,
 :func:`weighted_neighbor_sum`) build ordinary tape nodes, so ``Tensor``,
@@ -38,11 +32,12 @@ import os
 from typing import Iterator, Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.autograd.functional import _make
 from repro.autograd.sparse import SparseRowGrad, sparse_grads_enabled
 from repro.autograd.tensor import Tensor
-from repro.kernels import numba_backend, numpy_backend
+from repro.kernels import numpy_backend
 
 __all__ = [
     "ENV_VAR",
@@ -61,7 +56,7 @@ __all__ = [
 ]
 
 ENV_VAR = "REPRO_KERNELS"
-BACKENDS = ("numba", "numpy", "oracle")
+BACKENDS = ("numpy", "oracle")
 
 #: Dispatch ops that return Tensors — instrumented by the numeric sanitizer
 #: and the op-timer profiler exactly like the ``repro.autograd.functional``
@@ -104,34 +99,20 @@ _pool = _BufferPool()
 
 
 def available_backends() -> tuple:
-    """Backends usable on this machine (``numba`` only when it self-checks)."""
-    names = ["numpy", "oracle"]
-    if numba_backend.AVAILABLE:
-        names.insert(0, "numba")
-    return tuple(names)
+    """Every backend name; both run wherever NumPy does."""
+    return BACKENDS
 
 
 def _resolve_from_env() -> str:
-    value = os.environ.get(ENV_VAR, "").strip().lower()
-    if value in ("", "auto"):
-        return "numba" if numba_backend.AVAILABLE else "numpy"
-    if value in ("off", "oracle"):
-        return "oracle"
-    if value in ("numpy", "numba"):
-        return _validate(value)
-    raise ValueError(
-        f"unrecognized {ENV_VAR}={value!r}; expected auto, numpy, numba, oracle or off"
-    )
+    value = os.environ.get(ENV_VAR, "").strip().lower() or "numpy"
+    if value not in BACKENDS:
+        raise ValueError(f"unrecognized {ENV_VAR}={value!r}; expected numpy or oracle")
+    return value
 
 
 def _validate(name: str) -> str:
     if name not in BACKENDS:
         raise ValueError(f"unknown kernel backend {name!r}; expected one of {BACKENDS}")
-    if name == "numba" and not numba_backend.AVAILABLE:
-        raise ValueError(
-            "numba backend requested but numba is not installed (or failed its "
-            "import self-check); use REPRO_KERNELS=auto to fall back silently"
-        )
     return name
 
 
@@ -184,21 +165,16 @@ def edge_attention_scores(
     ent, rel, prj = entity_emb.data, relation_emb.data, proj.data
     num_edges = adj.num_edges
     k = rel.shape[1]
-    if get_backend() == "numba" and numba_backend.AVAILABLE:
-        scores_r, th, pt = numba_backend.edge_attention_scores(
-            ent, rel, prj, heads_r, tails_r, bounds
-        )
-    else:
-        scores_r, th, pt = numpy_backend.edge_attention_forward(
-            ent,
-            rel,
-            prj,
-            heads_r,
-            tails_r,
-            bounds,
-            th_out=_pool.take((num_edges, k)),
-            pt_out=_pool.take((num_edges, k)),
-        )
+    scores_r, th, pt = numpy_backend.edge_attention_forward(
+        ent,
+        rel,
+        prj,
+        heads_r,
+        tails_r,
+        bounds,
+        th_out=_pool.take((num_edges, k)),
+        pt_out=_pool.take((num_edges, k)),
+    )
     out = scores_r[inverse]
     released = False
 
@@ -344,12 +320,7 @@ def weighted_neighbor_sum(
         else np.asarray(edge_weights, dtype=np.float64)
     )
     emb = embeddings.data
-    backend = (
-        numba_backend
-        if get_backend() == "numba" and numba_backend.AVAILABLE
-        else numpy_backend
-    )
-    out = backend.weighted_neighbor_sum(emb, w, adj.tails, adj.offsets)
+    out = numpy_backend.weighted_neighbor_sum(emb, w, adj.tails, adj.offsets)
 
     def backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad)
@@ -359,16 +330,14 @@ def weighted_neighbor_sum(
             in_order, in_offsets, heads_in, tails_in = adj.incoming_edge_groups()
             if needs_gw:
                 # One edge pass for both gradients: the weight grad reads
-                # the same gathered grad_out rows as the embedding grad
-                # (numpy reference only — the jitted mirror keeps the two
-                # single-purpose kernels).
+                # the same gathered grad_out rows as the embedding grad.
                 g_emb, gw_sorted = numpy_backend.weighted_backward_fused(
                     grad, emb, w[in_order], heads_in, tails_in, in_offsets
                 )
                 gw = np.empty(adj.num_edges, dtype=np.float64)
                 gw[in_order] = gw_sorted
             else:
-                g_emb = backend.weighted_neighbor_sum(
+                g_emb = numpy_backend.weighted_neighbor_sum(
                     grad, w[in_order], heads_in, in_offsets
                 )
             if sparse_grads_enabled() and not embeddings._parents:
@@ -385,7 +354,7 @@ def weighted_neighbor_sum(
                 embeddings.accumulate_grad(g_emb, owned=True)
         if needs_gw:
             if gw is None:
-                gw = backend.weighted_edge_grad(grad, emb, adj.heads, adj.tails)
+                gw = numpy_backend.weighted_edge_grad(grad, emb, adj.heads, adj.tails)
             weights_tensor.accumulate_grad(gw, owned=True)
 
     parents = (embeddings,) if weights_tensor is None else (embeddings, weights_tensor)
@@ -428,21 +397,10 @@ def build_weighted_csr(adj, edge_weights: np.ndarray):
     """CSR matrix ``A[h, t] = Σ attention(h, r, t)`` over parallel edges.
 
     The frozen-attention fast path computes propagation as ``A @ embeddings``
-    (:func:`~repro.autograd.functional.spmm`).  Uses ``scipy.sparse`` when
-    importable; otherwise degrades to the pure-NumPy
-    :class:`~repro.kernels.numpy_backend.PureCSR`, whose matvec routes
-    through the cache-blocked fused kernel — same interface, no hard scipy
-    dependency.
+    (:func:`~repro.autograd.functional.spmm`).
     """
-    weights = np.asarray(edge_weights, dtype=np.float64)
-    try:
-        import scipy.sparse as sp
-    except ImportError:
-        return numpy_backend.build_pure_csr(
-            adj.heads, adj.tails, weights, (adj.num_entities, adj.num_entities)
-        )
     matrix = sp.csr_matrix(
-        (weights, (adj.heads, adj.tails)),
+        (np.asarray(edge_weights, dtype=np.float64), (adj.heads, adj.tails)),
         shape=(adj.num_entities, adj.num_entities),
     )
     matrix.sum_duplicates()

@@ -2,9 +2,9 @@
 
 Every function here operates on **raw ndarrays** — no autograd Tensors, no
 tape.  The differentiable wrappers in :mod:`repro.kernels.dispatch` call
-these for both directions of each fused op; the optional numba backend
-(:mod:`repro.kernels.numba_backend`) mirrors the same signatures, so the
-dispatch layer can swap implementations without touching callers.
+these for both directions of each fused op; each op has exactly this one
+implementation, checked against the per-op autograd chain
+(``REPRO_KERNELS=oracle``).
 
 Blocking strategy
 -----------------
@@ -36,13 +36,10 @@ __all__ = [
     "transr_energy_forward",
     "transr_energy_backward",
     "weighted_neighbor_sum",
-    "weighted_incoming_sum",
     "weighted_edge_grad",
     "weighted_backward_fused",
     "segment_sum_rows",
     "masked_topk",
-    "PureCSR",
-    "build_pure_csr",
 ]
 
 #: Target bytes for one gathered edge block (values chosen so two float64
@@ -398,27 +395,6 @@ def weighted_backward_fused(
     return g_emb, gw_sorted
 
 
-def weighted_incoming_sum(
-    grad_out: np.ndarray,
-    weights: np.ndarray,
-    heads_in: np.ndarray,
-    weights_order: np.ndarray,
-    in_offsets: np.ndarray,
-    block: Optional[int] = None,
-) -> np.ndarray:
-    """Transpose of :func:`weighted_neighbor_sum` for the backward pass.
-
-    ``grad_emb[t] = Σ_{e: tails[e]=t} weights[e] · grad_out[heads[e]]`` —
-    identical segment-reduction shape, but over the tail-grouped (transpose)
-    edge layout: ``heads_in`` are the head endpoints permuted by
-    ``weights_order`` (the tail-sort permutation) and ``in_offsets`` delimits
-    each tail's block.
-    """
-    return weighted_neighbor_sum(
-        grad_out, weights[weights_order], heads_in, in_offsets, block=block
-    )
-
-
 def segment_sum_rows(
     values: np.ndarray,
     gather_idx: np.ndarray,
@@ -548,96 +524,3 @@ def masked_topk(
             )
         np.sum(buf[row_idx, result] < np.inf, axis=1, out=valid_out[:rows])
     return result
-
-
-# ----------------------------------------------- scipy-free sparse fallback
-class PureCSR:
-    """Minimal CSR matrix supporting ``A @ x`` and ``A.T.tocsr()``.
-
-    Drop-in for the ``scipy.sparse.csr_matrix`` the frozen-attention fast
-    path builds when scipy is absent: matvec products route through the
-    cache-blocked :func:`weighted_neighbor_sum` kernel, and the transpose
-    (needed by :func:`repro.autograd.functional.spmm` backward) is derived
-    once and cached.  Rows are duplicate-free by construction
-    (:func:`build_pure_csr` coalesces parallel edges).
-    """
-
-    def __init__(
-        self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape
-    ):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.shape = tuple(shape)
-        self._transpose: Optional["PureCSR"] = None
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim != 2 or x.shape[0] != self.shape[1]:
-            raise ValueError(
-                f"cannot multiply {self.shape} CSR by array of shape {x.shape}"
-            )
-        return weighted_neighbor_sum(x, self.data, self.indices, self.indptr)
-
-    dot = __matmul__
-
-    @property
-    def T(self) -> "PureCSR":
-        if self._transpose is None:
-            rows = np.repeat(
-                np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
-            )
-            self._transpose = build_pure_csr(
-                self.indices, rows, self.data, (self.shape[1], self.shape[0])
-            )
-        return self._transpose
-
-    def tocsr(self) -> "PureCSR":
-        return self
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        rows = np.repeat(
-            np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
-        )
-        out[rows, self.indices] = self.data
-        return out
-
-    def __repr__(self) -> str:
-        return f"PureCSR(shape={self.shape}, nnz={self.nnz})"
-
-
-def build_pure_csr(rows, cols, values, shape) -> PureCSR:
-    """Coalesced CSR from COO triplets (duplicate entries are summed).
-
-    Mirrors ``scipy.sparse.csr_matrix((values, (rows, cols)))`` +
-    ``sum_duplicates()``: entries are stably sorted by (row, col) and equal
-    coordinates merged with a segment reduction, so the result is
-    deterministic and summation order matches the scipy construction for the
-    duplicate-free case.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    n_rows, n_cols = int(shape[0]), int(shape[1])
-    if len(rows):
-        key = rows * np.int64(n_cols) + cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        data = np.add.reduceat(values[order], starts)
-        uniq = key[starts]
-        out_rows = uniq // n_cols
-        out_cols = uniq % n_cols
-    else:
-        data = np.zeros(0, dtype=np.float64)
-        out_rows = np.zeros(0, dtype=np.int64)
-        out_cols = np.zeros(0, dtype=np.int64)
-    counts = np.bincount(out_rows, minlength=n_rows)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return PureCSR(data, out_cols, indptr, (n_rows, n_cols))

@@ -201,8 +201,9 @@ class PropagationLayer:
         ``edge_weights`` may be a Tensor (differentiable attention, the
         exact Eq. 4–5 path) or a constant array; when ``sparse_matrix`` (a
         CSR matrix with the weights already scattered, see
-        :func:`build_weighted_adjacency`) is supplied, the gather → weight →
-        segment-sum pipeline runs as one sparse matmul instead.
+        :func:`repro.kernels.dispatch.build_weighted_csr`) is supplied, the
+        gather → weight → segment-sum pipeline runs as one sparse matmul
+        instead.
         """
         if sparse_matrix is not None and not isinstance(edge_weights, Tensor):
             neigh = F.spmm(sparse_matrix, embeddings)
@@ -221,15 +222,3 @@ class PropagationLayer:
         if training and self.dropout > 0 and rng is not None:
             out = F.dropout(out, self.dropout, rng, training=True)
         return out
-
-
-def build_weighted_adjacency(adj: CSRAdjacency, edge_weights: np.ndarray):
-    """CSR matrix A with A[h, t] = Σ attention(h, r, t) over parallel edges.
-
-    Used by the frozen-attention fast path: propagation's neighbor sum is
-    then ``A @ embeddings``.  Delegates to
-    :func:`repro.kernels.dispatch.build_weighted_csr`, which uses
-    ``scipy.sparse`` when importable and the pure-NumPy CSR fallback
-    otherwise — scipy is no longer a hard dependency of this path.
-    """
-    return dispatch.build_weighted_csr(adj, edge_weights)

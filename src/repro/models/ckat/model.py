@@ -30,13 +30,13 @@ import numpy as np
 
 from repro.autograd import Parameter, Tensor, no_grad
 from repro.autograd import functional as F
+from repro.kernels import dispatch
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.ckg import CollaborativeKnowledgeGraph
 from repro.kg.prepared import PreparedGraph
 from repro.models.base import FitConfig, Recommender, batch_l2
 from repro.models.ckat.layers import (
     PropagationLayer,
-    build_weighted_adjacency,
     compute_edge_attention,
     uniform_edge_weights,
 )
@@ -161,7 +161,7 @@ class CKAT(Recommender):
                     self.transr.entity_emb, self.transr.relation_emb, self.transr.proj, self.adj
                 )
             self._edge_weights = att.data
-        self._sparse_adj = build_weighted_adjacency(self.adj, self._edge_weights)
+        self._sparse_adj = dispatch.build_weighted_csr(self.adj, self._edge_weights)
 
     def on_epoch_end(self) -> None:
         if self.config.attention_mode == "epoch":

@@ -7,18 +7,20 @@ future work; this subpackage implements the single-node building blocks:
   process-pool backends (chunked, ordered);
 - :mod:`~repro.parallel.partition` — edge partitioning for the CKG
   (contiguous ranges and hashed assignment, with replication statistics);
-- :mod:`~repro.parallel.sharded` — shard-local propagation with an
-  all-reduce-style combine, verified against the monolithic propagation
-  (the A2 ablation bench measures partition quality).
+- :mod:`~repro.parallel.sharded` — the shard-local neighbor sum: the fused
+  propagation kernel per shard plus an all-reduce-style combine, verified
+  against the monolithic propagation (the A2 ablation bench measures
+  partition quality).
 
 On a single-core machine the process backend degenerates gracefully; the
 point of these modules is to make the partitioned *algorithm* testable —
-shard-combined results must equal the monolithic ones bit-for-bit.
+shard-combined results must equal the monolithic ones up to the
+reassociation of each head's sum across shards.
 """
 
 from repro.parallel.executor import MapExecutor, ProcessExecutor, SerialExecutor
 from repro.parallel.partition import EdgePartition, partition_edges
-from repro.parallel.sharded import sharded_segment_sum, sharded_propagation_step
+from repro.parallel.sharded import sharded_segment_sum
 
 __all__ = [
     "MapExecutor",
@@ -27,5 +29,4 @@ __all__ = [
     "EdgePartition",
     "partition_edges",
     "sharded_segment_sum",
-    "sharded_propagation_step",
 ]

@@ -36,6 +36,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_profile_backend_choices(self):
+        for backend in ("numpy", "oracle"):
+            args = build_parser().parse_args(["profile", "ooi", "--backend", backend])
+            assert args.backend == backend
+
+    @pytest.mark.parametrize("backend", ["numba", "auto"])
+    def test_profile_rejects_retired_backend(self, backend):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "ooi", "--backend", backend])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_analyze_runs(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad
+from repro.kernels import dispatch
 from repro.models import CKAT, CKATConfig
 from repro.models.base import FitConfig
 from repro.kg.adjacency import CSRAdjacency
@@ -12,7 +13,6 @@ from repro.models.ckat.layers import (
     ConcatAggregator,
     PropagationLayer,
     SumAggregator,
-    build_weighted_adjacency,
     compute_edge_attention,
     uniform_edge_weights,
 )
@@ -91,7 +91,7 @@ class TestAttention:
 
     def test_weighted_adjacency_matches_segments(self, ckat_model):
         adj = ckat_model.adj
-        A = build_weighted_adjacency(adj, ckat_model._edge_weights)
+        A = dispatch.build_weighted_csr(adj, ckat_model._edge_weights)
         x = np.random.default_rng(0).normal(size=(adj.num_entities, 4))
         via_sparse = A @ x
         manual = np.zeros_like(via_sparse)

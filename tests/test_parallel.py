@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autograd import Tensor
+from repro.kernels import dispatch
+from repro.kg.adjacency import CSRAdjacency
 from repro.kg.triples import TripleStore
 from repro.parallel import (
+    EdgePartition,
     SerialExecutor,
     partition_edges,
-    sharded_propagation_step,
     sharded_segment_sum,
 )
 from repro.parallel.executor import ProcessExecutor, chunk_indices
@@ -186,18 +189,6 @@ class TestShardedPropagation:
         mono = self._monolithic(store.heads, store.tails, weights, emb)
         np.testing.assert_allclose(sharded, mono, atol=1e-10)
 
-    def test_propagation_step_applies_aggregate(self):
-        store = random_store(8)
-        rng = np.random.default_rng(9)
-        weights = rng.random(len(store))
-        emb = rng.normal(size=(store.num_entities, 4))
-        part = partition_edges(store, num_shards=3)
-        out = sharded_propagation_step(
-            store.heads, store.tails, weights, emb, part, aggregate=lambda s, n: s + n
-        )
-        mono = emb + self._monolithic(store.heads, store.tails, weights, emb)
-        np.testing.assert_allclose(out, mono, atol=1e-10)
-
     def test_mismatched_lengths_rejected(self):
         store = random_store(10)
         part = partition_edges(store, num_shards=2)
@@ -206,15 +197,26 @@ class TestShardedPropagation:
                 store.heads, store.tails, np.ones(3), np.zeros((store.num_entities, 2)), part
             )
 
+    @pytest.mark.parametrize(
+        "shard_of_edge",
+        [np.array([0, 1]), np.array([0, 2, 1]), np.array([0, -1, 1])],
+        ids=["short", "id-too-large", "negative-id"],
+    )
+    def test_partition_must_cover_every_edge(self, shard_of_edge):
+        """A partition that would drop an edge is rejected, not summed short."""
+        heads, tails = np.array([0, 1, 2]), np.array([1, 2, 0])
+        part = EdgePartition(num_shards=2, shard_of_edge=shard_of_edge, strategy="test")
+        with pytest.raises(ValueError, match="partition"):
+            sharded_segment_sum(heads, tails, np.ones(3), np.ones((3, 1)), part)
+
     def test_matches_ckat_layer_neighborhood(self, ooi_ckg_best):
         """Sharded sum reproduces CKAT's frozen-attention neighborhood sum."""
-        from repro.kg.adjacency import CSRAdjacency
-        from repro.models.ckat.layers import build_weighted_adjacency, uniform_edge_weights
+        from repro.models.ckat.layers import uniform_edge_weights
 
         adj = CSRAdjacency(ooi_ckg_best.propagation_store)
         weights = uniform_edge_weights(adj)
         emb = np.random.default_rng(0).normal(size=(adj.num_entities, 4))
-        A = build_weighted_adjacency(adj, weights)
+        A = dispatch.build_weighted_csr(adj, weights)
         store = ooi_ckg_best.propagation_store
         part = partition_edges(store, num_shards=4, strategy="hash")
         # Careful: sharded sum works in the store's edge order; build weights
@@ -228,7 +230,11 @@ class TestShardedPropagation:
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 1000), shards=st.integers(1, 6))
 def test_sharded_sum_property(seed, shards):
-    """Property: sharding is exact for any random graph and shard count."""
+    """Property: sharding is exact for any random graph and shard count.
+
+    Two references: the scatter-add over all edges, and the fused kernel
+    CKAT's propagation layer runs on the monolithic adjacency.
+    """
     store = random_store(seed, n_entities=15, n_edges=40)
     rng = np.random.default_rng(seed + 1)
     weights = rng.random(len(store))
@@ -238,3 +244,7 @@ def test_sharded_sum_property(seed, shards):
     mono = np.zeros_like(emb)
     np.add.at(mono, store.heads, weights[:, None] * emb[store.tails])
     np.testing.assert_allclose(sharded, mono, atol=1e-10)
+    adj = CSRAdjacency(store)
+    head_order = np.argsort(store.heads, kind="stable")  # the adjacency's edge order
+    fused = dispatch.weighted_neighbor_sum(Tensor(emb), weights[head_order], adj)
+    np.testing.assert_allclose(sharded, fused.data, atol=1e-10)

@@ -555,31 +555,6 @@ class TestPipelineTraceStream:
         np.testing.assert_array_equal(again.object_ids, base.object_ids)
 
 
-# -------------------------------------------------------- chunked segment sum
-class TestShardedSegmentSumChunking:
-    def test_edge_chunk_is_bit_identical(self):
-        from repro.parallel.partition import EdgePartition
-        from repro.parallel.sharded import sharded_segment_sum
-
-        rng = np.random.default_rng(SEED)
-        num_entities, num_edges, dim = 40, 300, 6
-        heads = rng.integers(0, num_entities, num_edges)
-        tails = rng.integers(0, num_entities, num_edges)
-        weights = rng.random(num_edges)
-        emb = rng.random((num_entities, dim))
-        partition = EdgePartition(
-            num_shards=3, shard_of_edge=rng.integers(0, 3, num_edges), strategy="test"
-        )
-        base = sharded_segment_sum(heads, tails, weights, emb, partition)
-        for edge_chunk in (1, 7, 10_000):
-            chunked = sharded_segment_sum(
-                heads, tails, weights, emb, partition, edge_chunk=edge_chunk
-            )
-            np.testing.assert_array_equal(chunked, base)
-        with pytest.raises(ValueError, match="edge_chunk"):
-            sharded_segment_sum(heads, tails, weights, emb, partition, edge_chunk=0)
-
-
 # ------------------------------------------------------------- scale pipeline
 class TestScalePipelineSmoke:
     def test_tiny_end_to_end(self, tmp_path):
