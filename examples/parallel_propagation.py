@@ -16,6 +16,7 @@ partial sums + one all-reduce.  This example:
 """
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from repro import CKAT, CKATConfig, KnowledgeSources, load_dataset
 from repro.parallel import partition_edges, sharded_segment_sum
@@ -43,7 +44,9 @@ def main() -> None:
     weights_store[order] = model._edge_weights
     emb = model.transr.entity_emb.data
 
-    reference = model._sparse_adj @ emb
+    reference = coo_matrix(
+        (model._edge_weights, (adj.heads, adj.tails)), shape=(adj.num_entities,) * 2
+    ) @ emb
 
     table = TextTable(
         ["strategy", "shards", "max error", "load balance", "replication factor"],

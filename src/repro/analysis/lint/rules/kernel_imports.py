@@ -1,6 +1,6 @@
 """RPL010 — fused-kernel access outside the dispatch funnel.
 
-The fused cache-blocked kernels (:mod:`repro.kernels.numpy_backend`) are
+The fused kernels (:mod:`repro.kernels.numpy_backend`) are
 raw-ndarray routines with no tape and no backend selection; the **only**
 sanctioned way for model and evaluation code to reach them is
 :mod:`repro.kernels.dispatch`, which owns the fused-vs-oracle switch

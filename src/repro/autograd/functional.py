@@ -67,7 +67,6 @@ __all__ = [
     "segment_sum",
     "segment_max",
     "segment_softmax",
-    "spmm",
     "squared_norm",
     "bpr_loss",
     "margin_ranking_loss",
@@ -555,24 +554,6 @@ def segment_softmax(scores: Tensor, offsets: np.ndarray) -> Tensor:
         scores.accumulate_grad(out * (grad - seg_dot[seg_ids]), owned=True)
 
     return _make(out, (scores,), backward)
-
-
-def spmm(matrix, x: Tensor) -> Tensor:
-    """Multiply a *constant* sparse matrix by a dense tensor: ``matrix @ x``.
-
-    ``matrix`` is a ``scipy.sparse`` matrix treated as data (no gradient);
-    backward propagates ``matrixᵀ @ grad`` into ``x``.  This fuses the
-    gather → weight → segment-sum pattern of GNN propagation into one sparse
-    BLAS call, which profiling showed is ~4× faster than the reduceat path
-    when edge weights are frozen (CKAT's epoch-mode attention).
-    """
-    out = matrix @ x.data
-    mt = matrix.T.tocsr()
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(mt @ grad, owned=True)
-
-    return _make(np.asarray(out), (x,), backward)
 
 
 # -------------------------------------------------------------------- losses

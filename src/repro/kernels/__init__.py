@@ -1,8 +1,8 @@
-"""Fused cache-blocked kernels for the CKAT hot loops.
+"""Fused kernels for the CKAT hot loops.
 
 Layout:
 
-- :mod:`repro.kernels.numpy_backend` — raw-ndarray cache-blocked kernels,
+- :mod:`repro.kernels.numpy_backend` — raw-ndarray NumPy/scipy kernels,
   the one implementation of every fused op.
 - :mod:`repro.kernels.dispatch` — fused-vs-oracle selection plus the
   differentiable Tensor-level wrappers.  **The only module models/eval code

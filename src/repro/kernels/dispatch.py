@@ -1,13 +1,13 @@
 """Fused-kernel dispatch — the single sanctioned entry point.
 
 Models and evaluators call the fused ops **only** through this module
-(reprolint RPL010 enforces the funnel); the raw cache-blocked
+(reprolint RPL010 enforces the funnel); the raw-array
 implementations live in :mod:`repro.kernels.numpy_backend`.
 
 Backends
 --------
 ``numpy``
-    The default: every fused op runs its cache-blocked NumPy kernel.
+    The default: every fused op runs its NumPy/scipy kernel.
 ``oracle``
     Fusion disabled: callers fall back to their original per-op autograd
     chains, which remain the parity oracle for every fused kernel.  Select
@@ -32,7 +32,6 @@ import os
 from typing import Iterator, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd.functional import _make
 from repro.autograd.sparse import SparseRowGrad, sparse_grads_enabled
@@ -52,7 +51,6 @@ __all__ = [
     "transr_energy",
     "weighted_neighbor_sum",
     "masked_topk",
-    "build_weighted_csr",
 ]
 
 ENV_VAR = "REPRO_KERNELS"
@@ -64,38 +62,6 @@ BACKENDS = ("numpy", "oracle")
 TENSOR_OPS = ("edge_attention_scores", "weighted_neighbor_sum", "transr_energy")
 
 _backend: Optional[str] = None
-
-
-class _BufferPool:
-    """Recycle the large per-call arrays of the fused attention op.
-
-    The op saves two ``(E, k)`` activations for backward and scratches a
-    ``(2E, d)`` gradient block — ~40 MB of fresh page faults per training
-    step if allocated anew.  Buffers are handed out by shape and returned
-    once consumed; an unreturned buffer (e.g. a forward whose graph is
-    discarded without backward) is simply garbage-collected and the pool
-    re-allocates, so reuse is an optimization, never a correctness issue.
-    """
-
-    _MAX_FREE = 4  # per shape — bounds worst-case retention
-
-    def __init__(self) -> None:
-        self._free: dict = {}
-
-    def take(self, shape) -> np.ndarray:
-        stack = self._free.get(shape)
-        if stack:
-            return stack.pop()
-        return np.empty(shape, dtype=np.float64)
-
-    def give(self, *arrays: np.ndarray) -> None:
-        for arr in arrays:
-            stack = self._free.setdefault(arr.shape, [])
-            if len(stack) < self._MAX_FREE:
-                stack.append(arr)
-
-
-_pool = _BufferPool()
 
 
 def available_backends() -> tuple:
@@ -156,60 +122,44 @@ def edge_attention_scores(
     One tape node for the per-relation ``gather → project → tanh → dot``
     chain of Eq. 4, in head-sorted edge order, ready for
     :func:`~repro.autograd.functional.segment_softmax`.  The relation
-    grouping, its inverse scatter permutation and the grouped endpoints all
-    come precomputed from the adjacency caches.
+    grouping, its inverse scatter permutation and the (entity, relation) run
+    structure all come precomputed from the adjacency caches.
     """
-    order, bounds = adj.relation_edge_groups()
-    inverse = adj.relation_scatter_index()
-    heads_r, tails_r = adj.relation_edge_endpoints()
+    order, _ = adj.relation_edge_groups()
+    groups = adj.attention_grad_groups()
     ent, rel, prj = entity_emb.data, relation_emb.data, proj.data
-    num_edges = adj.num_edges
-    k = rel.shape[1]
     scores_r, th, pt = numpy_backend.edge_attention_forward(
         ent,
         rel,
         prj,
-        heads_r,
-        tails_r,
-        bounds,
-        th_out=_pool.take((num_edges, k)),
-        pt_out=_pool.take((num_edges, k)),
+        groups.head_rows,
+        groups.head_bounds,
+        groups.tail_rows,
+        groups.tail_bounds,
+        groups.head_run,
+        groups.tail_run,
     )
-    out = scores_r[inverse]
-    released = False
+    out = scores_r[adj.relation_scatter_index()]
 
     def backward(grad: np.ndarray) -> None:
-        nonlocal released
-        groups = adj.attention_grad_groups()
-        num_runs = len(groups.head_rows) + len(groups.tail_rows)
-        gp_buf = _pool.take((num_edges, k))
-        gu_buf = _pool.take((num_edges, k))
-        node_scratch = _pool.take((num_runs, ent.shape[1]))
         node_vals, grad_rel, grad_proj = numpy_backend.edge_attention_backward(
             np.asarray(grad)[order],
             ent,
             rel,
             prj,
-            bounds,
             th,
             pt,
             groups.head_offsets,
             groups.head_rows,
             groups.head_bounds,
-            groups.tail_perm,
-            groups.tail_offsets,
+            groups.tail_run,
             groups.tail_rows,
             groups.tail_bounds,
-            gp_buf=gp_buf,
-            gu_buf=gu_buf,
-            node_out=node_scratch,
         )
         if entity_emb.requires_grad:
-            # Coalesce the per-(entity, relation) partial rows to the
-            # touched entities with the adjacency's cached grouping: the
-            # sparse merge and the optimizer then handle at most
-            # num_entities rows, and the reduction never materializes
-            # per-edge gradient rows at all.
+            # Coalesce the per-run partial rows to the touched entities with
+            # the adjacency's cached grouping: the sparse merge and the
+            # optimizer then handle at most num_entities rows.
             values = numpy_backend.segment_sum_rows(
                 node_vals, groups.perm, groups.offsets
             )
@@ -218,21 +168,12 @@ def edge_attention_scores(
                 entity_emb.accumulate_grad(g)
             else:
                 entity_emb.accumulate_grad(g.to_dense(), owned=True)
-        _pool.give(gp_buf, gu_buf, node_scratch)
-        if not released:
-            released = True
-            _pool.give(th, pt)
         if relation_emb.requires_grad:
             relation_emb.accumulate_grad(grad_rel, owned=True)
         if proj.requires_grad:
             proj.accumulate_grad(grad_proj, owned=True)
 
-    node = _make(out, (entity_emb, relation_emb, proj), backward)
-    if node._backward is None:
-        # Inference path: the graph recorded no backward, so the saved
-        # activations can be recycled immediately.
-        _pool.give(th, pt)
-    return node
+    return _make(out, (entity_emb, relation_emb, proj), backward)
 
 
 # ------------------------------------------------------------- TransR energy
@@ -309,9 +250,11 @@ def weighted_neighbor_sum(
 
     ``edge_weights`` may be a Tensor (differentiable attention, the exact
     Eq. 4–5 path) or a constant array (frozen attention / uniform weights);
-    either way the ``(E, d)`` weighted-messages temporary of the per-op chain
-    is never materialized.  Returns the per-entity neighborhood aggregate,
-    shape ``(num_entities, d)``.
+    either way the step is one CSR product ``A @ embeddings`` over the
+    adjacency arrays and its embedding gradient ``Aᵀ @ grad``, so the
+    ``(E, d)`` weighted-messages temporary of the per-op chain never exists.
+    Returns the per-entity neighborhood aggregate, shape
+    ``(num_entities, d)``.
     """
     weights_tensor = edge_weights if isinstance(edge_weights, Tensor) else None
     w = (
@@ -320,31 +263,20 @@ def weighted_neighbor_sum(
         else np.asarray(edge_weights, dtype=np.float64)
     )
     emb = embeddings.data
-    out = numpy_backend.weighted_neighbor_sum(emb, w, adj.tails, adj.offsets)
+    matrix = numpy_backend.weighted_adjacency(w, adj.tails, adj.offsets, emb.shape[0])
+    out = matrix @ emb
 
     def backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad)
-        needs_gw = weights_tensor is not None and weights_tensor.requires_grad
-        gw: Optional[np.ndarray] = None
         if embeddings.requires_grad:
-            in_order, in_offsets, heads_in, tails_in = adj.incoming_edge_groups()
-            if needs_gw:
-                # One edge pass for both gradients: the weight grad reads
-                # the same gathered grad_out rows as the embedding grad.
-                g_emb, gw_sorted = numpy_backend.weighted_backward_fused(
-                    grad, emb, w[in_order], heads_in, tails_in, in_offsets
-                )
-                gw = np.empty(adj.num_edges, dtype=np.float64)
-                gw[in_order] = gw_sorted
-            else:
-                g_emb = numpy_backend.weighted_neighbor_sum(
-                    grad, w[in_order], heads_in, in_offsets
-                )
+            g_emb = matrix.T @ grad
             if sparse_grads_enabled() and not embeddings._parents:
                 # Leaf table: restrict to rows with incoming edges so the
                 # lazy optimizer touches the same row set as the oracle's
                 # gather backward.
-                touched = np.flatnonzero(np.diff(in_offsets) > 0)
+                touched = np.flatnonzero(
+                    np.bincount(adj.tails, minlength=emb.shape[0])
+                )
                 embeddings.accumulate_grad(
                     SparseRowGrad(
                         emb.shape, touched, g_emb[touched], coalesced=True
@@ -352,9 +284,8 @@ def weighted_neighbor_sum(
                 )
             else:
                 embeddings.accumulate_grad(g_emb, owned=True)
-        if needs_gw:
-            if gw is None:
-                gw = numpy_backend.weighted_edge_grad(grad, emb, adj.heads, adj.tails)
+        if weights_tensor is not None and weights_tensor.requires_grad:
+            gw = numpy_backend.gather_dot(grad, emb, adj.heads, adj.tails)
             weights_tensor.accumulate_grad(gw, owned=True)
 
     parents = (embeddings,) if weights_tensor is None else (embeddings, weights_tensor)
@@ -390,18 +321,3 @@ def masked_topk(
         batch,
         valid_out=valid_out,
     )
-
-
-# ------------------------------------------------- frozen-attention adjacency
-def build_weighted_csr(adj, edge_weights: np.ndarray):
-    """CSR matrix ``A[h, t] = Σ attention(h, r, t)`` over parallel edges.
-
-    The frozen-attention fast path computes propagation as ``A @ embeddings``
-    (:func:`~repro.autograd.functional.spmm`).
-    """
-    matrix = sp.csr_matrix(
-        (np.asarray(edge_weights, dtype=np.float64), (adj.heads, adj.tails)),
-        shape=(adj.num_entities, adj.num_entities),
-    )
-    matrix.sum_duplicates()
-    return matrix

@@ -1,4 +1,4 @@
-"""Cache-blocked NumPy implementations of the fused kernels.
+"""NumPy/scipy implementations of the fused kernels.
 
 Every function here operates on **raw ndarrays** — no autograd Tensors, no
 tape.  The differentiable wrappers in :mod:`repro.kernels.dispatch` call
@@ -6,21 +6,28 @@ these for both directions of each fused op; each op has exactly this one
 implementation, checked against the per-op autograd chain
 (``REPRO_KERNELS=oracle``).
 
-Blocking strategy
------------------
+Run factoring and CSR products
+------------------------------
 The per-op oracle chains materialize ``(E, d)`` / ``(E, k)`` temporaries at
 every step of the attention and propagation pipelines (gathered endpoint
 embeddings, projected embeddings, tanh outputs, weighted messages, …).  The
-kernels below stream over edges in blocks sized so the working set — one
-gathered block plus one projected block — stays in cache
-(:func:`edge_block`), writing each result directly into its preallocated
-destination.  Matmul FLOPs are unchanged; what disappears is the allocator
-traffic and the extra full-array passes between the fine-grained ops.
+kernels below never build a per-edge matrix:
 
-Segment reductions reuse the ``np.add.reduceat`` discipline of
-:func:`repro.autograd.functional.segment_sum`: reduce only the non-empty
-segments intersecting the current block and accumulate with ``+=`` so a
-segment spanning a block boundary sums its partial results in block order.
+- **Attention** (Eq. 4).  ``tanh(W_r e_h + e_r)`` depends only on the
+  *(head, relation)* pair and ``W_r e_t`` only on the *(tail, relation)*
+  pair, so the forward projects one row per head run and one per tail run
+  (the runs come from
+  :meth:`~repro.kg.adjacency.CSRAdjacency.attention_grad_groups`) and each
+  score is a blocked row-dot of two run rows (:func:`gather_dot`).  The
+  backward puts the score gradients in one CSR matrix ``S`` (head runs ×
+  tail runs) and reduces them to run rows with two sparse products.
+- **Propagation** (Eq. 8).  ``Σ_{e ∈ N_h} w_e · e_t`` is the CSR product
+  ``A @ emb`` with ``A = csr(w, tails, offsets)`` built straight from the
+  adjacency arrays; its embedding gradient is ``Aᵀ @ grad``.
+- **Gradient coalescing** (:func:`segment_sum_rows`) is a 0/1 CSR product.
+
+Each sparse product accumulates a row's terms sequentially in edge order,
+so results are deterministic and equal to the oracle up to reassociation.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "edge_block",
@@ -35,15 +43,15 @@ __all__ = [
     "edge_attention_backward",
     "transr_energy_forward",
     "transr_energy_backward",
+    "weighted_adjacency",
     "weighted_neighbor_sum",
-    "weighted_edge_grad",
-    "weighted_backward_fused",
+    "gather_dot",
     "segment_sum_rows",
     "masked_topk",
 ]
 
-#: Target bytes for one gathered edge block (values chosen so two float64
-#: blocks — gather + projection — fit comfortably in a 256 KiB+ L2 cache).
+#: Target bytes for one gathered edge block (values chosen so the two
+#: gathered float64 blocks of :func:`gather_dot` fit in a 256 KiB+ L2 cache).
 _BLOCK_TARGET_BYTES = 1 << 20
 
 
@@ -54,89 +62,43 @@ def edge_block(dim: int, target_bytes: int = _BLOCK_TARGET_BYTES) -> int:
     return max(512, target_bytes // (8 * dim))
 
 
-def _block_segments(
-    offsets: np.ndarray, e0: int, e1: int
-) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Segment geometry of the edge range ``[e0, e1)``.
-
-    Returns ``(first_segment, local_starts, nonempty)`` where ``local_starts``
-    are the block-relative start offsets of every segment intersecting the
-    range (one per segment, clipped to the range) and ``nonempty`` masks the
-    segments that actually own edges inside it.
-    """
-    first = int(np.searchsorted(offsets, e0, side="right")) - 1
-    last = int(np.searchsorted(offsets, e1 - 1, side="right")) - 1
-    local = np.clip(offsets[first : last + 2] - e0, 0, e1 - e0)
-    lengths = np.diff(local)
-    return first, local[:-1], lengths > 0
-
-
 # ------------------------------------------------------------ edge attention
 def edge_attention_forward(
     ent: np.ndarray,
     rel: np.ndarray,
     proj: np.ndarray,
-    heads_r: np.ndarray,
-    tails_r: np.ndarray,
-    bounds: np.ndarray,
-    block: Optional[int] = None,
-    th_out: Optional[np.ndarray] = None,
-    pt_out: Optional[np.ndarray] = None,
+    head_rows: np.ndarray,
+    head_bounds: np.ndarray,
+    tail_rows: np.ndarray,
+    tail_bounds: np.ndarray,
+    head_run: np.ndarray,
+    tail_run: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unnormalized attention scores ``(W_r e_t)ᵀ tanh(W_r e_h + e_r)``.
 
-    Inputs are in **relation-grouped order**: ``heads_r``/``tails_r`` are the
-    edge endpoints permuted so equal relations are contiguous, ``bounds``
-    delimits each relation's run.  Returns ``(scores, th, pt)`` where ``th``
-    (the tanh activations) and ``pt`` (the projected tails) are saved for the
-    backward pass — two ``(E, k)`` arrays instead of the oracle's eight-odd
-    intermediates.  ``th_out``/``pt_out`` let the caller recycle those
-    activations across steps (27 MB of fresh page faults per call otherwise).
+    ``head_rows``/``tail_rows`` name the entity of every head/tail run,
+    grouped by relation (``head_bounds``/``tail_bounds`` slice the runs per
+    relation); ``head_run``/``tail_run`` give each edge's runs in
+    relation-grouped edge order.  Returns ``(scores, th, pt)``: the scores
+    in relation-grouped order, ``th`` the tanh activations (one row per head
+    run) and ``pt`` the projected tails (one row per tail run), both saved
+    for the backward pass.
     """
-    num_edges = len(heads_r)
-    num_entities = ent.shape[0]
     k = rel.shape[1]
-    d = ent.shape[1]
-    if block is None:
-        block = edge_block(max(k, d))
-    scores = np.empty(num_edges, dtype=np.float64)
-    th = th_out if th_out is not None else np.empty((num_edges, k), dtype=np.float64)
-    pt = pt_out if pt_out is not None else np.empty((num_edges, k), dtype=np.float64)
-    gather = np.empty((min(block, num_edges) or 1, d), dtype=np.float64)
-    table: Optional[np.ndarray] = None
-    for r in range(len(bounds) - 1):
-        lo, hi = int(bounds[r]), int(bounds[r + 1])
-        if hi == lo:
+    th = np.empty((len(head_rows), k), dtype=np.float64)
+    pt = np.empty((len(tail_rows), k), dtype=np.float64)
+    for r in range(len(head_bounds) - 1):
+        hs, he = int(head_bounds[r]), int(head_bounds[r + 1])
+        if he == hs:
             continue
+        ts, te = int(tail_bounds[r]), int(tail_bounds[r + 1])
         w_t = proj[r].T  # (d, k), one view per relation
-        r_vec = rel[r]
-        if num_entities <= hi - lo:
-            if table is None:
-                table = np.empty((num_entities, k), dtype=np.float64)
-            # Project-once: every entity's ``e W_r`` in one (N, d)·(d, k)
-            # matmul, then gather projected rows per edge endpoint — N·k·d
-            # FLOPs instead of 2·(hi-lo)·k·d when the group has more edges
-            # than there are entities (the dense-graph regime).
-            np.matmul(ent, w_t, out=table)
-            np.take(table, heads_r[lo:hi], axis=0, out=th[lo:hi])
-            th[lo:hi] += r_vec
-            np.tanh(th[lo:hi], out=th[lo:hi])
-            np.take(table, tails_r[lo:hi], axis=0, out=pt[lo:hi])
-            np.einsum("ij,ij->i", pt[lo:hi], th[lo:hi], out=scores[lo:hi])
-            continue
-        for b0 in range(lo, hi, block):
-            b1 = min(b0 + block, hi)
-            th_b = th[b0:b1]
-            pt_b = pt[b0:b1]
-            gat = gather[: b1 - b0]
-            np.take(ent, heads_r[b0:b1], axis=0, out=gat)
-            np.matmul(gat, w_t, out=th_b)
-            th_b += r_vec
-            np.tanh(th_b, out=th_b)
-            np.take(ent, tails_r[b0:b1], axis=0, out=gat)
-            np.matmul(gat, w_t, out=pt_b)
-            np.einsum("ij,ij->i", pt_b, th_b, out=scores[b0:b1])
-    return scores, th, pt
+        th_r = th[hs:he]
+        np.matmul(ent[head_rows[hs:he]], w_t, out=th_r)
+        th_r += rel[r]
+        np.tanh(th_r, out=th_r)
+        np.matmul(ent[tail_rows[ts:te]], w_t, out=pt[ts:te])
+    return gather_dot(th, pt, head_run, tail_run), th, pt
 
 
 def edge_attention_backward(
@@ -144,92 +106,61 @@ def edge_attention_backward(
     ent: np.ndarray,
     rel: np.ndarray,
     proj: np.ndarray,
-    bounds: np.ndarray,
     th: np.ndarray,
     pt: np.ndarray,
     head_offsets: np.ndarray,
     head_rows: np.ndarray,
     head_bounds: np.ndarray,
-    tail_perm: np.ndarray,
-    tail_offsets: np.ndarray,
+    tail_run: np.ndarray,
     tail_rows: np.ndarray,
     tail_bounds: np.ndarray,
-    block: Optional[int] = None,
-    gp_buf: Optional[np.ndarray] = None,
-    gu_buf: Optional[np.ndarray] = None,
-    node_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of :func:`edge_attention_forward`, reduced before the matmuls.
+    """Backward of :func:`edge_attention_forward`, reduced to run rows first.
 
-    ``grad_scores`` is the score gradient in relation-grouped order.  The
-    chain rule factors every output through the per-edge ``(E, k)``
-    gradients ``gu = g·pt·(1−th²)`` and ``gp = g·th``; because ``W_r`` and
-    ``e_r`` are constant within a relation group, and every edge sharing a
-    head (tail) also shares its entity row, those can be segment-summed to
-    one row per touched *(entity, relation)* pair **first** (the head/tail
-    run structure comes precomputed from
-    :meth:`~repro.kg.adjacency.CSRAdjacency.attention_grad_groups`):
+    ``grad_scores`` is the score gradient in relation-grouped order, where
+    every head run is contiguous.  As the CSR matrix ``S`` (head runs × tail
+    runs, ``indptr = head_offsets``, column = the edge's tail run) it gives
+    the run-row gradients of both saved activations in one sparse product
+    each:
 
-    - ``d e_h`` rows: ``GU_runs @ W_r`` — runs·k·d FLOPs instead of E·k·d;
-    - ``d e_t`` rows: ``GP_runs @ W_r`` likewise;
-    - ``d W_r = GU_runsᵀ @ ent[head_rows] + GP_runsᵀ @ ent[tail_rows]`` —
-      gathering one entity row per run instead of one per edge;
-    - ``d e_r = Σ GU_runs``.
+    - ``d th = S @ pt``, so ``gu = (S @ pt)·(1 − th²)`` per head run;
+    - ``d pt = Sᵀ @ th`` per tail run.
+
+    ``W_r`` and ``e_r`` are constant within a relation, so the rest runs on
+    run rows: ``d e_h = gu @ W_r`` and ``d e_t = gp @ W_r``,
+    ``d W_r = guᵀ @ ent[head_rows] + gpᵀ @ ent[tail_rows]`` and
+    ``d e_r = Σ gu``.
 
     Returns ``(node_vals, grad_rel, grad_proj)`` where ``node_vals`` stacks
-    the per-head-run gradients (first ``len(head_rows)`` rows) over the
-    per-tail-run gradients, ready for the final coalesce to unique entities
-    (``segment_sum_rows`` with the cached ``perm``/``offsets``).
-    ``gp_buf``/``gu_buf`` recycle the two ``(E, k)`` scratches and
-    ``node_out`` the result buffer.
+    the per-head-run entity gradients (first ``len(head_rows)`` rows) over
+    the per-tail-run ones, ready for the final coalesce to unique entities
+    (:func:`segment_sum_rows`).
     """
-    num_edges = len(grad_scores)
-    k = rel.shape[1]
     d = ent.shape[1]
     num_head_runs = len(head_rows)
-    num_tail_runs = len(tail_rows)
     grad_rel = np.zeros_like(rel)
     grad_proj = np.zeros_like(proj)
-    node_vals = (
-        node_out
-        if node_out is not None
-        else np.empty((num_head_runs + num_tail_runs, d), dtype=np.float64)
+    node_vals = np.empty((num_head_runs + len(tail_rows), d), dtype=np.float64)
+    scores_grad = sp.csr_matrix(
+        (grad_scores, tail_run, head_offsets), shape=(num_head_runs, len(tail_rows))
     )
-    if num_edges == 0:
-        return node_vals[:0], grad_rel, grad_proj
-    if block is None:
-        block = edge_block(max(k, d))
-    gp = gp_buf if gp_buf is not None else np.empty((num_edges, k), dtype=np.float64)
-    gu = gu_buf if gu_buf is not None else np.empty((num_edges, k), dtype=np.float64)
-    # d scores / d pt = th ; d scores / d th = pt ; d th / d u = 1 - th².
-    g = grad_scores[:, None]
-    np.multiply(g, th, out=gp)
-    np.multiply(g, pt, out=gu)
-    damp = np.empty((min(block, num_edges), k), dtype=np.float64)
-    for b0 in range(0, num_edges, block):
-        b1 = min(b0 + block, num_edges)
-        dp = damp[: b1 - b0]
-        np.multiply(th[b0:b1], th[b0:b1], out=dp)
-        np.subtract(1.0, dp, out=dp)
-        gu[b0:b1] *= dp
-    # Head runs are contiguous in relation-grouped order (stable sort of the
-    # CSR layout), so GU reduces in place; tail runs need the cached
-    # within-group sort.
-    gu_runs = np.add.reduceat(gu, head_offsets[:-1], axis=0)
-    gp_runs = segment_sum_rows(gp, tail_perm, tail_offsets, block=block)
-    for r in range(len(bounds) - 1):
+    # d scores / d th = pt ; d th / d u = 1 − th² ; d scores / d pt = th.
+    gu = scores_grad @ pt
+    gu *= 1.0 - th * th
+    gp = scores_grad.T @ th
+    for r in range(len(head_bounds) - 1):
         hs, he = int(head_bounds[r]), int(head_bounds[r + 1])
-        ts, te = int(tail_bounds[r]), int(tail_bounds[r + 1])
-        if he == hs and te == ts:
+        if he == hs:
             continue
+        ts, te = int(tail_bounds[r]), int(tail_bounds[r + 1])
         w_r = proj[r]  # (k, d)
-        gu_r = gu_runs[hs:he]
-        gp_r = gp_runs[ts:te]
-        np.matmul(gu_r, w_r, out=node_vals[hs:he])  # d e_h per head run
+        gu_r = gu[hs:he]
+        gp_r = gp[ts:te]
+        np.matmul(gu_r, w_r, out=node_vals[hs:he])
         np.matmul(gp_r, w_r, out=node_vals[num_head_runs + ts : num_head_runs + te])
-        grad_proj[r] += gu_r.T @ ent[head_rows[hs:he]]
+        grad_proj[r] = gu_r.T @ ent[head_rows[hs:he]]
         grad_proj[r] += gp_r.T @ ent[tail_rows[ts:te]]
-        grad_rel[r] += gu_r.sum(axis=0)
+        grad_rel[r] = gu_r.sum(axis=0)
     return node_vals, grad_rel, grad_proj
 
 
@@ -308,156 +239,90 @@ def transr_energy_backward(
 
 
 # -------------------------------------------------------- fused propagation
+def weighted_adjacency(
+    weights: np.ndarray, tails: np.ndarray, offsets: np.ndarray, num_cols: int
+) -> sp.csr_matrix:
+    """CSR matrix ``A`` with ``A[h, tails[e]] = weights[e]`` for the edges of ``h``.
+
+    Edges are sorted by head (CSR layout, ``offsets`` delimiting segments),
+    so the adjacency arrays are the matrix structure as they stand: nothing
+    is sorted, and parallel edges stay separate entries, which the product
+    sums.
+    """
+    return sp.csr_matrix(
+        (weights, tails, offsets), shape=(len(offsets) - 1, num_cols)
+    )
+
+
 def weighted_neighbor_sum(
     emb: np.ndarray,
     weights: np.ndarray,
     tails: np.ndarray,
     offsets: np.ndarray,
-    block: Optional[int] = None,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``out[h] = Σ_{e ∈ segment(h)} weights[e] · emb[tails[e]]`` (Eq. 8).
 
-    Edges are sorted by head (CSR layout, ``offsets`` delimiting segments).
-    The gather → weight → segment-reduce chain runs block-by-block through a
-    reused ``(block, d)`` scratch, so the ``(E, d)`` weighted-messages
-    temporary of the per-op chain is never materialized.
+    One CSR product (:func:`weighted_adjacency`), so the ``(E, d)``
+    weighted-messages temporary of the per-op chain never exists.
     """
-    num_segments = len(offsets) - 1
-    d = emb.shape[1]
-    num_edges = len(tails)
-    if block is None:
-        block = edge_block(d)
-    if out is None:
-        out = np.zeros((num_segments, d), dtype=np.float64)
-    else:
-        out[:] = 0.0
-    if num_edges == 0:
-        return out
-    scratch = np.empty((min(block, num_edges), d), dtype=np.float64)
-    for e0 in range(0, num_edges, block):
-        e1 = min(e0 + block, num_edges)
-        sb = scratch[: e1 - e0]
-        np.take(emb, tails[e0:e1], axis=0, out=sb)
-        sb *= weights[e0:e1, None]
-        first, starts, nonempty = _block_segments(offsets, e0, e1)
-        reduced = np.add.reduceat(sb, starts[nonempty], axis=0)
-        out[first : first + len(starts)][nonempty] += reduced
-    return out
+    return weighted_adjacency(weights, tails, offsets, emb.shape[0]) @ emb
 
 
-def weighted_backward_fused(
-    grad_out: np.ndarray,
-    emb: np.ndarray,
-    w_in: np.ndarray,
-    heads_in: np.ndarray,
-    tails_in: np.ndarray,
-    in_offsets: np.ndarray,
+def gather_dot(
+    a: np.ndarray,
+    b: np.ndarray,
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
     block: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both :func:`weighted_neighbor_sum` gradients in one edge pass.
+) -> np.ndarray:
+    """``out[e] = a[a_rows[e]] · b[b_rows[e]]``, gathered block by block.
 
-    In the tail-grouped (transpose) layout, the embedding gradient
-    ``g_emb[t] = Σ w_e · grad_out[heads[e]]`` and the per-edge weight
-    gradient ``gw[e] = grad_out[heads[e]] · emb[tails[e]]`` read the *same*
-    gathered ``grad_out`` rows — running them separately gathers that
-    ``(E, d)`` block twice.  Here each block is gathered once, dotted
-    against the tail rows for ``gw`` (bit-identical to
-    :func:`weighted_edge_grad`: the per-edge dot is order-independent
-    across edges), then scaled by ``w_in`` and segment-reduced for
-    ``g_emb``.  ``gw`` comes back in tail-sorted order; the caller scatters
-    it with the inverse of the tail permutation.
+    The attention scores (head-run row · tail-run row) and the propagation
+    weight gradient (``grad_out[heads[e]] · emb[tails[e]]``).  Each block
+    gathers into a reused ``(block, k)`` scratch, so no per-edge matrix is
+    allocated; every dot is independent, so the block size never changes
+    the result.  The row ids come from a validated adjacency, so the gathers
+    run unchecked (``mode="clip"``): with the default ``mode="raise"``,
+    ``np.take`` buffers every ``out=`` gather, which makes this function
+    ~3× slower.
     """
-    num_edges = len(heads_in)
-    num_segments = len(in_offsets) - 1
-    d = emb.shape[1]
-    g_emb = np.zeros((num_segments, d), dtype=np.float64)
-    gw_sorted = np.empty(num_edges, dtype=np.float64)
-    if num_edges == 0:
-        return g_emb, gw_sorted
+    num = len(a_rows)
+    k = a.shape[1]
     if block is None:
-        block = edge_block(d)
-    bmax = min(block, num_edges)
-    g_gat = np.empty((bmax, d), dtype=np.float64)
-    e_gat = np.empty((bmax, d), dtype=np.float64)
-    for e0 in range(0, num_edges, block):
-        e1 = min(e0 + block, num_edges)
+        block = edge_block(k)
+    out = np.empty(num, dtype=np.float64)
+    if num == 0:
+        return out
+    bmax = min(block, num)
+    a_gat = np.empty((bmax, k), dtype=np.float64)
+    b_gat = np.empty((bmax, k), dtype=np.float64)
+    for e0 in range(0, num, block):
+        e1 = min(e0 + block, num)
         n = e1 - e0
-        gb = g_gat[:n]
-        eb = e_gat[:n]
-        np.take(grad_out, heads_in[e0:e1], axis=0, out=gb)
-        np.take(emb, tails_in[e0:e1], axis=0, out=eb)
-        np.einsum("ij,ij->i", gb, eb, out=gw_sorted[e0:e1])
-        gb *= w_in[e0:e1, None]
-        first, starts, nonempty = _block_segments(in_offsets, e0, e1)
-        reduced = np.add.reduceat(gb, starts[nonempty], axis=0)
-        g_emb[first : first + len(starts)][nonempty] += reduced
-    return g_emb, gw_sorted
+        np.take(a, a_rows[e0:e1], axis=0, out=a_gat[:n], mode="clip")
+        np.take(b, b_rows[e0:e1], axis=0, out=b_gat[:n], mode="clip")
+        np.einsum("ij,ij->i", a_gat[:n], b_gat[:n], out=out[e0:e1])
+    return out
 
 
 def segment_sum_rows(
-    values: np.ndarray,
-    gather_idx: np.ndarray,
-    run_offsets: np.ndarray,
-    block: Optional[int] = None,
-    out: Optional[np.ndarray] = None,
+    values: np.ndarray, gather_idx: np.ndarray, run_offsets: np.ndarray
 ) -> np.ndarray:
-    """``out[s] = Σ_{p ∈ run s} values[gather_idx[p]]`` — blocked coalesce.
+    """``out[s] = Σ_{p ∈ run s} values[gather_idx[p]]`` — the gradient coalesce.
 
-    The gradient-coalescing primitive: ``gather_idx`` permutes ``values`` rows
-    so rows belonging to the same output segment are contiguous, and
-    ``run_offsets`` (length ``num_runs + 1``) delimits each run.  Identical
-    segment-reduction shape to :func:`weighted_neighbor_sum` minus the weight
-    pass; a plain ``np.add.reduceat(values[gather_idx], ...)`` materializes
-    the full permuted copy and runs ~2x slower than this blocked stream.
+    ``gather_idx`` permutes ``values`` rows so rows belonging to the same
+    output segment are contiguous, and ``run_offsets`` (length
+    ``num_runs + 1``) delimits each run: a 0/1 CSR matrix with exactly that
+    structure, so the permuted copy of ``values`` is never materialized.
     """
-    num_runs = len(run_offsets) - 1
-    num_rows = len(gather_idx)
-    d = values.shape[1]
-    if block is None:
-        block = edge_block(d)
-    if out is None:
-        out = np.zeros((num_runs, d), dtype=np.float64)
-    else:
-        out[:] = 0.0
-    if num_rows == 0:
-        return out
-    scratch = np.empty((min(block, num_rows), d), dtype=np.float64)
-    for e0 in range(0, num_rows, block):
-        e1 = min(e0 + block, num_rows)
-        sb = scratch[: e1 - e0]
-        np.take(values, gather_idx[e0:e1], axis=0, out=sb)
-        first, starts, nonempty = _block_segments(run_offsets, e0, e1)
-        reduced = np.add.reduceat(sb, starts[nonempty], axis=0)
-        out[first : first + len(starts)][nonempty] += reduced
-    return out
-
-
-def weighted_edge_grad(
-    grad_out: np.ndarray,
-    emb: np.ndarray,
-    heads: np.ndarray,
-    tails: np.ndarray,
-    block: Optional[int] = None,
-) -> np.ndarray:
-    """Per-edge weight gradient ``gw[e] = grad_out[heads[e]] · emb[tails[e]]``."""
-    num_edges = len(tails)
-    d = emb.shape[1]
-    if block is None:
-        block = edge_block(d)
-    gw = np.empty(num_edges, dtype=np.float64)
-    if num_edges == 0:
-        return gw
-    bmax = min(block, num_edges)
-    g_gat = np.empty((bmax, d), dtype=np.float64)
-    e_gat = np.empty((bmax, d), dtype=np.float64)
-    for e0 in range(0, num_edges, block):
-        e1 = min(e0 + block, num_edges)
-        n = e1 - e0
-        np.take(grad_out, heads[e0:e1], axis=0, out=g_gat[:n])
-        np.take(emb, tails[e0:e1], axis=0, out=e_gat[:n])
-        np.einsum("ij,ij->i", g_gat[:n], e_gat[:n], out=gw[e0:e1])
-    return gw
+    ones = np.ones(len(gather_idx), dtype=np.float64)
+    return (
+        sp.csr_matrix(
+            (ones, gather_idx, run_offsets),
+            shape=(len(run_offsets) - 1, values.shape[0]),
+        )
+        @ values
+    )
 
 
 # ---------------------------------------------------------- fused evaluation

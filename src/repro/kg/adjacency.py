@@ -26,25 +26,30 @@ __all__ = ["AttentionGradGroups", "CSRAdjacency", "sample_fixed_neighbors"]
 
 
 class AttentionGradGroups(NamedTuple):
-    """Cached segment-reduction structure for the fused attention backward.
+    """Cached run structure for the fused attention kernels.
 
-    All indices refer to **relation-grouped** edge order (the order the
-    fused kernels compute in).  ``head_offsets``/``head_rows`` delimit and
-    name the runs of equal heads (contiguous by construction: the relation
-    grouping is a stable sort of the CSR head-sorted edges);
-    ``tail_perm``/``tail_offsets``/``tail_rows`` are the mirrored structure
-    for tails, via a within-group stable sort.  ``head_bounds``/
-    ``tail_bounds`` (length ``num_relations + 1``) slice the runs per
-    relation.  ``perm``/``offsets``/``rows`` coalesce the concatenated
-    ``(head_rows, tail_rows)`` partials to the sorted unique touched
-    entities.
+    A *head run* is the set of edges sharing one (head, relation) pair and a
+    *tail run* those sharing one (tail, relation) pair; the kernels compute
+    one row per run instead of one per edge.  Runs are numbered relation by
+    relation, by entity within a relation.  Per-edge arrays are in
+    **relation-grouped** edge order (the order the fused kernels compute
+    in), where every head run is contiguous (the relation grouping is a
+    stable sort of the CSR head-sorted edges):
+
+    - ``head_offsets`` (length ``num_head_runs + 1``) delimits the head runs;
+      ``head_run``/``tail_run`` name each edge's runs.
+    - ``head_rows``/``tail_rows`` name each run's entity, and
+      ``head_bounds``/``tail_bounds`` (length ``num_relations + 1``) slice
+      the runs per relation.
+    - ``perm``/``offsets``/``rows`` coalesce the concatenated ``(head_rows,
+      tail_rows)`` partials to the sorted unique touched entities.
     """
 
     head_offsets: np.ndarray
+    head_run: np.ndarray
     head_rows: np.ndarray
     head_bounds: np.ndarray
-    tail_perm: np.ndarray
-    tail_offsets: np.ndarray
+    tail_run: np.ndarray
     tail_rows: np.ndarray
     tail_bounds: np.ndarray
     perm: np.ndarray
@@ -88,10 +93,6 @@ class CSRAdjacency:
         self.edge_head = self.heads  # alias; already sorted by head
         self._relation_groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._relation_scatter: Optional[np.ndarray] = None
-        self._relation_endpoints: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._incoming_groups: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
         self._attention_grad_groups: Optional[AttentionGradGroups] = None
 
     @classmethod
@@ -246,153 +247,73 @@ class CSRAdjacency:
             self._relation_scatter = inverse
         return self._relation_scatter
 
-    def relation_edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(heads, tails)`` gathered into relation-grouped order, cached.
-
-        The fused attention kernel indexes the embedding table with these on
-        every forward; materializing the two int64 gathers once trades O(E)
-        memory for an O(E) fancy-index per call.
-        """
-        if self._relation_endpoints is None:
-            order, _ = self.relation_edge_groups()
-            self._relation_endpoints = (self.heads[order], self.tails[order])
-        return self._relation_endpoints
-
-    def incoming_edge_groups(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Edge indices grouped by *tail* entity (the transpose layout).
-
-        Returns ``(order, offsets, heads, tails)``: ``order`` permutes edges
-        so equal tails are contiguous (stable, so relative edge order within
-        a tail is deterministic), ``offsets`` (length num_entities+1)
-        delimits each tail's block, and ``heads``/``tails`` are
-        ``self.heads[order]``/``self.tails[order]`` — the gather indices the
-        transposed reductions read from.  Propagation backward scatters edge
-        messages into tail rows; with this layout the scatter becomes a
-        contiguous segment reduction, mirroring how ``offsets`` serves the
-        forward direction, and the fused backward reads both endpoint
-        gathers in one pass.
-        """
-        if self._incoming_groups is None:
-            order = np.argsort(self.tails, kind="stable")
-            counts = np.bincount(self.tails, minlength=self.num_entities)
-            offsets = np.zeros(self.num_entities + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self._incoming_groups = (
-                order,
-                offsets,
-                self.heads[order],
-                self.tails[order],
-            )
-        return self._incoming_groups
-
     def warm_kernel_caches(self) -> "CSRAdjacency":
         """Materialize every derived layout the fused kernels read.
 
-        All five caches are pure functions of the edge arrays; warming them
-        at graph-preparation time moves the one-off argsorts out of the
-        first training step and lets every consumer of a shared adjacency
-        hit the same arrays.  Returns ``self`` for chaining.
+        All three caches are pure functions of the edge arrays; warming them
+        at graph-preparation time moves the one-off sorts out of the first
+        training step and lets every consumer of a shared adjacency hit the
+        same arrays.  Returns ``self`` for chaining.
         """
         self.relation_edge_groups()
         self.relation_scatter_index()
-        self.relation_edge_endpoints()
-        self.incoming_edge_groups()
         self.attention_grad_groups()
         return self
 
     def attention_grad_groups(self) -> "AttentionGradGroups":
-        """Static reduction structure for the fused attention backward, cached.
+        """Run structure of the fused attention kernels, cached.
 
-        The backward's entity/projection gradients factor through per-
-        ``(entity, relation)`` sums of the ``(E, k)`` score gradients — the
-        projection ``W_r`` is constant within a relation group, so summing
-        *before* the ``@ W_r`` matmul shrinks it from E edge rows to one row
-        per touched (entity, relation) pair (see DESIGN.md §10).  Everything
-        needed for those segment reductions is a pure function of the edge
-        arrays, derived once here:
-
-        - **head runs**: within each relation group the edges keep CSR
-          (head-sorted) order, so equal heads are already contiguous;
-          ``head_offsets`` delimits the runs in relation-grouped edge order,
-          ``head_rows`` names each run's entity and ``head_bounds`` slices
-          the runs per relation.
-        - **tail runs**: the mirrored structure for tails, via ``tail_perm``
-          (a within-group stable sort by tail, so the reduction order is
-          deterministic).
-        - **coalesce**: ``perm``/``offsets`` over ``concat(head_rows,
-          tail_rows)`` fold the per-(entity, relation) partials down to
-          ``rows`` — the sorted unique touched entities, the exact row set
-          the per-op oracle's sparse gradient touches.
+        ``tanh(W_r e_h + e_r)`` depends only on the (head, relation) pair
+        and ``W_r e_t`` only on the (tail, relation) pair, so the forward
+        computes one row per run and the backward reduces the score
+        gradients to those rows with two CSR products (see DESIGN.md §10).
+        Both runs are the unique ``(relation, entity)`` keys of the
+        relation-grouped edges: sorted by relation, then entity, so head runs
+        stay in edge order and the numbering is deterministic.  The coalesce
+        arrays fold the per-run partials down to ``rows`` — the sorted unique
+        touched entities, the exact row set the per-op oracle's sparse
+        gradient touches.
         """
         if self._attention_grad_groups is None:
-            heads_r, tails_r = self.relation_edge_endpoints()
-            _, bounds = self.relation_edge_groups()
-            num_rel = self.num_relations
-            empty = np.zeros(0, dtype=np.int64)
-            if heads_r.size == 0:
-                zero = np.zeros(1, dtype=np.int64)
-                self._attention_grad_groups = AttentionGradGroups(
-                    head_offsets=zero,
-                    head_rows=empty,
-                    head_bounds=np.zeros(num_rel + 1, dtype=np.int64),
-                    tail_perm=empty,
-                    tail_offsets=zero,
-                    tail_rows=empty,
-                    tail_bounds=np.zeros(num_rel + 1, dtype=np.int64),
-                    perm=empty,
-                    offsets=zero,
-                    rows=empty,
-                )
-                return self._attention_grad_groups
-            h_starts, h_rows, h_counts = [], [], np.zeros(num_rel, dtype=np.int64)
-            t_starts, t_rows, t_counts = [], [], np.zeros(num_rel, dtype=np.int64)
-            tail_perm = np.empty(heads_r.size, dtype=np.int64)
-            for r in range(num_rel):
-                lo, hi = int(bounds[r]), int(bounds[r + 1])
-                if hi == lo:
-                    continue
-                h = heads_r[lo:hi]
-                s = np.flatnonzero(np.r_[True, h[1:] != h[:-1]])
-                h_starts.append(s + lo)
-                h_rows.append(h[s])
-                h_counts[r] = len(s)
-                t = tails_r[lo:hi]
-                p = np.argsort(t, kind="stable")
-                tail_perm[lo:hi] = p + lo
-                ts = t[p]
-                s2 = np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]])
-                t_starts.append(s2 + lo)
-                t_rows.append(ts[s2])
-                t_counts[r] = len(s2)
-            head_rows = np.concatenate(h_rows).astype(np.int64)
-            tail_rows = np.concatenate(t_rows).astype(np.int64)
-            head_bounds = np.zeros(num_rel + 1, dtype=np.int64)
-            np.cumsum(h_counts, out=head_bounds[1:])
-            tail_bounds = np.zeros(num_rel + 1, dtype=np.int64)
-            np.cumsum(t_counts, out=tail_bounds[1:])
+            order, bounds = self.relation_edge_groups()
+            n = max(self.num_entities, 1)
+            rels_r = np.repeat(
+                np.arange(self.num_relations, dtype=np.int64), np.diff(bounds)
+            )
+            head_keys, head_run = np.unique(
+                rels_r * n + self.heads[order], return_inverse=True
+            )
+            tail_keys, tail_run = np.unique(
+                rels_r * n + self.tails[order], return_inverse=True
+            )
+            head_offsets = np.zeros(len(head_keys) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(head_run, minlength=len(head_keys)), out=head_offsets[1:])
+            head_rows = head_keys % n
+            tail_rows = tail_keys % n
             partial_rows = np.concatenate([head_rows, tail_rows])
             perm = np.argsort(partial_rows, kind="stable")
             sorted_rows = partial_rows[perm]
-            starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
+            starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
             self._attention_grad_groups = AttentionGradGroups(
-                head_offsets=np.r_[np.concatenate(h_starts), heads_r.size].astype(
-                    np.int64
-                ),
+                head_offsets=head_offsets,
+                head_run=head_run.astype(np.int64, copy=False),
                 head_rows=head_rows,
-                head_bounds=head_bounds,
-                tail_perm=tail_perm,
-                tail_offsets=np.r_[np.concatenate(t_starts), tails_r.size].astype(
-                    np.int64
-                ),
+                head_bounds=_run_bounds(head_keys // n, self.num_relations),
+                tail_run=tail_run.astype(np.int64, copy=False),
                 tail_rows=tail_rows,
-                tail_bounds=tail_bounds,
+                tail_bounds=_run_bounds(tail_keys // n, self.num_relations),
                 perm=perm,
                 offsets=np.r_[starts, partial_rows.size].astype(np.int64),
                 rows=sorted_rows[starts],
             )
         return self._attention_grad_groups
+
+
+def _run_bounds(run_relations: np.ndarray, num_relations: int) -> np.ndarray:
+    """Per-relation slice bounds (length ``num_relations + 1``) over sorted runs."""
+    bounds = np.zeros(num_relations + 1, dtype=np.int64)
+    np.cumsum(np.bincount(run_relations, minlength=num_relations), out=bounds[1:])
+    return bounds
 
 
 def sample_fixed_neighbors(

@@ -194,22 +194,16 @@ class PropagationLayer:
         edge_weights,
         rng: Optional[np.random.Generator] = None,
         training: bool = False,
-        sparse_matrix=None,
     ) -> Tensor:
         """Propagate one step.
 
         ``edge_weights`` may be a Tensor (differentiable attention, the
-        exact Eq. 4–5 path) or a constant array; when ``sparse_matrix`` (a
-        CSR matrix with the weights already scattered, see
-        :func:`repro.kernels.dispatch.build_weighted_csr`) is supplied, the
-        gather → weight → segment-sum pipeline runs as one sparse matmul
-        instead.
+        exact Eq. 4–5 path) or a constant array (frozen attention, uniform
+        weights).
         """
-        if sparse_matrix is not None and not isinstance(edge_weights, Tensor):
-            neigh = F.spmm(sparse_matrix, embeddings)
-        elif dispatch.fused_enabled():
-            # Fused gather → scale → segment-sum: the (E, d_in) weighted-
-            # messages temporary is never materialized.
+        if dispatch.fused_enabled():
+            # One CSR product: the (E, d_in) weighted-messages temporary is
+            # never materialized.
             neigh = dispatch.weighted_neighbor_sum(embeddings, edge_weights, adj)
         else:
             tails = F.take_rows(embeddings, adj.tails)  # (E, d_in)

@@ -18,7 +18,10 @@ epoch runs a TransR phase over the graph's triples, then BPR minibatches; the
 attention weights are refreshed from the current TransR parameters once per
 epoch (``attention_mode="epoch"``, the default) or recomputed inside every
 batch with full gradient flow (``attention_mode="batch"``, exact Eq. 4–5
-backprop, ~10× slower).
+backprop).  Both modes propagate through the same fused CSR product
+(:func:`repro.kernels.dispatch.weighted_neighbor_sum`); batch mode adds the
+attention forward and backward to every step, which makes its epoch about
+1.4× the cost of an epoch-mode one (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 
 from repro.autograd import Parameter, Tensor, no_grad
 from repro.autograd import functional as F
-from repro.kernels import dispatch
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.ckg import CollaborativeKnowledgeGraph
 from repro.kg.prepared import PreparedGraph
@@ -142,7 +144,6 @@ class CKAT(Recommender):
         self._item_entities = ckg.all_item_entities()
         self._dropout_rng = ensure_rng(rng.integers(2**31))
         self._edge_weights: Optional[np.ndarray] = None
-        self._sparse_adj = None
         self.refresh_attention()
 
     # ------------------------------------------------------------ attention
@@ -161,7 +162,6 @@ class CKAT(Recommender):
                     self.transr.entity_emb, self.transr.relation_emb, self.transr.proj, self.adj
                 )
             self._edge_weights = att.data
-        self._sparse_adj = dispatch.build_weighted_csr(self.adj, self._edge_weights)
 
     def on_epoch_end(self) -> None:
         if self.config.attention_mode == "epoch":
@@ -176,14 +176,12 @@ class CKAT(Recommender):
     # ----------------------------------------------------------- propagation
     def propagate(self, training: bool = False) -> Tensor:
         """All-entity final representations e* (Eq. 10), shape (Ent, Σdims)."""
-        sparse = None
         if self.config.attention_mode == "batch" and self.config.use_attention:
             weights = compute_edge_attention(
                 self.transr.entity_emb, self.transr.relation_emb, self.transr.proj, self.adj
             )
         else:
             weights = self._edge_weights
-            sparse = self._sparse_adj
         emb = self.transr.entity_emb
         # As in the KGAT reference: the raw layer outputs feed the next
         # propagation step, while L2-normalized copies enter the final
@@ -197,7 +195,6 @@ class CKAT(Recommender):
                 weights,
                 rng=self._dropout_rng,
                 training=training,
-                sparse_matrix=sparse,
             )
             # Honor the per-layer normalize flag (the no-normalization
             # ablation); the raw output always feeds the next layer.

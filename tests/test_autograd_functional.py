@@ -298,24 +298,6 @@ class TestSegmentOps:
         np.testing.assert_allclose(out.data, [1.0, 1.0])
 
 
-class TestSpmm:
-    def test_spmm_matches_dense(self):
-        import scipy.sparse as sp
-
-        A = sp.random(6, 5, density=0.4, random_state=0, format="csr")
-        x = Parameter(RNG.normal(size=(5, 3)))
-        out = F.spmm(A, x)
-        np.testing.assert_allclose(out.data, A.toarray() @ x.data)
-
-    def test_spmm_grad(self):
-        import scipy.sparse as sp
-
-        A = sp.random(6, 5, density=0.5, random_state=1, format="csr")
-        x = Parameter(RNG.normal(size=(5, 3)))
-        c = Tensor(RNG.normal(size=(6, 3)))
-        check_grads(lambda: F.sum(F.mul(F.spmm(A, x), c)), [x])
-
-
 class TestDropout:
     def test_identity_when_not_training(self, rng):
         a = Parameter(np.ones((4, 4)))

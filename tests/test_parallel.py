@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
 from repro.autograd import Tensor
 from repro.kernels import dispatch
@@ -216,7 +217,7 @@ class TestShardedPropagation:
         adj = CSRAdjacency(ooi_ckg_best.propagation_store)
         weights = uniform_edge_weights(adj)
         emb = np.random.default_rng(0).normal(size=(adj.num_entities, 4))
-        A = dispatch.build_weighted_csr(adj, weights)
+        A = coo_matrix((weights, (adj.heads, adj.tails)), shape=(adj.num_entities,) * 2)
         store = ooi_ckg_best.propagation_store
         part = partition_edges(store, num_shards=4, strategy="hash")
         # Careful: sharded sum works in the store's edge order; build weights
