@@ -1,10 +1,11 @@
-"""Graph-lint warm-vs-cold benchmark: the summary cache must pay for itself.
+"""Lint warm-vs-cold benchmark: the per-file cache must pay for itself.
 
-The gate: a warm ``run_graph_lint`` pass over the real ``src/`` tree — every
-module summary served from the content-hash cache — must be at least **5×
-faster** than the cold pass that parses and summarises every file.  Exactness
-rides along: the warm findings are identical to the cold ones, and the warm
-pass re-parses nothing (zero cache misses).
+The gate: a warm ``run_lint`` pass over the real ``src/`` tree — every
+file's summary, suppression map and lexical findings served from the
+content-hash cache, every rule run — must be at least **5× faster** than
+the cold pass that parses, walks and summarises every file.  Exactness rides
+along: the warm findings are identical to the cold ones, and the warm pass
+re-parses nothing (zero cache misses).
 """
 
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from conftest import write_bench_json, write_result
 
-from repro.analysis.lint.graph import DEFAULT_GRAPH_CONFIG, run_graph_lint
+from repro.analysis.lint import DEFAULT_CONFIG, run_lint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MIN_SPEEDUP = 5.0
@@ -20,7 +21,7 @@ MIN_SPEEDUP = 5.0
 
 def _timed_run(cache_path):
     start = time.perf_counter()
-    report = run_graph_lint([SRC], config=DEFAULT_GRAPH_CONFIG, cache_path=cache_path)
+    report = run_lint([SRC], config=DEFAULT_CONFIG, cache_path=cache_path)
     return time.perf_counter() - start, report
 
 
@@ -35,7 +36,7 @@ def test_warm_graphlint_speedup(tmp_path):
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     lines = [
-        "graph-lint warm vs cold (src/)",
+        "lint warm vs cold (src/, all rules)",
         f"  files          {cold.files_checked}",
         f"  cold           {cold_s * 1000:8.1f} ms",
         f"  warm           {warm_s * 1000:8.1f} ms",
@@ -52,4 +53,4 @@ def test_warm_graphlint_speedup(tmp_path):
             "gate": MIN_SPEEDUP,
         },
     )
-    assert speedup >= MIN_SPEEDUP, f"warm graph-lint only {speedup:.1f}x faster"
+    assert speedup >= MIN_SPEEDUP, f"warm lint only {speedup:.1f}x faster"

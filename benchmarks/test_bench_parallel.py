@@ -19,8 +19,8 @@ Dataset sizes reuse the tiers of ``test_bench_scale.py``: the default
 (``full``) run trains at that file's 1e5-user tier, ``REPRO_BENCH_SCALE=small``
 at its 3e4-user smoke tier.  The speedup tests skip on machines with fewer
 than four cores — a fork pool cannot demonstrate parallel speedup without
-parallel hardware — but the smoke subset (``-k "not speedup"``, wired into
-``make verify`` as ``train-parallel-smoke``) runs everywhere: fork-vs-inline
+parallel hardware — but the smoke subset (the ``gate_smoke`` marker, wired into
+``make verify`` as ``bench-smoke``) runs everywhere: fork-vs-inline
 loss identity plus both agreement gates, and it still emits
 ``BENCH_parallel.json`` so CI always uploads an artifact.
 """
@@ -204,6 +204,7 @@ def test_transr_epoch_speedup():
     )
 
 
+@pytest.mark.gate_smoke
 def test_parallel_smoke_agreement():
     """Runs on any core count: correctness gates + the JSON artifact.
 

@@ -15,8 +15,9 @@ Two asserted bounds make the claim falsifiable in both directions:
   exceeds that same ceiling, so the monolithic generator provably could not
   have produced this run inside the budget.
 
-The smoke subset (``-k smoke``, part of ``make verify``) runs the same
-driver at 3·10⁴ users in seconds with proportionally scaled bounds.
+The smoke subset (the ``gate_smoke`` marker, part of ``make verify``) runs
+the same driver at 3·10⁴ users in seconds with proportionally scaled bounds
+and records the same ``BENCH_scale.json``.
 """
 
 import json
@@ -24,6 +25,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from conftest import BENCH_SCALE, write_bench_json, write_result
 
@@ -74,19 +77,8 @@ def _check_bounds(stats, ceiling_mb):
     )
 
 
-def test_scale_out_of_core(tmp_path_factory):
-    users, ceiling = (
-        (FULL_USERS, FULL_CEILING_MB) if BENCH_SCALE == "full" else (SMALL_USERS, SMALL_CEILING_MB)
-    )
-    cache = tmp_path_factory.mktemp("scale-bench")
-    stats = _run_scale(users, cache)
-
-    assert stats["recipe"]["num_users"] == users
-    if BENCH_SCALE == "full":
-        assert stats["num_records"] >= MIN_FULL_INTERACTIONS
-        assert stats["num_interactions"] >= MIN_FULL_INTERACTIONS
-    _check_bounds(stats, ceiling)
-
+def _record(users, ceiling, stats):
+    """Write the rendered table and ``BENCH_scale.json`` for one run."""
     write_result(
         "scale",
         f"Out-of-core dataset pipeline, {users:,} users (scale={BENCH_SCALE})\n"
@@ -117,6 +109,23 @@ def test_scale_out_of_core(tmp_path_factory):
     )
 
 
+def test_scale_out_of_core(tmp_path_factory):
+    users, ceiling = (
+        (FULL_USERS, FULL_CEILING_MB) if BENCH_SCALE == "full" else (SMALL_USERS, SMALL_CEILING_MB)
+    )
+    cache = tmp_path_factory.mktemp("scale-bench")
+    stats = _run_scale(users, cache)
+
+    assert stats["recipe"]["num_users"] == users
+    if BENCH_SCALE == "full":
+        assert stats["num_records"] >= MIN_FULL_INTERACTIONS
+        assert stats["num_interactions"] >= MIN_FULL_INTERACTIONS
+    _check_bounds(stats, ceiling)
+
+    _record(users, ceiling, stats)
+
+
+@pytest.mark.gate_smoke
 def test_scale_smoke(tmp_path):
     stats = _run_scale(SMOKE_USERS, tmp_path / "cache", eval_users=2_000)
     assert stats["num_interactions"] > 0
@@ -127,3 +136,4 @@ def test_scale_smoke(tmp_path):
     assert again["phases"]["trace_stream"]["warm"]
     assert again["num_interactions"] == stats["num_interactions"]
     assert again["metrics"] == stats["metrics"]
+    _record(SMOKE_USERS, SMOKE_CEILING_MB, stats)

@@ -9,13 +9,14 @@ deliver ≥3x on a TransR epoch at that scale while agreeing with the dense
 path on small fixtures to rtol=1e-10 (bit-for-bit on batches without
 duplicate rows; summation-associativity rounding otherwise).
 
-The exactness tests are named without "speedup" so `-k "not speedup"`
-selects a fast CI smoke that skips the 50k-entity timing run.
+The exactness tests carry the ``gate_smoke`` marker, so ``make bench-smoke``
+runs them in CI without the 50k-entity timing run.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from repro.autograd import SGD, Adam, SparseRowGrad, dense_grads
 from repro.models.embeddings import TransR
@@ -108,6 +109,7 @@ def test_transr_epoch_speedup():
 
 
 # ------------------------------------------------------ small-fixture gates
+@pytest.mark.gate_smoke
 def test_gradients_match_dense_small():
     """Backward emits the same per-parameter gradient either way (rtol 1e-10)."""
     batches = _epoch_batches(np.random.default_rng(3), n_ent=60, n_rel=4, steps=1, batch=64)
@@ -125,6 +127,7 @@ def test_gradients_match_dense_small():
         np.testing.assert_allclose(gs, gd, rtol=1e-10, atol=1e-14)
 
 
+@pytest.mark.gate_smoke
 def test_training_matches_dense_small():
     """A full small-table SGD run lands on the same parameters (rtol 1e-10)."""
     batches = _epoch_batches(np.random.default_rng(11), n_ent=60, n_rel=4, steps=6, batch=64)
@@ -135,6 +138,7 @@ def test_training_matches_dense_small():
         np.testing.assert_allclose(p.data, q.data, rtol=1e-10, atol=1e-14)
 
 
+@pytest.mark.gate_smoke
 def test_sparse_path_is_active():
     """The default engine really emits SparseRowGrad for embedding gathers
     (guards against the benchmark silently comparing dense to dense)."""

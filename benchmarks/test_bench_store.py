@@ -9,7 +9,7 @@ Exactness rides along: the warm arrays are bit-identical to the cold ones.
 
 Scale knobs follow conftest (``REPRO_BENCH_SCALE``); the 5× figure targets
 ``full``, where trace/CKG construction dominates.  A smoke subset
-(``-k smoke``) runs in seconds and is part of ``make verify``.
+(the ``gate_smoke`` marker) runs in seconds and is part of ``make verify``.
 """
 
 import time
@@ -90,6 +90,7 @@ def test_warm_pipeline_speedup(tmp_path_factory):
     )
 
 
+@pytest.mark.gate_smoke
 def test_store_smoke(tmp_path):
     """Fast correctness pass (small scale, one dataset) for ``make verify``."""
     cache = str(tmp_path / "cache")

@@ -1,11 +1,32 @@
 """reprolint — project-aware static analysis for the reproduction.
 
-An AST-based lint engine with rules encoding this repository's correctness
-invariants: seeded randomness threading (RPL001/RPL002), no wall-clock in
-result paths (RPL003), explicit dtypes on the float32 fast path (RPL004),
-pickle-free persistence (RPL005), no mutable defaults (RPL006), and
-tape-safe ``Tensor.data`` mutation (RPL007).  See DESIGN.md for the rationale
-behind each rule and README for CLI usage (``repro lint``).
+One engine, one parse per file.  The lexical rules are visitors over that
+parse; the interprocedural rules run over a program graph built from the
+per-module summaries extracted from the same parse:
+
+- **RPL000** the file does not parse (a finding, not an internal error);
+- **RPL001/RPL002** seeded randomness: no legacy global ``np.random`` state
+  or unseeded generators; no hardcoded seeds inside functions;
+- **RPL003** no wall-clock reads in result paths;
+- **RPL004** explicit dtypes on the float32 fast path;
+- **RPL005** pickle-free serialization;
+- **RPL006** no mutable default arguments;
+- **RPL007** tape-safe ``Tensor.data`` mutation;
+- **RPL008** no ``np.add.at`` scatter in the gradient engine;
+- **RPL009** raw numpy save/load only inside the persistence funnels;
+- **RPL010** kernel consumers import ``repro.kernels.dispatch`` only;
+- **RPL011** (graph) unseeded RNG values reaching determinism sinks;
+- **RPL012** (graph) float64/float32 mixing at fast-path calls;
+- **RPL013** (graph) blocking work or unlocked writes reachable from
+  ``async def`` serving handlers;
+- **RPL014** (graph) call paths escaping the kernel/persistence funnels
+  through helpers;
+- **RPL015** optimizers are driven by the training engine, not model code.
+
+:func:`run_lint` caches each file's parse results (module summary,
+suppression map, lexical findings) by content hash, so a warm run parses
+nothing.  See DESIGN.md §8 and §12 for the rationale behind each rule and
+README for CLI usage (``repro lint``).
 
 Suppress a finding inline with ``# reprolint: disable=RPL00x`` on its line.
 """

@@ -23,23 +23,27 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.lint.findings import Finding
 
-__all__ = ["LintConfig", "LintContext", "DEFAULT_CONFIG"]
+__all__ = ["LintConfig", "LintContext", "DEFAULT_CONFIG", "collect_aliases", "resolve_qualname"]
 
 
 @dataclasses.dataclass(frozen=True)
 class LintConfig:
-    """Path policy and rule selection for one lint run.
+    """Path policy and rule selection for one lint run (lexical and graph
+    rules alike).
 
-    Path fields are substring matches against the posix-normalized file path;
-    an empty tuple disables the corresponding gate.
+    ``*_paths`` fields are substring matches against the posix-normalized
+    file path; ``*_modules`` fields are dotted-module prefixes.  An empty
+    tuple disables the corresponding gate.
     """
 
     select: Optional[FrozenSet[str]] = None
-    """Rule codes to run; ``None`` runs every registered rule."""
+    """Rule codes to run; ``None`` runs every rule.  Applied after the
+    per-file cache, so it is not part of the cache key."""
 
     exempt_paths: Tuple[str, ...] = ("tests/", "fixtures/", "conftest")
-    """Paths where the randomness rules (RPL001/RPL002) do not apply: test
-    and fixture code may pin seeds or use throwaway generators freely."""
+    """Test and fixture code, which may pin seeds, use throwaway generators
+    or block freely: the randomness and funnel rules skip these files, and
+    graph findings are never reported at call sites inside them."""
 
     dtype_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/")
     """Paths on the float32-sensitive fast path where RPL004 requires every
@@ -68,12 +72,33 @@ class LintConfig:
     optimizer state); auxiliary phases use the engine's step callable."""
 
     kernel_consumer_paths: Tuple[str, ...] = ("models/", "eval/", "serving/")
-    """Paths consuming the fused kernels, where RPL010 requires every
-    ``repro.kernels`` import to name ``dispatch`` — the oracle fallback and
-    the sanitizer/profiler instrumentation live there, and raw backend
-    imports silently bypass both.  ``serving/`` scores every
+    """Layers that must stay behind the kernel/persistence funnels.  RPL010
+    requires every ``repro.kernels`` import here to name ``dispatch`` — the
+    oracle fallback and the sanitizer/profiler instrumentation live there,
+    and raw backend imports silently bypass both (``serving/`` scores every
     request through the same funnel, so its ranking stays bit-identical to
-    offline evaluation across backends."""
+    offline evaluation).  RPL014 follows call paths out of these layers
+    into raw backends or the ``np.save`` family through helpers."""
+
+    taint_sink_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/", "serving/")
+    """RPL011: functions defined here are determinism-sensitive sinks — an
+    unseeded RNG argument reaching them is a violation."""
+
+    dtype_sink_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/", "kernels/dispatch")
+    """RPL012: calls into functions defined here are checked for mixed
+    float64/float32 arguments."""
+
+    async_paths: Tuple[str, ...] = ("serving/",)
+    """RPL013: ``async def`` functions here are handlers; blocking work they
+    reach is reported at the last call site inside these paths."""
+
+    funnel_modules: Tuple[str, ...] = ("repro.io", "repro.store", "repro.kernels.dispatch")
+    """RPL014: sanctioned funnel modules (dotted prefixes) — escape
+    propagation stops here."""
+
+    kernel_backend_modules: Tuple[str, ...] = ("repro.kernels.numpy_backend",)
+    """RPL014: raw kernel implementations (dotted prefixes); calling these
+    directly bypasses the oracle fallback and the instrumentation."""
 
 
 DEFAULT_CONFIG = LintConfig()
@@ -90,9 +115,6 @@ class LintContext:
         self.path = path.replace("\\", "/")
         self.config = config
         self.findings: List[Finding] = []
-        #: local name -> dotted path, e.g. {"np": "numpy",
-        #: "default_rng": "numpy.random.default_rng", "dt": "datetime.datetime"}
-        self.aliases: Dict[str, str] = {}
         #: lexical stacks, maintained by the engine's walker
         self.function_stack: List[ast.AST] = []
         self.class_stack: List[ast.ClassDef] = []
@@ -100,7 +122,7 @@ class LintContext:
         #: ids of Call.func nodes, so attribute rules can skip expressions
         #: already examined as call targets (avoids double reports).
         self.call_func_ids: Set[int] = set()
-        self._collect_imports(tree)
+        self.aliases = collect_aliases(tree)
 
     # ----------------------------------------------------------- path policy
     @property
@@ -163,38 +185,44 @@ class LintContext:
             )
         )
 
-    # ------------------------------------------------------- name resolution
-    def _collect_imports(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-                    # ``import numpy.random`` binds "numpy" but also makes the
-                    # full dotted path resolvable through it; the attribute
-                    # walk in qualname() covers that case.
-            elif isinstance(node, ast.ImportFrom):
-                if node.level or node.module is None:
-                    continue  # relative imports cannot be external modules
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-
     def qualname(self, node: ast.AST) -> Optional[str]:
-        """Resolve an expression to a dotted path via the import table.
+        """Dotted path of ``node`` through this file's import table."""
+        return resolve_qualname(node, self.aliases)
 
-        ``np.random.default_rng`` → ``"numpy.random.default_rng"`` when the
-        file did ``import numpy as np``; returns ``None`` for expressions
-        whose root is not an imported name.
-        """
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        root = self.aliases.get(node.id)
-        if root is None:
-            return None
-        parts.append(root)
-        return ".".join(reversed(parts))
+
+def collect_aliases(tree: ast.AST) -> Dict[str, str]:
+    """Import-alias table of a module: local name -> dotted path."""
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # ``import numpy.random`` binds "numpy"; the attribute walk in
+                # resolve_qualname() makes the full dotted path resolvable.
+                root = alias.name.split(".")[0]
+                aliases[alias.asname or root] = alias.name if alias.asname else root
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or node.module is None:
+                continue  # relative imports cannot be external modules
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def resolve_qualname(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
+    """Resolve an expression to a dotted path via an import table.
+
+    ``np.random.default_rng`` → ``"numpy.random.default_rng"`` when the
+    file did ``import numpy as np``; returns ``None`` for expressions
+    whose root is not an imported name.
+    """
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    root = aliases.get(node.id)
+    if root is None:
+        return None
+    parts.append(root)
+    return ".".join(reversed(parts))

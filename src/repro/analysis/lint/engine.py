@@ -1,11 +1,21 @@
-"""The reprolint engine: file discovery, AST walking, rule dispatch.
+"""The reprolint engine: one parse per file feeds every rule.
 
-One :func:`lint_source` call parses a module once, builds a
-:class:`~repro.analysis.lint.context.LintContext`, and performs a single AST
-walk.  The walker maintains the lexical state rules rely on (enclosing
-function/class stacks, ``with no_grad():`` depth) and dispatches each node to
-the rules subscribed to its type, so the cost of a lint run is one parse and
-one walk per file regardless of how many rules are active.
+A run has two stages:
+
+1. **Per file** (:func:`analyze_source`): one ``ast.parse`` feeds both the
+   lexical rules — a single walk maintains the lexical state they rely on
+   (enclosing function/class stacks, ``with no_grad():`` depth) and
+   dispatches each node to the rules subscribed to its type — and
+   :func:`~repro.analysis.lint.graph.summary.summarize_module`, the
+   function-summary extractor of the interprocedural rules.  The stage
+   returns the module summary, the inline-suppression map and the raw
+   lexical findings; the content-hash
+   :class:`~repro.analysis.lint.graph.cache.SummaryCache` stores exactly
+   that, so a warm run parses nothing.
+2. **Per program** (:func:`run_lint`): one
+   :class:`~repro.analysis.lint.graph.program.ProgramGraph` over every
+   summary, the RPL011–RPL014 checkers over it, then rule selection and
+   suppressions, applied once over all findings from the cached maps.
 
 Exit-code contract (consumed by ``make verify`` and CI):
 
@@ -22,16 +32,28 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 import pathlib
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.analysis.lint.context import DEFAULT_CONFIG, LintConfig, LintContext
 from repro.analysis.lint.findings import PARSE_ERROR_CODE, Finding
-from repro.analysis.lint.registry import rules_for
+from repro.analysis.lint.graph.cache import SummaryCache
+from repro.analysis.lint.graph.program import ProgramGraph
+from repro.analysis.lint.graph.rules import GRAPH_CHECKERS
+from repro.analysis.lint.graph.summary import summarize_module
+from repro.analysis.lint.registry import all_rules, rules_for
 from repro.analysis.lint.rules.base import Rule
 from repro.analysis.lint.suppressions import apply_suppressions, parse_suppressions
 
-__all__ = ["LintReport", "lint_source", "lint_file", "collect_files", "run_lint"]
+__all__ = [
+    "LintReport",
+    "analyze_source",
+    "lint_source",
+    "lint_file",
+    "collect_files",
+    "run_lint",
+]
 
 PathLike = Union[str, pathlib.Path]
 
@@ -48,6 +70,8 @@ class LintReport:
 
     findings: List[Finding]
     files_checked: int
+    cache_hits: int
+    cache_misses: int
 
     @property
     def exit_code(self) -> int:
@@ -106,28 +130,74 @@ def _build_dispatch(rules: Sequence[Rule]) -> Dict[Type[ast.AST], List[Rule]]:
     return dispatch
 
 
-def lint_source(
-    source: str, path: str = "<string>", config: LintConfig = DEFAULT_CONFIG
-) -> List[Finding]:
-    """Lint one module given as a string; ``path`` drives the path policy."""
+def analyze_source(source: str, path: str, config: LintConfig = DEFAULT_CONFIG) -> dict:
+    """The per-file stage: parse ``source`` once, run every lexical rule and
+    summarize the module.
+
+    Returns the JSON-serializable ``{"summary", "suppressions", "findings"}``
+    dict the cache stores.  The findings are neither selected nor
+    suppressed; ``path`` drives the path policy.
+    """
     norm = str(path).replace("\\", "/")
     try:
         tree = ast.parse(source, filename=norm)
     except SyntaxError as err:
-        return [
-            Finding(
-                path=norm,
-                line=err.lineno or 0,
-                col=err.offset or 0,
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {err.msg}",
-                rule="parse-error",
-            )
-        ]
+        finding = Finding(
+            path=norm,
+            line=err.lineno or 0,
+            col=err.offset or 0,
+            code=PARSE_ERROR_CODE,
+            message=f"file does not parse: {err.msg}",
+            rule="parse-error",
+        )
+        return {
+            "summary": {"error": finding.render()},
+            "suppressions": {},
+            "findings": [dataclasses.asdict(finding)],
+        }
     ctx = LintContext(norm, tree, config)
-    rules = rules_for(config.select)
-    _Walker(ctx, _build_dispatch(rules)).walk(tree)
-    return apply_suppressions(ctx.findings, parse_suppressions(source))
+    _Walker(ctx, _build_dispatch(all_rules())).walk(tree)
+    return {
+        "summary": summarize_module(tree, norm),
+        # JSON object keys must be strings; ``apply_suppressions`` recognises
+        # the "*" wildcard by membership, so it survives the round-trip.
+        "suppressions": {
+            str(line): sorted(codes) for line, codes in parse_suppressions(source).items()
+        },
+        "findings": [dataclasses.asdict(f) for f in ctx.findings],
+    }
+
+
+def _select_and_suppress(
+    findings: List[Finding], results: Dict[str, dict], config: LintConfig
+) -> List[Finding]:
+    """Keep the selected codes (parse errors always), then drop findings an
+    inline ``# reprolint: disable`` comment covers."""
+    if config.select is not None:
+        findings = [
+            f for f in findings if f.code in config.select or f.code == PARSE_ERROR_CODE
+        ]
+    by_path: Dict[str, List[Finding]] = {}
+    for f in findings:
+        by_path.setdefault(f.path, []).append(f)
+    kept: List[Finding] = []
+    for path, group in by_path.items():
+        raw = results[path]["suppressions"]
+        suppressed = {int(line): frozenset(codes) for line, codes in raw.items()}
+        kept.extend(apply_suppressions(group, suppressed))
+    return kept
+
+
+def lint_source(
+    source: str, path: str = "<string>", config: LintConfig = DEFAULT_CONFIG
+) -> List[Finding]:
+    """Lint one in-memory module with the lexical rules (the interprocedural
+    rules need a whole tree: use :func:`run_lint`)."""
+    rules_for(config.select)  # validate selection eagerly
+    norm = str(path).replace("\\", "/")
+    result = analyze_source(source, norm, config)
+    findings = [Finding(**f) for f in result["findings"]]
+    return _select_and_suppress(findings, {norm: result}, config)
 
 
 def lint_file(path: PathLike, config: LintConfig = DEFAULT_CONFIG) -> List[Finding]:
@@ -165,14 +235,45 @@ def collect_files(paths: Sequence[PathLike]) -> List[pathlib.Path]:
 
 
 def run_lint(
-    paths: Sequence[PathLike], config: Optional[LintConfig] = None
+    paths: Sequence[PathLike],
+    config: Optional[LintConfig] = None,
+    cache_path: Optional[PathLike] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` and aggregate the findings."""
+    """Run every selected rule over every Python file under ``paths``.
+
+    ``cache_path`` of ``None`` disables the per-file cache (cold run);
+    otherwise results for unchanged files are loaded from it and the file is
+    refreshed at the end of the run.
+    """
     config = config or DEFAULT_CONFIG
     rules_for(config.select)  # validate selection eagerly (ValueError → exit 2)
     files = collect_files(paths)
-    findings: List[Finding] = []
-    for f in files:
-        findings.extend(lint_file(f, config=config))
-    findings.sort()
-    return LintReport(findings=findings, files_checked=len(files))
+    policy = dataclasses.asdict(dataclasses.replace(config, select=None))
+    cache = SummaryCache(
+        pathlib.Path(cache_path) if cache_path else None,
+        policy=json.dumps(policy, sort_keys=True),
+    )
+
+    def stage(source: str, norm: str) -> dict:
+        return analyze_source(source, norm, config)
+
+    results = {str(f).replace("\\", "/"): cache.analyze(f, stage) for f in files}
+    cache.prune(results)
+    cache.save()
+
+    findings = [Finding(**f) for result in results.values() for f in result["findings"]]
+    checkers = [
+        checker
+        for code, checker in GRAPH_CHECKERS
+        if config.select is None or code in config.select
+    ]
+    if checkers:
+        graph = ProgramGraph({path: result["summary"] for path, result in results.items()})
+        for checker in checkers:
+            findings.extend(checker(graph, config))
+    return LintReport(
+        findings=sorted(set(_select_and_suppress(findings, results, config))),
+        files_checked=len(files),
+        cache_hits=cache.hits,
+        cache_misses=cache.misses,
+    )

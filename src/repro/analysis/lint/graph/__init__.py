@@ -1,9 +1,9 @@
-"""Interprocedural graph analysis for reprolint.
+"""Interprocedural analysis for reprolint.
 
-Where :mod:`repro.analysis.lint` rules are per-file and lexical, this package
-builds one analysis artifact for the whole linted tree — a module/call graph
-with abstract dataflow summaries per function — and runs four rule families
-over it:
+Where the :mod:`repro.analysis.lint.rules` visitors are per-file and
+lexical, this package reduces every linted module to a function summary,
+stitches the summaries into one module/call graph with abstract dataflow,
+and runs four rule families over it:
 
 - **RPL011** determinism taint: an unseeded RNG value flowing (through
   calls, returns, and default arguments) into model/autograd/eval/serving
@@ -19,10 +19,10 @@ over it:
   kernel backends or the ``np.save`` family that bypass the
   dispatch/store/io funnels through helpers.
 
-Function summaries are cached by file content hash (see
-:mod:`~repro.analysis.lint.graph.cache`), so warm runs skip parsing
-unchanged files entirely.  Entry point: :func:`run_graph_lint`; CLI:
-``repro lint --graph``.
+The summaries come from the lint engine's single per-file parse and are
+cached with the lexical findings by file content hash (see
+:mod:`~repro.analysis.lint.graph.cache`).  Entry point:
+:func:`repro.analysis.lint.run_lint`; CLI: ``repro lint``.
 """
 
 from repro.analysis.lint.graph.baseline import (
@@ -32,26 +32,16 @@ from repro.analysis.lint.graph.baseline import (
     write_baseline,
 )
 from repro.analysis.lint.graph.cache import SummaryCache
-from repro.analysis.lint.graph.engine import (
-    DEFAULT_GRAPH_CONFIG,
-    GraphConfig,
-    GraphLintReport,
-    graph_codes,
-    run_graph_lint,
-)
 from repro.analysis.lint.graph.program import ProgramGraph
+from repro.analysis.lint.graph.rules import GRAPH_CODES
 from repro.analysis.lint.graph.summary import SUMMARY_VERSION, summarize_module
 
 __all__ = [
-    "GraphConfig",
-    "DEFAULT_GRAPH_CONFIG",
-    "GraphLintReport",
     "ProgramGraph",
     "SummaryCache",
     "SUMMARY_VERSION",
+    "GRAPH_CODES",
     "BASELINE_SCHEMA_VERSION",
-    "run_graph_lint",
-    "graph_codes",
     "summarize_module",
     "load_baseline",
     "apply_baseline",

@@ -1,9 +1,9 @@
 """Interprocedural rule families over a :class:`ProgramGraph`.
 
 Each checker takes the graph plus the
-:class:`~repro.analysis.lint.graph.engine.GraphConfig` path policy and
-returns plain :class:`~repro.analysis.lint.findings.Finding` lists; the
-engine owns selection, suppression, ordering, and baselines.
+:class:`~repro.analysis.lint.context.LintConfig` path policy and returns
+plain :class:`~repro.analysis.lint.findings.Finding` lists; the engine owns
+selection, suppression and ordering, the CLI owns baselines.
 
 - **RPL011** (`graph-rng-taint`): an unseeded RNG (``default_rng()`` with no
   seed, or a seed that is ``None``) flowing into a function defined under
@@ -33,9 +33,16 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lint.findings import Finding
-from repro.analysis.lint.graph.program import FnInfo, ProgramGraph
+from repro.analysis.lint.graph.program import MAX_EVAL_DEPTH, FnInfo, ProgramGraph
 
-__all__ = ["check_rpl011", "check_rpl012", "check_rpl013", "check_rpl014", "GRAPH_CHECKERS"]
+__all__ = [
+    "check_rpl011",
+    "check_rpl012",
+    "check_rpl013",
+    "check_rpl014",
+    "GRAPH_CHECKERS",
+    "GRAPH_CODES",
+]
 
 
 def _matches(path: str, needles) -> bool:
@@ -85,7 +92,7 @@ def check_rpl011(graph: ProgramGraph, config) -> List[Finding]:
         findings.append(_site_finding("RPL011", "graph-rng-taint", fn, site, message))
 
     def queue(fqn: str, index: int, mode: str, chain: Tuple[str, ...]) -> None:
-        if len(chain) > config.max_depth:
+        if len(chain) > MAX_EVAL_DEPTH:
             return
         if (fqn, index, mode) in queued:
             return
@@ -499,7 +506,7 @@ def check_rpl014(graph: ProgramGraph, config) -> List[Finding]:
     findings: List[Finding] = []
     memo: Dict[str, Optional[str]] = {}
     for fn in graph.iter_functions():
-        if not _matches(fn.path, config.funnel_consumer_paths):
+        if not _matches(fn.path, config.kernel_consumer_paths):
             continue
         if _matches(fn.path, config.exempt_paths):
             continue
@@ -526,7 +533,7 @@ def check_rpl014(graph: ProgramGraph, config) -> List[Finding]:
             callee_fn = graph.functions[callee]
             if _in_modules(callee_fn.module, config.funnel_modules):
                 continue
-            if _matches(callee_fn.path, config.funnel_consumer_paths):
+            if _matches(callee_fn.path, config.kernel_consumer_paths):
                 continue  # reported at that function's own sites
             witness = _escape_witness(graph, callee, config, memo, set())
             if witness is not None:
@@ -549,3 +556,6 @@ GRAPH_CHECKERS = (
     ("RPL013", check_rpl013),
     ("RPL014", check_rpl014),
 )
+
+#: The rule codes implemented over the program graph.
+GRAPH_CODES = frozenset(code for code, _ in GRAPH_CHECKERS)

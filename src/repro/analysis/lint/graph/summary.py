@@ -1,10 +1,11 @@
 """Per-module function summaries for the interprocedural lint engine.
 
-One :func:`summarize_module` call parses a file once and reduces every
-function in it to a JSON-serializable :data:`FunctionSummary` dict: its
-parameters (with default-value and annotation information), a flow-
-insensitive map of local assignments, the abstract shape of its return
-values, and one record per call site.  The whole-program engine
+One :func:`summarize_module` call reduces every function of a module —
+parsed once by the lint engine, whose lexical rules walk the same tree — to
+a JSON-serializable :data:`FunctionSummary` dict: its parameters (with
+default-value and annotation information), a flow-insensitive map of local
+assignments, the abstract shape of its return values, and one record per
+call site.  The whole-program engine
 (:mod:`~repro.analysis.lint.graph.program`) never re-reads source — it
 resolves and evaluates these summaries, which is what makes the content-
 hash cache (:mod:`~repro.analysis.lint.graph.cache`) sufficient for warm
@@ -44,13 +45,13 @@ from __future__ import annotations
 import ast
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.lint.suppressions import parse_suppressions
+from repro.analysis.lint.context import collect_aliases, resolve_qualname
 
-__all__ = ["SUMMARY_VERSION", "summarize_module", "ModuleSummaryError"]
+__all__ = ["SUMMARY_VERSION", "summarize_module"]
 
 #: Bump whenever the summary shape changes — stale cache entries are then
 #: misses, never misreads.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 Ref = List[Any]
 
@@ -60,10 +61,6 @@ UNKNOWN: Ref = ["u"]
 #: non-blocking, and the callee it ships is sanctioned to block.
 _EXECUTOR_HOP_QUALS = frozenset({"asyncio.to_thread"})
 _EXECUTOR_HOP_METHODS = frozenset({"run_in_executor"})
-
-
-class ModuleSummaryError(ValueError):
-    """Raised when a module cannot be parsed (caller maps it to RPL000)."""
 
 
 def _const_tag(value: Any) -> Ref:
@@ -82,41 +79,6 @@ def _const_tag(value: Any) -> Ref:
     if isinstance(value, bytes):
         return ["c", "bytes"]
     return ["c", "other"]
-
-
-def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
-    """local name -> dotted path, same policy as the lexical engine —
-    except project-relative ``from repro.x import y`` keeps full paths so
-    cross-module resolution works."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    aliases[alias.name.split(".")[0]] = alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
-                continue
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _qual_from_expr(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """``np.random.default_rng`` -> ``numpy.random.default_rng`` (or None)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = aliases.get(node.id)
-    if root is None:
-        return None
-    parts.append(root)
-    return ".".join(reversed(parts))
 
 
 _WRAPPER_ANNOTATIONS = {"Optional", "Union", "Annotated", "Final", "ClassVar", "List", "Sequence"}
@@ -150,7 +112,7 @@ def _annotation_name(node: Optional[ast.AST], aliases: Dict[str, str]) -> Option
             return _annotation_name(inner, aliases)
         return _annotation_name(base, aliases)
     if isinstance(node, ast.Attribute):
-        return _qual_from_expr(node, aliases)
+        return resolve_qualname(node, aliases)
     if isinstance(node, ast.Name):
         return aliases.get(node.id, "." + node.id)
     return None
@@ -216,7 +178,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         if isinstance(node, ast.Name):
             return ["n", node.id]
         if isinstance(node, ast.Attribute):
-            qual = _qual_from_expr(node, self.aliases)
+            qual = resolve_qualname(node, self.aliases)
             if qual is not None:
                 return ["q", qual]
             return ["a", self._ref(node.value), node.attr]
@@ -256,7 +218,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         if isinstance(func, ast.Name):
             return ["l", func.id]
         if isinstance(func, ast.Attribute):
-            qual = _qual_from_expr(func, self.aliases)
+            qual = resolve_qualname(func, self.aliases)
             if qual is not None:
                 return ["q", qual]
             return ["m", self._ref(func.value), func.attr]
@@ -418,7 +380,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         for stmt in self.fn.body:
             self.visit(stmt)
         decorators = [
-            _qual_from_expr(d, self.aliases) or getattr(d, "id", None)
+            resolve_qualname(d, self.aliases) or getattr(d, "id", None)
             for d in getattr(self.fn, "decorator_list", [])
         ]
         kind = "function"
@@ -483,7 +445,7 @@ def _class_summary(
                 entry["ann"] = init["annots"][ref[1]]
     bases = []
     for base in node.bases:
-        qual = _qual_from_expr(base, aliases)
+        qual = resolve_qualname(base, aliases)
         if qual is not None:
             bases.append(qual)
         elif isinstance(base, ast.Name):
@@ -500,20 +462,10 @@ def _class_summary(
     }
 
 
-def summarize_module(source: str, path: str) -> dict:
-    """Parse ``source`` once and produce the module's summary dict.
-
-    Raises :class:`ModuleSummaryError` on a syntax error — the graph engine
-    reports it as an RPL000-style finding rather than crashing the run.
-    """
+def summarize_module(tree: ast.Module, path: str) -> dict:
+    """Reduce one parsed module to its JSON-serializable summary dict."""
     norm = str(path).replace("\\", "/")
-    try:
-        tree = ast.parse(source, filename=norm)
-    except SyntaxError as err:
-        raise ModuleSummaryError(
-            f"{norm}:{err.lineno or 0}: file does not parse: {err.msg}"
-        ) from err
-    aliases = _collect_aliases(tree)
+    aliases = collect_aliases(tree)
     functions: Dict[str, dict] = {}
 
     def extract_function(
@@ -548,18 +500,10 @@ def summarize_module(source: str, path: str) -> dict:
             }
             classes[node.name] = _class_summary(node, aliases, class_fns)
 
-    # JSON object keys must be strings; ``apply_suppressions`` recognises the
-    # "*" wildcard by membership, so no sentinel identity needs to survive
-    # the round-trip.
-    suppressions: Dict[str, List[str]] = {
-        str(line): sorted(codes) for line, codes in parse_suppressions(source).items()
-    }
-
     return {
         "version": SUMMARY_VERSION,
         "path": norm,
         "aliases": aliases,
         "functions": functions,
         "classes": classes,
-        "suppressions": suppressions,
     }

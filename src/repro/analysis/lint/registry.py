@@ -2,7 +2,9 @@
 
 Keeping registration declarative means adding a rule is one new module under
 :mod:`repro.analysis.lint.rules` — the engine, CLI, and docs all pick it up
-from the registry without edits.
+from the registry without edits.  The interprocedural rules are the
+entries of :data:`~repro.analysis.lint.graph.rules.GRAPH_CHECKERS`;
+:func:`known_codes` and :func:`rules_for` validate both sets as one.
 """
 
 from __future__ import annotations
@@ -38,27 +40,29 @@ def _ensure_loaded() -> None:
 
 
 def known_codes() -> List[str]:
-    """All registered rule codes, sorted."""
+    """Every rule code — lexical visitors and graph checkers — sorted."""
     _ensure_loaded()
-    return sorted(_REGISTRY)
+    from repro.analysis.lint.graph.rules import GRAPH_CODES
+
+    return sorted(set(_REGISTRY) | GRAPH_CODES)
 
 
 def all_rules() -> List[Rule]:
-    """Fresh instances of every registered rule, ordered by code."""
+    """Fresh instances of every registered (lexical) rule, ordered by code."""
     _ensure_loaded()
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
 
 
 def rules_for(select: Optional[FrozenSet[str]] = None) -> List[Rule]:
-    """Instances of the selected rules (all when ``select`` is None).
+    """Instances of the selected lexical rules (all when ``select`` is None).
 
-    Raises ``ValueError`` on unknown codes so typos in ``--select`` surface
-    as CLI errors instead of silently linting nothing.
+    Graph codes are valid selections with no lexical rule.  Raises
+    ``ValueError`` on unknown codes so typos in ``--select`` surface as CLI
+    errors instead of silently linting nothing.
     """
-    _ensure_loaded()
     if select is None:
         return all_rules()
-    unknown = sorted(set(select) - set(_REGISTRY))
+    unknown = sorted(set(select) - set(known_codes()))
     if unknown:
         raise ValueError(f"unknown rule code(s): {', '.join(unknown)}")
-    return [_REGISTRY[code]() for code in sorted(select)]
+    return [_REGISTRY[code]() for code in sorted(select) if code in _REGISTRY]

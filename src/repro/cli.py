@@ -34,6 +34,7 @@ can be produced programmatically.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from typing import List, Optional
 
@@ -196,12 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to run (e.g. RPL001,RPL013); default all",
     )
     p_lint.add_argument(
-        "--graph",
-        action="store_true",
-        help="also run the interprocedural graph rules (RPL011-RPL014): "
-        "RNG taint, dtype mixing, async/lock discipline, funnel escape",
-    )
-    p_lint.add_argument(
         "--baseline",
         type=str,
         default=None,
@@ -221,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=".reprolint-cache.json",
         metavar="PATH",
-        help="graph summary cache (content-hash keyed; unchanged files skip "
+        help="per-file result cache (content-hash keyed; unchanged files skip "
         "parsing on warm runs)",
     )
     p_lint.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the graph summary cache (force a cold run)",
+        help="disable the per-file result cache (force a cold run)",
     )
     p_lint.add_argument(
         "--changed-since",
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="REF",
         help="report only findings in files changed vs git REF (plus "
-        "untracked files); graph analysis still sees the whole tree",
+        "untracked files); the interprocedural rules still see the whole tree",
     )
 
     p_san = sub.add_parser(
@@ -509,26 +504,25 @@ def _cmd_serve(args) -> int:
 
 
 def _changed_files(ref: str) -> set:
-    """Repo-relative paths changed vs ``ref`` plus untracked files."""
+    """Resolved paths of files changed vs ``ref`` plus untracked files.
+
+    Both git listings run at the repository top level, so they name
+    root-relative paths wherever lint was started from; resolving them
+    makes them comparable with findings reported under relative or
+    absolute spellings.
+    """
     import subprocess
 
-    diff = subprocess.run(
-        ["git", "diff", "--name-only", ref, "--"],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    untracked = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard"],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    return {
-        line.strip().replace("\\", "/")
-        for line in (diff + untracked).splitlines()
-        if line.strip()
-    }
+    def git(*argv: str, cwd=None) -> str:
+        return subprocess.run(
+            ["git", *argv], capture_output=True, text=True, check=True, cwd=cwd
+        ).stdout
+
+    top = pathlib.Path(git("rev-parse", "--show-toplevel").strip())
+    listed = git("diff", "--name-only", ref, "--", cwd=top) + git(
+        "ls-files", "--others", "--exclude-standard", cwd=top
+    )
+    return {(top / line.strip()).resolve() for line in listed.splitlines() if line.strip()}
 
 
 def _cmd_lint(args) -> int:
@@ -539,6 +533,7 @@ def _cmd_lint(args) -> int:
         render_text,
         run_lint,
     )
+    from repro.analysis.lint.graph import apply_baseline, load_baseline, write_baseline
 
     try:
         select = None
@@ -546,37 +541,20 @@ def _cmd_lint(args) -> int:
             select = frozenset(
                 c.strip().upper() for c in args.select.split(",") if c.strip()
             )
-        lex_select = select
-        graph_select = None
-        if select is not None and args.graph:
-            # One --select serves both engines: each takes its own codes.
-            from repro.analysis.lint.graph import graph_codes
-
-            lex_select = frozenset(select - graph_codes())
-            graph_select = frozenset(select & graph_codes())
-        report = run_lint(args.paths, config=LintConfig(select=lex_select))
-        findings = list(report.findings)
-        files_checked = report.files_checked
-        if args.graph:
-            from repro.analysis.lint.graph import GraphConfig, run_graph_lint
-
-            greport = run_graph_lint(
-                args.paths,
-                config=GraphConfig(select=graph_select),
-                cache_path=None if args.no_cache else args.cache,
-            )
-            findings.extend(greport.findings)
+        report = run_lint(
+            args.paths,
+            config=LintConfig(select=select),
+            cache_path=None if args.no_cache else args.cache,
+        )
+        findings = report.findings
         if args.changed_since is not None:
             changed = _changed_files(args.changed_since)
-            findings = [f for f in findings if f.path in changed]
-        findings = sorted(set(findings))
+            findings = [f for f in findings if pathlib.Path(f.path).resolve() in changed]
     except Exception as exc:  # missing paths, unknown codes, engine bugs
         print(f"reprolint: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 
     if args.write_baseline:
-        from repro.analysis.lint.graph import write_baseline
-
         write_baseline(args.write_baseline, findings)
         print(
             f"reprolint: wrote baseline with {len(findings)} entries "
@@ -585,8 +563,6 @@ def _cmd_lint(args) -> int:
         return 0
     stale = []
     if args.baseline:
-        from repro.analysis.lint.graph import apply_baseline, load_baseline
-
         try:
             entries = load_baseline(args.baseline)
         except (OSError, ValueError) as exc:
@@ -594,9 +570,9 @@ def _cmd_lint(args) -> int:
             return EXIT_INTERNAL_ERROR
         findings, _matched, stale = apply_baseline(findings, entries)
     if args.format == "json":
-        print(render_json(findings, files_checked))
+        print(render_json(findings, report.files_checked))
     else:
-        print(render_text(findings, files_checked))
+        print(render_text(findings, report.files_checked))
     for entry in stale:
         print(
             "reprolint: baseline entry no longer matches (fixed?): "

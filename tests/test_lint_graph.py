@@ -1,9 +1,11 @@
-"""Interprocedural graph-lint tests: fixture packages with ``# expect:``
-markers pin each RPL011–RPL014 finding to an exact location, clean twins
-must stay silent, suppressions work for every graph code, the summary cache
-hits warm and invalidates on change, and the baseline ratchet absorbs known
+"""Interprocedural lint tests: fixture packages with ``# expect:`` markers
+pin each RPL011–RPL014 finding to an exact location, clean twins must stay
+silent, suppressions work for every graph code, the per-file cache hits warm
+(lexical findings included), invalidates on change and never serves results
+computed under another path policy, and the baseline ratchet absorbs known
 findings while failing new ones."""
 
+import ast
 import dataclasses
 import json
 import pathlib
@@ -12,12 +14,11 @@ import shutil
 
 import pytest
 
+from repro.analysis.lint import LintConfig, run_lint
 from repro.analysis.lint.graph import (
-    GraphConfig,
+    GRAPH_CODES,
     apply_baseline,
-    graph_codes,
     load_baseline,
-    run_graph_lint,
     summarize_module,
     write_baseline,
 )
@@ -28,13 +29,15 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint" / "graph"
 PROJ = FIXTURES / "proj"
 
-#: Path/module policy matching the fixture package instead of src/repro.
-FIXTURE_CONFIG = GraphConfig(
+#: Path/module policy matching the fixture package instead of src/repro,
+#: restricted to the graph rules (the fixtures are not lexically clean).
+FIXTURE_CONFIG = LintConfig(
+    select=GRAPH_CODES,
     exempt_paths=(),
     taint_sink_paths=("models/", "serving/", "eval/"),
     dtype_sink_paths=("models/",),
     async_paths=("serving/",),
-    funnel_consumer_paths=("models/", "eval/", "serving/"),
+    kernel_consumer_paths=("models/", "eval/", "serving/"),
     funnel_modules=("proj.kernels.dispatch",),
     kernel_backend_modules=("proj.kernels.backend",),
 )
@@ -57,7 +60,7 @@ def _run(root=PROJ, cache=None, select=None):
     config = FIXTURE_CONFIG
     if select is not None:
         config = dataclasses.replace(config, select=frozenset(select))
-    return run_graph_lint([root], config=config, cache_path=cache)
+    return run_lint([root], config=config, cache_path=cache)
 
 
 # -------------------------------------------------------------- exact firing
@@ -97,7 +100,7 @@ def test_suppression_escape_hatch_works_for_every_graph_code(tmp_path):
     """Each fixture carries a suppressed twin per code; stripping the
     disable comments must make those exact lines fire."""
     suppressed = _markers(PROJ, _DISABLE)
-    assert {m[2] for m in suppressed} == set(graph_codes())
+    assert {m[2] for m in suppressed} == GRAPH_CODES
     rep = _run()
     reported = {(f.path, f.line) for f in rep.findings}
     for path, line, _ in suppressed:
@@ -141,6 +144,16 @@ def test_cache_invalidates_only_changed_files(tmp_path):
     assert rep.cache_hits == rep.files_checked - 1
 
 
+def test_edited_rules_discard_the_cache(tmp_path, monkeypatch):
+    from repro.analysis.lint.graph import cache as cache_mod
+
+    cache = tmp_path / "cache.json"
+    _run(cache=cache)
+    monkeypatch.setattr(cache_mod, "_engine_version", lambda: "edited-rules")
+    rep = _run(cache=cache)
+    assert rep.cache_hits == 0 and rep.cache_misses == rep.files_checked
+
+
 def test_corrupt_cache_degrades_to_cold_run(tmp_path):
     cache = tmp_path / "cache.json"
     cache.write_text("{not json", encoding="utf-8")
@@ -148,6 +161,43 @@ def test_corrupt_cache_degrades_to_cold_run(tmp_path):
     assert rep.cache_misses == rep.files_checked
     # and the run repaired the cache for next time
     assert json.loads(cache.read_text(encoding="utf-8"))["entries"]
+
+
+#: Fixture policy with every rule on: the tree has lexical and graph findings.
+ALL_RULES_CONFIG = dataclasses.replace(FIXTURE_CONFIG, select=None)
+
+
+def test_warm_run_caches_lexical_and_graph_findings(tmp_path):
+    cache = tmp_path / "cache.json"
+    cold = run_lint([PROJ], config=ALL_RULES_CONFIG)
+    assert {f.code for f in cold.findings} & GRAPH_CODES
+    assert {f.code for f in cold.findings} - GRAPH_CODES
+    run_lint([PROJ], config=ALL_RULES_CONFIG, cache_path=cache)
+    warm = run_lint([PROJ], config=ALL_RULES_CONFIG, cache_path=cache)
+    assert warm.cache_misses == 0 and warm.cache_hits == warm.files_checked
+    assert warm.findings == cold.findings
+
+
+def test_cache_never_serves_another_path_policy(tmp_path):
+    cache = tmp_path / "cache.json"
+    shipped = run_lint([PROJ], cache_path=cache)
+    assert shipped.findings == []  # the default policy exempts fixtures/
+    cold = run_lint([PROJ], config=ALL_RULES_CONFIG)
+    warm = run_lint([PROJ], config=ALL_RULES_CONFIG, cache_path=cache)
+    assert warm.cache_misses == warm.files_checked
+    assert warm.findings == cold.findings != []
+
+
+def test_select_on_warm_cache_equals_cold_selected_run(tmp_path):
+    cache = tmp_path / "cache.json"
+    run_lint([PROJ], config=ALL_RULES_CONFIG, cache_path=cache)
+    for select in ({"RPL009"}, {"RPL001", "RPL013"}, {"RPL014"}):
+        config = dataclasses.replace(ALL_RULES_CONFIG, select=frozenset(select))
+        cold = run_lint([PROJ], config=config)
+        warm = run_lint([PROJ], config=config, cache_path=cache)
+        assert warm.cache_misses == 0
+        assert warm.findings == cold.findings
+        assert {f.code for f in cold.findings} == select
 
 
 # ------------------------------------------------------------------ baseline
@@ -186,7 +236,9 @@ def test_unknown_graph_select_raises():
 
 def test_module_naming_walks_up_through_init_files():
     summaries = {
-        str(p).replace("\\", "/"): summarize_module(p.read_text(encoding="utf-8"), str(p))
+        str(p).replace("\\", "/"): summarize_module(
+            ast.parse(p.read_text(encoding="utf-8")), str(p)
+        )
         for p in sorted(PROJ.rglob("*.py"))
     }
     graph = ProgramGraph(summaries)
@@ -199,7 +251,7 @@ def test_module_naming_walks_up_through_init_files():
 
 def test_summary_is_json_roundtrippable():
     source = (PROJ / "serving" / "app.py").read_text(encoding="utf-8")
-    summary = summarize_module(source, "proj/serving/app.py")
+    summary = summarize_module(ast.parse(source), "proj/serving/app.py")
     assert json.loads(json.dumps(summary)) == summary
     handler = summary["functions"]["handler"]
     assert handler["async"] is True
@@ -208,8 +260,8 @@ def test_summary_is_json_roundtrippable():
 
 
 # ------------------------------------------------------------------- CLI
-def test_cli_graph_flag_reports_findings(capsys):
-    code = main(["lint", "--graph", "--no-cache", str(PROJ)])
+def test_cli_fixture_tree_clean_under_default_policy(capsys):
+    code = main(["lint", "--no-cache", str(PROJ)])
     out = capsys.readouterr().out
     # Default config exempts fixtures/ paths: the fixture tree is clean under
     # the shipped policy (that's what keeps `make lint` quiet), exit 0.
@@ -218,7 +270,8 @@ def test_cli_graph_flag_reports_findings(capsys):
 
 
 def test_cli_graph_on_src_tree_is_clean(capsys):
-    assert main(["lint", "--graph", "--no-cache", str(REPO_ROOT / "src")]) == 0
+    select = ",".join(sorted(GRAPH_CODES))
+    assert main(["lint", "--no-cache", "--select", select, str(REPO_ROOT / "src")]) == 0
     assert "clean" in capsys.readouterr().out
 
 
@@ -233,14 +286,13 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
         encoding="utf-8",
     )
     baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--graph", "--no-cache", str(tmp_path / "mini")]) == 1
+    assert main(["lint", "--no-cache", str(tmp_path / "mini")]) == 1
     assert "RPL013" in capsys.readouterr().out
 
     assert (
         main(
             [
                 "lint",
-                "--graph",
                 "--no-cache",
                 "--write-baseline",
                 str(baseline),
@@ -256,7 +308,6 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
         main(
             [
                 "lint",
-                "--graph",
                 "--no-cache",
                 "--baseline",
                 str(baseline),
@@ -276,7 +327,6 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
         main(
             [
                 "lint",
-                "--graph",
                 "--no-cache",
                 "--baseline",
                 str(baseline),
@@ -287,21 +337,3 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert "no longer matches" in captured.err
-
-
-def test_cli_select_splits_between_engines(tmp_path, capsys):
-    p = tmp_path / "serving"
-    p.mkdir()
-    (tmp_path / "__init__.py").write_text("", encoding="utf-8")
-    (p / "__init__.py").write_text("", encoding="utf-8")
-    # One lexical violation (pickle) and one graph violation (blocking call).
-    (p / "app.py").write_text(
-        "import pickle\nimport time\n\n\nasync def handler():\n    time.sleep(1)\n",
-        encoding="utf-8",
-    )
-    assert main(["lint", "--graph", "--no-cache", "--select", "RPL005,RPL013", str(tmp_path)]) == 1
-    out = capsys.readouterr().out
-    assert "RPL005" in out and "RPL013" in out
-    assert main(["lint", "--graph", "--no-cache", "--select", "RPL013", str(tmp_path)]) == 1
-    out = capsys.readouterr().out
-    assert "RPL005" not in out and "RPL013" in out
