@@ -13,12 +13,15 @@ Gates (full scale):
   scores) to single-request scoring against a fresh service.
 
 Emits ``BENCH_serving.json`` next to the other benchmark gate artifacts.
+The test carries the ``gate_smoke`` marker, so ``make bench-smoke`` (part
+of ``make verify``) runs all three gates on every push.
 """
 
 import asyncio
 import time
 
 import numpy as np
+import pytest
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, write_bench_json, write_result
 from repro.models import BPRMF
@@ -79,6 +82,7 @@ async def _drive(index):
     return wall, latencies, observed, service.stats()
 
 
+@pytest.mark.gate_smoke
 def test_bench_serving_throughput(ooi_dataset):
     index = _freeze_index(ooi_dataset)
     wall, latencies, observed, stats = asyncio.run(_drive(index))

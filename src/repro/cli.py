@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="micro-batch cap: concurrent /recommend requests coalesce into "
-        "one fused top-k call up to this many",
+        "one scoring call up to this many",
     )
     p_serve.add_argument(
         "--log",

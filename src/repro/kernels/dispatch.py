@@ -51,6 +51,7 @@ __all__ = [
     "transr_energy",
     "weighted_neighbor_sum",
     "masked_topk",
+    "masked_select",
 ]
 
 ENV_VAR = "REPRO_KERNELS"
@@ -320,4 +321,23 @@ def masked_topk(
         train_indices,
         batch,
         valid_out=valid_out,
+    )
+
+
+def masked_select(
+    neg_buf: np.ndarray,
+    k: int,
+    train_indptr: np.ndarray,
+    train_indices: np.ndarray,
+    batch: np.ndarray,
+    valid_out: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """The train-mask → top-k half of :func:`masked_topk`, over scores the
+    caller already wrote, negated, into ``neg_buf`` (masked in place).
+
+    Serving fills each row with its own GEMV so a row's bits cannot depend
+    on its batch mates, then selects the whole block in one call.
+    """
+    return numpy_backend.masked_select(
+        neg_buf, k, train_indptr, train_indices, batch, valid_out=valid_out
     )

@@ -48,6 +48,7 @@ __all__ = [
     "gather_dot",
     "segment_sum_rows",
     "masked_topk",
+    "masked_select",
 ]
 
 #: Target bytes for one gathered edge block (values chosen so the two
@@ -355,9 +356,6 @@ def masked_topk(
     whose every candidate is masked reports 0.
     """
     rows = user_vecs.shape[0]
-    n_items = item_vecs.shape[0]
-    if not 0 < k <= n_items:
-        raise ValueError(f"k must be in [1, {n_items}] (num_items), got {k}")
     buf = neg_buf[:rows]
     if buf.dtype == user_vecs.dtype == item_vecs.dtype:
         # Negation of the (B, dim) factor is exact in IEEE arithmetic, so the
@@ -368,6 +366,30 @@ def masked_topk(
         # compute the product at factor precision and downcast on the copy-
         # negate — the exact sequence of the per-op evaluator chain.
         np.multiply(user_vecs @ item_vecs.T, -1.0, out=buf, casting="unsafe")
+    return masked_select(buf, k, train_indptr, train_indices, batch, valid_out)
+
+
+def masked_select(
+    neg_buf: np.ndarray,
+    k: int,
+    train_indptr: np.ndarray,
+    train_indices: np.ndarray,
+    batch: np.ndarray,
+    valid_out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Train-mask → top-k over a block of already-negated scores.
+
+    The selection half of :func:`masked_topk`, for callers that fill the
+    ``(len(batch), num_items)`` block ``neg_buf`` themselves: row ``i``
+    masks the CSR row ``batch[i]`` of ``train_indptr``/``train_indices`` to
+    ``+inf`` in place, then the ``k`` smallest entries are selected, best
+    first and stable under ties.  Every step works row by row, so a row's
+    result depends on that row's scores and exclusions alone.  ``valid_out``
+    is filled as in :func:`masked_topk`.
+    """
+    rows, n_items = neg_buf.shape
+    if not 0 < k <= n_items:
+        raise ValueError(f"k must be in [1, {n_items}] (num_items), got {k}")
     deg = train_indptr[batch + 1] - train_indptr[batch]
     total = int(deg.sum())
     if total:
@@ -377,15 +399,15 @@ def masked_topk(
         flat = np.repeat(train_indptr[batch] - run_starts, deg) + np.arange(
             total, dtype=np.int64
         )
-        buf[row_ids, train_indices[flat]] = np.inf
-    top = np.argpartition(buf, k - 1, axis=1)[:, :k]
+        neg_buf[row_ids, train_indices[flat]] = np.inf
+    top = np.argpartition(neg_buf, k - 1, axis=1)[:, :k]
     row_idx = np.arange(rows, dtype=np.int64)[:, None]
-    order = np.argsort(buf[row_idx, top], axis=1, kind="stable")
+    order = np.argsort(neg_buf[row_idx, top], axis=1, kind="stable")
     result = top[row_idx, order]
     if valid_out is not None:
         if valid_out.shape[0] < rows:
             raise ValueError(
                 f"valid_out has {valid_out.shape[0]} rows, batch has {rows}"
             )
-        np.sum(buf[row_idx, result] < np.inf, axis=1, out=valid_out[:rows])
+        np.sum(neg_buf[row_idx, result] < np.inf, axis=1, out=valid_out[:rows])
     return result

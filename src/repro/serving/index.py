@@ -14,9 +14,12 @@ checkpoint), the arrays are uncompressed ``.npy`` served memory-mapped, and
 a restarted server can reload by digest with neither the original dataset
 nor the model code path present (see :meth:`ScoreIndex.by_digest`).
 
-Retrieval routes through the fused ``masked_topk`` kernel via the dispatch
-funnel — the exact score → negate → mask → top-k chain the evaluator uses,
-so serving results are bit-identical to offline evaluation rankings.
+Retrieval scores each row with its own GEMV, then masks and selects the
+whole block through the dispatch funnel's ``masked_select`` — the selection
+half of the evaluator's fused ``masked_topk``.  A row's ids and scores are
+therefore bit-identical whichever batch it rides in; against the offline
+path the tested guarantee is ranking agreement with
+``Recommender.recommend`` (``test_topk_users_matches_recommend``).
 """
 
 from __future__ import annotations
@@ -29,18 +32,6 @@ from repro.kernels import dispatch
 from repro.store import Artifact, ArtifactStore
 
 __all__ = ["ScoreIndex"]
-
-#: Every fused-kernel call is padded to exactly this many rows.  BLAS GEMM
-#: picks different micro-kernels for different M geometries (an M=1 call
-#: takes the GEMV path), and the tails differ in the final ulp — so "the
-#: same user in a different batch" would score differently and break the
-#: batched == single bit-identity contract.  At a *fixed* M that is a
-#: multiple of the micro-kernel tile, each output row is a pure function of
-#: its own input row (value- and position-independent; asserted by the
-#: serving tests), so padding every call to one constant geometry makes the
-#: ranking independent of how requests were coalesced.  Batches larger than
-#: this are processed in padded blocks of this size.
-_PAD_ROWS = 32
 
 
 class ScoreIndex:
@@ -85,9 +76,6 @@ class ScoreIndex:
         self.train_indptr = train_indptr
         self.train_indices = train_indices
         self.meta = dict(meta or {})
-        self._neg_buf: Optional[np.ndarray] = None
-        self._valid_buf: Optional[np.ndarray] = None
-        self._pad_vecs: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ properties
     @property
@@ -197,13 +185,6 @@ class ScoreIndex:
         return None if artifact is None else cls.from_artifact(artifact)
 
     # -------------------------------------------------------------- retrieval
-    def _buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._neg_buf is None:
-            self._neg_buf = np.empty((_PAD_ROWS, self.num_items), dtype=np.float64)
-            self._valid_buf = np.empty(_PAD_ROWS, dtype=np.int64)
-            self._pad_vecs = np.zeros((_PAD_ROWS, self.dim), dtype=np.float64)
-        return self._neg_buf, self._valid_buf, self._pad_vecs
-
     def topk_vectors(
         self,
         vecs: np.ndarray,
@@ -220,11 +201,10 @@ class ScoreIndex:
         counts of *real* (unmasked) candidates; entries past ``valid[i]`` are
         masked filler carrying ``-inf`` scores.
 
-        Bit-identity contract: every fused-kernel call is padded to the
-        fixed ``_PAD_ROWS`` geometry (larger batches go in padded blocks),
-        so a row's ids *and scores* are byte-equal no matter which batch it
-        rode in — the property the micro-batching front end and the offline
-        parity tests both rely on.
+        Bit-identity contract: each row is scored by its own GEMV into a
+        per-call buffer, and masking and selection work row by row, so a
+        row's ids *and scores* are byte-equal no matter which batch it rode
+        in — the property the micro-batching front end relies on.
         """
         vecs = np.ascontiguousarray(vecs, dtype=np.float64)
         exclude_indptr = np.asarray(exclude_indptr, dtype=np.int64)
@@ -237,44 +217,27 @@ class ScoreIndex:
                 f"exclude_indptr must have rows+1 = {rows + 1} entries, "
                 f"got {exclude_indptr.shape}"
             )
-        ids = np.empty((rows, k), dtype=np.int64)
-        scores = np.empty((rows, k), dtype=np.float64)
+        neg = np.empty((rows, self.num_items), dtype=np.float64)
+        neg_vecs = -vecs  # exact, so each row holds -(item_vecs @ v) bitwise
+        for r in range(rows):
+            np.matmul(self.item_vecs, neg_vecs[r], out=neg[r])
         valid = np.empty(rows, dtype=np.int64)
-        neg_buf, valid_buf, pad_vecs = self._buffers()
-        pad_indptr = np.empty(_PAD_ROWS + 1, dtype=np.int64)
-        row_idx = np.arange(_PAD_ROWS, dtype=np.int64)[:, None]
-        for start in range(0, rows, _PAD_ROWS):
-            stop = min(start + _PAD_ROWS, rows)
-            block = stop - start
-            pad_vecs[:block] = vecs[start:stop]
-            pad_vecs[block:] = 0.0
-            base = exclude_indptr[start]
-            pad_indptr[: block + 1] = exclude_indptr[start : stop + 1] - base
-            pad_indptr[block + 1 :] = pad_indptr[block]  # pad rows exclude nothing
-            block_ids = dispatch.masked_topk(
-                pad_vecs,
-                self.item_vecs,
-                k,
-                neg_buf,
-                pad_indptr,
-                exclude_indices[base : exclude_indptr[stop]],
-                np.arange(_PAD_ROWS, dtype=np.int64),
-                valid_out=valid_buf,
-            )
-            # Masked columns hold +inf in the negated buffer; negating
-            # recovers true scores with -inf flagging filler entries past
-            # each row's valid count.
-            ids[start:stop] = block_ids[:block]
-            scores[start:stop] = -neg_buf[row_idx, block_ids][:block]
-            valid[start:stop] = valid_buf[:block]
+        row_idx = np.arange(rows, dtype=np.int64)
+        ids = dispatch.masked_select(
+            neg, k, exclude_indptr, exclude_indices, row_idx, valid_out=valid
+        )
+        # Masked columns hold +inf in the negated block; negating recovers
+        # true scores with -inf flagging filler entries past each row's
+        # valid count.
+        scores = -neg[row_idx[:, None], ids]
         return ids, scores, valid
 
     def topk_users(self, users: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Top-``k`` for known users, training positives excluded.
 
         Gathers each user's vector and training-CSR row, then scores through
-        :meth:`topk_vectors` — one funnel, one padding policy, so bulk
-        results match per-request results bit-for-bit.
+        :meth:`topk_vectors` — one funnel, so bulk results match
+        per-request results bit-for-bit.
         """
         users = np.asarray(users, dtype=np.int64)
         if users.size and (users.min() < 0 or users.max() >= self.num_users):

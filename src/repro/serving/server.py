@@ -56,6 +56,19 @@ class _HttpError(Exception):
         self.message = message
 
 
+def _content_length(value: str) -> Optional[int]:
+    """A ``Content-Length`` value as an int, or ``None`` unless it is 1*DIGIT.
+
+    ``int()`` alone would also take signs, underscores and non-ASCII digits.
+    Values past the body cap read as cap + 1 without conversion, so an
+    over-long digit string cannot trip ``int``'s digit limit.
+    """
+    if not (value.isascii() and value.isdigit()):
+        return None
+    digits = value.lstrip("0") or "0"
+    return int(digits) if len(digits) <= 9 else _MAX_BODY_BYTES + 1
+
+
 def _status_line(status: int) -> bytes:
     reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error"}
     return f"HTTP/1.1 {status} {reason.get(status, 'Error')}\r\n".encode("ascii")
@@ -225,7 +238,7 @@ class RecommendServer:
                 except (UnicodeDecodeError, ValueError):
                     await self._respond(writer, 400, {"error": "malformed request line"})
                     break
-                content_length = 0
+                content_length: Optional[int] = 0
                 keep_alive = True
                 while True:
                     header = await reader.readline()
@@ -235,9 +248,14 @@ class RecommendServer:
                     name = name.strip().lower()
                     value = value.strip()
                     if name == "content-length":
-                        content_length = int(value)
+                        content_length = _content_length(value)
                     elif name == "connection" and value.lower() == "close":
                         keep_alive = False
+                if content_length is None:
+                    await self._respond(
+                        writer, 400, {"error": "malformed Content-Length"}, keep_alive=False
+                    )
+                    break
                 if content_length > _MAX_BODY_BYTES:
                     await self._respond(writer, 400, {"error": "body too large"})
                     break

@@ -1,8 +1,9 @@
 """Request-level recommendation service over a frozen :class:`ScoreIndex`.
 
 One :meth:`RecommendService.recommend_many` call scores a whole micro-batch
-of requests — known users and fold-in handles mixed freely — through a
-single fused-kernel invocation per distinct ``k``.  Sub-batching by ``k``
+of requests — known users and fold-in handles mixed freely — through one
+:meth:`ScoreIndex.topk_vectors` call per distinct ``k``: a GEMV per request
+row, then one masked selection over the group.  Sub-batching by ``k``
 is a correctness decision, not a convenience: selecting ``k_max`` candidates
 and truncating each row to its own ``k`` is *not* tie-identical to selecting
 ``k`` directly (``argpartition`` may admit a different member of a tied

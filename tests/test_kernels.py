@@ -594,6 +594,77 @@ class TestMaskedTopkValidCounts:
             )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_users=st.integers(1, 8),
+    num_items=st.integers(1, 30),
+    rows=st.integers(1, 12),
+    data=st.data(),
+)
+def test_masked_select_invariants_property(seed, num_users, num_items, rows, data):
+    """Selection over negated blocks with forced ties and random exclusions.
+
+    Block values come from a five-value set, so most rows hold tied
+    cohorts; one user (when drawn) masks every item.  The ids must equal the
+    evaluator's per-op chain, the valid prefix must be finite, ascending in
+    negated score and free of masked ids, filler must be masked, and
+    ``valid == min(k, unmasked count)``.  ``masked_topk`` must equal
+    ``masked_select`` over ``-(U @ Vᵀ)`` bit for bit.
+    """
+    k = data.draw(st.integers(1, num_items), label="k")
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, [num_users, num_items], (rng.integers(0, 3 * num_items), 2))
+    full = rng.integers(0, num_users)
+    if rng.random() < 0.5:  # one user has every item masked
+        pairs = np.r_[pairs, np.c_[np.full(num_items, full), np.arange(num_items)]]
+    train = InteractionDataset(pairs[:, 0], pairs[:, 1], num_users, num_items)
+    empty = np.zeros(0, dtype=np.int64)
+    ev = RankingEvaluator(
+        train, InteractionDataset(empty, empty, num_users, num_items), k=k
+    )
+    indptr, indices = ev._train_indptr, ev._train_indices
+    batch = rng.integers(0, num_users, rows)
+    block = rng.choice([-1.5, -0.5, 0.0, 0.5, 2.0], (rows, num_items))
+
+    neg = block.copy()
+    valid = np.empty(rows, dtype=np.int64)
+    ids = dispatch.masked_select(neg, k, indptr, indices, batch, valid_out=valid)
+    ref_neg = block.copy()
+    ev._mask_train_positives(ref_neg, batch)
+    np.testing.assert_array_equal(ids, ev._top_k(ref_neg), strict=True)
+    np.testing.assert_array_equal(neg, ref_neg, strict=True)
+    for r, user in enumerate(batch):
+        masked = set(indices[indptr[user] : indptr[user + 1]].tolist())
+        assert valid[r] == min(k, num_items - len(masked))
+        prefix = neg[r, ids[r, : valid[r]]]
+        assert np.isfinite(prefix).all() and (np.diff(prefix) >= 0).all()
+        assert not masked & set(ids[r, : valid[r]].tolist())
+        assert (neg[r, ids[r, valid[r] :]] == np.inf).all()
+
+    # Integer-valued factors force exact ties in the products; Gaussian ones
+    # exercise rounding.
+    if data.draw(st.booleans(), label="tied factors"):
+        u = rng.integers(-2, 3, (rows, 3)).astype(np.float64)
+        v = rng.integers(-2, 3, (num_items, 3)).astype(np.float64)
+    else:
+        u = rng.standard_normal((rows, 5))
+        v = rng.standard_normal((num_items, 5))
+    fused_neg = np.empty((rows, num_items))
+    fused_valid = np.empty(rows, dtype=np.int64)
+    fused = dispatch.masked_topk(
+        u, v, k, fused_neg, indptr, indices, batch, valid_out=fused_valid
+    )
+    split_neg = -(u @ v.T)
+    split_valid = np.empty(rows, dtype=np.int64)
+    split = dispatch.masked_select(
+        split_neg, k, indptr, indices, batch, valid_out=split_valid
+    )
+    np.testing.assert_array_equal(fused, split, strict=True)
+    np.testing.assert_array_equal(fused_neg, split_neg, strict=True)
+    np.testing.assert_array_equal(fused_valid, split_valid, strict=True)
+
+
 # ------------------------------------------------ constant-weight propagation
 class TestConstantWeightNeighborSum:
     """Frozen attention and uniform weights run the same CSR product."""

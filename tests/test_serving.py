@@ -5,8 +5,13 @@ round-trips through the artifact store byte-equal, and a request's response
 (ids and scores) is byte-equal no matter which micro-batch it rode in.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.interactions import InteractionDataset
 from repro.models import BPRMF
@@ -99,18 +104,18 @@ class TestScoreIndex:
 
     def test_batch_composition_bit_identity(self, index):
         """The same user's ids AND scores are byte-equal across batch shapes
-        — alone, in a small batch, in a padded-block-spanning batch."""
+        — alone, in a small batch, in a batch wider than 32 rows."""
         alone = index.topk_users(np.array([7]), 5)
         small = index.topk_users(np.array([3, 7, 11]), 5)
-        big = index.topk_users(np.arange(40), 5)  # spans two padded blocks
+        big = index.topk_users(np.arange(40), 5)
         np.testing.assert_array_equal(small[0][1], alone[0][0])
         np.testing.assert_array_equal(small[1][1], alone[1][0], strict=True)
         np.testing.assert_array_equal(big[0][7], alone[0][0])
         np.testing.assert_array_equal(big[1][7], alone[1][0], strict=True)
 
     def test_row_value_and_position_independence(self, index):
-        """The padding argument: at the fixed kernel geometry a row's scores
-        do not depend on what else is in the batch or where the row sits."""
+        """A row's scores do not depend on what else is in the batch or
+        where the row sits."""
         rng = np.random.default_rng(5)
         probe = rng.standard_normal(index.dim)
         empty = np.zeros(0, dtype=np.int64)
@@ -128,6 +133,36 @@ class TestScoreIndex:
         base = score_at(0, filler_seed=11)
         np.testing.assert_array_equal(score_at(0, filler_seed=99), base)
         np.testing.assert_array_equal(score_at(5, filler_seed=99), base)
+
+    def test_concurrent_topk_users_match_serial(self):
+        """Threads sharing one index get exactly the serial results.
+
+        The index keeps no scratch state, so ``topk_users`` from several
+        threads at once — switching as often as the interpreter allows,
+        while BLAS runs without the GIL — must reproduce a serial run bit
+        for bit.
+        """
+        index = _random_index(np.random.default_rng(23), 120, 400, 32)
+        rng = np.random.default_rng(29)
+        batches = [
+            rng.integers(0, index.num_users, rng.integers(1, 40)) for _ in range(300)
+        ]
+
+        def run(worker):
+            return [index.topk_users(batch, 10) for batch in batches]
+
+        serial = run(None)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, range(4), timeout=300))
+        finally:
+            sys.setswitchinterval(previous)
+        for results in threaded:
+            for got, ref in zip(results, serial):
+                for g, r in zip(got, ref):
+                    np.testing.assert_array_equal(g, r, strict=True)
 
     def test_zero_candidate_row_yields_empty(self, index):
         """A fold-in user who observed every item has nothing to recommend."""
@@ -339,3 +374,101 @@ class TestRecommendService:
         assert stats["kernel_calls"] == 2  # one per distinct k
         assert stats["max_batch"] == 2
         assert stats["index"]["num_users"] == index.num_users
+
+
+# ------------------------------------------------- batched == single, property
+def _random_index(rng, num_users, num_items, dim):
+    """An untrained index whose training CSR includes one fully masked user."""
+    n = int(rng.integers(0, 3 * num_items))
+    users = np.r_[rng.integers(0, num_users, n), np.zeros(num_items, dtype=np.int64)]
+    items = np.r_[rng.integers(0, num_items, n), np.arange(num_items)]
+    train = InteractionDataset(users, items, num_users, num_items)
+    return ScoreIndex(
+        rng.standard_normal((num_users, dim)),
+        rng.standard_normal((num_items, dim)),
+        train.user_offsets,
+        train.item_ids,
+    )
+
+
+def _exclusion(rng, num_items):
+    """Empty, full or random item exclusions for one fold-in row."""
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return np.zeros(0, dtype=np.int64)
+    if kind == 1:
+        return np.arange(num_items, dtype=np.int64)
+    return rng.integers(0, num_items, rng.integers(1, num_items + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_items=st.integers(1, 40),
+    batch=st.integers(1, 70),
+    data=st.data(),
+)
+def test_topk_vectors_batched_equals_single_property(seed, num_items, batch, data):
+    """Every row of a batch equals that row scored alone, bit for bit.
+
+    Rows are drawn with replacement from a small pool — known users with
+    their training CSR rows, plus fold-in vectors (one all-zero, so every
+    score ties) with empty, full or random exclusions — so batches repeat
+    rows, and sizes up to 70 cross any fixed block size.
+    """
+    k = data.draw(st.integers(1, num_items), label="k")
+    rng = np.random.default_rng(seed)
+    index = _random_index(rng, 6, num_items, 8)
+    pool = [(index.user_vecs[u], index.seen_items(u)) for u in range(index.num_users)]
+    pool += [(np.zeros(index.dim), _exclusion(rng, num_items))]
+    pool += [
+        (rng.standard_normal(index.dim), _exclusion(rng, num_items)) for _ in range(3)
+    ]
+    picks = rng.integers(0, len(pool), batch)
+    vecs = np.stack([pool[p][0] for p in picks])
+    excludes = [pool[p][1] for p in picks]
+    indptr = np.zeros(batch + 1, dtype=np.int64)
+    np.cumsum([e.size for e in excludes], out=indptr[1:])
+    ids, scores, valid = index.topk_vectors(vecs, k, indptr, np.concatenate(excludes))
+    for row, p in enumerate(picks):
+        vec, exclude = pool[p]
+        one_ids, one_scores, one_valid = index.topk_vectors(
+            vec[None], k, np.array([0, exclude.size]), exclude
+        )
+        np.testing.assert_array_equal(ids[row], one_ids[0], strict=True)
+        assert scores[row].tobytes() == one_scores[0].tobytes()
+        assert valid[row] == one_valid[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_items=st.integers(1, 40),
+    batch=st.integers(1, 70),
+)
+def test_recommend_many_batched_equals_single_property(seed, num_items, batch):
+    """A micro-batch of mixed users and fold-in handles, each with its own
+    ``k`` in ``[1, num_items]``, answers every request exactly as
+    ``recommend_one`` does (scores compared bitwise)."""
+    rng = np.random.default_rng(seed)
+    index = _random_index(rng, 6, num_items, 8)
+    service = RecommendService(index, FoldInConfig(steps=2))
+    handles = [
+        service.fold_in(rng.integers(0, num_items, rng.integers(1, num_items + 1)))
+        for _ in range(2)
+    ]
+    handles.append(service.fold_in(np.arange(num_items)))  # nothing left to rank
+    requests = []
+    for _ in range(batch):
+        k = int(rng.integers(1, num_items + 1))
+        if rng.random() < 0.7:
+            requests.append({"user": int(rng.integers(0, index.num_users)), "k": k})
+        else:
+            requests.append({"handle": handles[rng.integers(0, len(handles))], "k": k})
+    for request, got in zip(requests, service.recommend_many(requests)):
+        ref = service.recommend_one(request)
+        assert got["items"] == ref["items"]
+        assert np.array(got["scores"]).tobytes() == np.array(ref["scores"]).tobytes()
+        assert {key: got[key] for key in got if key != "scores"} == {
+            key: ref[key] for key in ref if key != "scores"
+        }

@@ -109,6 +109,37 @@ class TestHttpRoutes:
 
         assert run_with_server(index, scenario)
 
+    def test_malformed_content_length_answers_400(self, index, caplog):
+        """A non-numeric or negative Content-Length gets a 400 and a close,
+        never an empty close; the server keeps serving new connections.  An
+        over-long digit string is a body too large, not a crash."""
+
+        async def scenario(client, server):
+            cases = [
+                (b"abc", "malformed Content-Length"),
+                (b"-5", "malformed Content-Length"),
+                (b"9" * 5000, "body too large"),
+            ]
+            for value, error in cases:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(
+                    b"POST /foldin HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"
+                )
+                await writer.drain()
+                raw = await reader.read()  # the server closes after answering
+                writer.close()
+                await writer.wait_closed()
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), (value[:8], raw)
+                assert json.loads(body) == {"error": error}
+            status, _ = await client.get("/healthz")
+            assert status == 200
+            return True
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            assert run_with_server(index, scenario)
+        assert not caplog.records
+
     def test_keep_alive_many_requests_one_connection(self, index):
         async def scenario(client, server):
             for i in range(20):
