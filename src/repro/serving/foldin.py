@@ -6,19 +6,23 @@ engine places them in the *existing* embedding space:
 
 1. **Warm start** — the mean of the observed items' frozen vectors, i.e. the
    centroid of what they touched.  Already a usable query point.
-2. **Refinement** — a few BPR gradient steps on a one-row parameter table,
-   gathered through ``take_rows`` so the update flows down the sparse-row
-   optimizer path (the same machinery training uses), against *frozen* item
-   vectors held as constants.
+2. **Refinement** — a few BPR steps (Eq. 12) on the user vector ``w``
+   against *frozen* item vectors.  With ``n`` (positive, negative) pairs
+   and row differences ``D = P − N``, the objective ``mean(−log σ(D·w)) +
+   l2·n·‖w‖²`` has the closed-form gradient ``−(σ(−D·w) @ D)/n +
+   2·l2·n·w``, set as the dense grad of a ``(dim,)`` parameter stepped by
+   the shared :class:`Adam` — no per-step graph.  All steps' negatives are
+   drawn in one call, uniformly from the complement of the observed set.
 
 The item table stays frozen on purpose: serving-time updates to shared item
 vectors would silently shift every other user's rankings and break the
 bit-identity contract between the frozen index and offline evaluation.  The
 new user's vector is private state; nothing global moves.
 
-Determinism: the negative-sampling RNG is seeded from the engine seed plus a
-hash of the (sorted, deduplicated) observed item ids, so folding in the same
-interaction set always yields the same vector — restarts included.
+Determinism: the negative-sampling RNG is seeded from :func:`content_digest`
+of the engine seed and the (sorted, deduplicated) observed item ids — the
+same digest the service derives fold-in handles from — so folding in the
+same interaction set always yields the same vector, restarts included.
 """
 
 from __future__ import annotations
@@ -28,11 +32,16 @@ import hashlib
 
 import numpy as np
 
-from repro.autograd import Adam, Parameter, Tensor
-from repro.autograd import functional as F
+from repro.autograd import Adam, Parameter
 from repro.serving.index import ScoreIndex
 
-__all__ = ["FoldInConfig", "FoldInEngine"]
+__all__ = ["FoldInConfig", "FoldInEngine", "content_digest"]
+
+
+def content_digest(seed: int, items: np.ndarray) -> bytes:
+    """SHA-256 of the seed and the sorted unique observed ``items``."""
+    key = f"{seed}:" + ",".join(str(i) for i in items.tolist())
+    return hashlib.sha256(key.encode("utf-8")).digest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,59 +74,50 @@ class FoldInEngine:
         self.index = index
         self.config = config
 
-    def _rng(self, items: np.ndarray) -> np.random.Generator:
-        key = f"{self.config.seed}:" + ",".join(str(i) for i in items.tolist())
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    def observed(self, item_ids) -> np.ndarray:
+        """Sorted unique ``item_ids``; ``ValueError`` if empty or out of range."""
+        num_items = self.index.num_items
+        try:
+            items = np.unique(np.asarray(item_ids, dtype=np.int64))
+        except OverflowError:  # an id past int64 is out of range too
+            bad = sorted({int(i) for i in item_ids if not 0 <= int(i) < num_items})
+        else:
+            if items.size == 0:
+                raise ValueError("fold-in requires at least one observed item")
+            bad = items[(items < 0) | (items >= num_items)].tolist()
+        if bad:
+            raise ValueError(f"fold-in item ids outside [0, {num_items}): {bad[:10]}")
+        return items
 
-    def _sample_negatives(
-        self, rng: np.random.Generator, observed: set, count: int
-    ) -> np.ndarray:
-        """Rejection-sample item ids outside ``observed``."""
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            draw = rng.integers(0, self.index.num_items, size=count - filled)
-            keep = draw[[int(d) not in observed for d in draw]]
-            out[filled : filled + keep.size] = keep
-            filled += keep.size
-        return out
+    def negatives(self, items: np.ndarray) -> np.ndarray:
+        """Row ``s``: step ``s``'s negative for each of ``np.repeat(items,
+        negatives_per_pos)``, drawn from the complement of ``items``."""
+        free = np.ones(self.index.num_items, dtype=bool)
+        free[items] = False
+        complement = np.flatnonzero(free)
+        rng = np.random.default_rng(
+            int.from_bytes(content_digest(self.config.seed, items)[:8], "little")
+        )
+        shape = (self.config.steps, self.config.negatives_per_pos * items.size)
+        return complement[rng.integers(0, complement.size, size=shape)]
 
     def embed(self, item_ids) -> np.ndarray:
         """Return a ``(dim,)`` user vector for the observed ``item_ids``."""
-        items = np.unique(np.asarray(item_ids, dtype=np.int64))
-        if items.size == 0:
-            raise ValueError("fold-in requires at least one observed item")
-        if items[0] < 0 or items[-1] >= self.index.num_items:
-            raise ValueError(
-                f"fold-in item ids outside [0, {self.index.num_items}): "
-                f"{items[(items < 0) | (items >= self.index.num_items)].tolist()[:10]}"
-            )
+        items = self.observed(item_ids)
         item_table = np.asarray(self.index.item_vecs)
         warm = item_table[items].mean(axis=0)
-        if self.config.steps == 0:
+        if self.config.steps == 0 or items.size >= self.index.num_items:
+            # Nothing to refine, or no negatives exist (BPR is undefined).
             return np.ascontiguousarray(warm, dtype=np.float64)
-        if items.size >= self.index.num_items:
-            # Every item observed: no negatives exist, BPR is undefined.
-            return np.ascontiguousarray(warm, dtype=np.float64)
-        rng = self._rng(items)
-        observed = set(items.tolist())
-        user_table = Parameter(warm[None, :].copy(), name="foldin.user")
-        optimizer = Adam([user_table], lr=self.config.lr)
-        reps = self.config.negatives_per_pos
-        pos = np.repeat(items, reps)
-        row_ids = np.zeros(pos.size, dtype=np.int64)
-        for _ in range(self.config.steps):
-            neg = self._sample_negatives(rng, observed, pos.size)
-            # take_rows on the leaf table emits a SparseRowGrad, exercising
-            # the sparse-row optimizer dispatch exactly like training does.
-            u = F.take_rows(user_table, row_ids)
-            pos_scores = F.sum(F.mul(u, Tensor(item_table[pos])), axis=1)
-            neg_scores = F.sum(F.mul(u, Tensor(item_table[neg])), axis=1)
-            loss = F.bpr_loss(pos_scores, neg_scores)
-            if self.config.l2:
-                loss = F.add(loss, F.mul(Tensor(self.config.l2), F.squared_norm(u)))
-            optimizer.zero_grad()
-            loss.backward()
+        pos = np.repeat(item_table[items], self.config.negatives_per_pos, axis=0)
+        pairs = pos.shape[0]
+        l2_scale = 2.0 * self.config.l2 * pairs
+        user = Parameter(warm.copy(), name="foldin.user")
+        optimizer = Adam([user], lr=self.config.lr)
+        for neg in self.negatives(items):
+            diff = pos - item_table[neg]
+            # σ(−D·w) as exp(−softplus(D·w)): accurate even where it is tiny.
+            sig_neg = np.exp(-np.logaddexp(0.0, diff @ user.data))
+            user.grad = l2_scale * user.data - (sig_neg @ diff) / pairs
             optimizer.step()
-        return np.ascontiguousarray(user_table.data[0], dtype=np.float64)
+        return np.ascontiguousarray(user.data, dtype=np.float64)

@@ -19,13 +19,12 @@ real-candidate count and asserted finite — a masked id can never escape.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.serving.cache import LRUCache
-from repro.serving.foldin import FoldInConfig, FoldInEngine
+from repro.serving.foldin import FoldInConfig, FoldInEngine, content_digest
 from repro.serving.index import ScoreIndex
 
 __all__ = ["RecommendService"]
@@ -86,10 +85,9 @@ class RecommendService:
         restart — yields the same handle and the same vector.  Observing
         *more* interactions mints a new handle with a refreshed embedding.
         """
-        items = np.unique(np.asarray(item_ids, dtype=np.int64))
-        vector = self.foldin.embed(items)  # validates ids
-        key = f"{self.foldin.config.seed}:" + ",".join(str(i) for i in items.tolist())
-        handle = "foldin-" + hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
+        items = self.foldin.observed(item_ids)
+        vector = self.foldin.embed(items)
+        handle = "foldin-" + content_digest(self.foldin.config.seed, items).hex()[:12]
         self._foldin_users[handle] = (vector, items)
         return handle
 

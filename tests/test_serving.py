@@ -5,7 +5,9 @@ round-trips through the artifact store byte-equal, and a request's response
 (ids and scores) is byte-equal no matter which micro-batch it rode in.
 """
 
+import hashlib
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autograd import Adam, Parameter, Tensor
+from repro.autograd import functional as F
 from repro.data.interactions import InteractionDataset
 from repro.models import BPRMF
 from repro.models.base import FitConfig
@@ -281,6 +285,98 @@ class TestFoldIn:
         with pytest.raises(ValueError):
             FoldInConfig(negatives_per_pos=0)
 
+    def test_id_past_int64_is_out_of_range(self, index):
+        with pytest.raises(ValueError, match=r"outside .*\[-?1{30}\]"):
+            FoldInEngine(index).embed([1, int("1" * 30)])
+        with pytest.raises(ValueError, match="outside"):
+            FoldInEngine(index).embed([-(10**30)])
+
+    def test_all_but_one_observed_is_fast(self):
+        """With one free item among ~2000, every negative is that item, and
+        drawing them costs no more than any other fold-in (rejection
+        sampling needed ~2000 rounds per step here, over a second)."""
+        rng = np.random.default_rng(0)
+        num_items, free_item = 2000, 1234
+        index = ScoreIndex(
+            rng.standard_normal((1, 16)), rng.standard_normal((num_items, 16)),
+            np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
+        )
+        items = np.delete(np.arange(num_items), free_item)
+        engine = FoldInEngine(index, FoldInConfig(steps=2, negatives_per_pos=1))
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            vector = engine.embed(items)
+            seconds.append(time.perf_counter() - start)
+        # ~3 ms on a 2-vCPU VM; the bound leaves >= 30x headroom.
+        assert min(seconds) < 0.1, seconds
+        assert np.all(np.isfinite(vector))
+        negatives = engine.negatives(items)
+        assert negatives.shape == (2, items.size)
+        assert np.all(negatives == free_item)
+
+
+def _autograd_foldin(index, config, items, negatives):
+    """The fold-in refinement as a per-step autograd graph — the oracle.
+
+    A one-row parameter table gathered once per pair through ``take_rows``,
+    ``bpr_loss + l2 · squared_norm`` on the gathered rows, ``backward``, and
+    the sparse-row ``Adam`` step, over the given ``(steps, pairs)``
+    negatives.
+    """
+    item_table = np.asarray(index.item_vecs)
+    user_table = Parameter(item_table[items].mean(axis=0)[None, :].copy())
+    optimizer = Adam([user_table], lr=config.lr)
+    pos = np.repeat(items, config.negatives_per_pos)
+    row_ids = np.zeros(pos.size, dtype=np.int64)
+    for neg in negatives:
+        u = F.take_rows(user_table, row_ids)
+        pos_scores = F.sum(F.mul(u, Tensor(item_table[pos])), axis=1)
+        neg_scores = F.sum(F.mul(u, Tensor(item_table[neg])), axis=1)
+        loss = F.bpr_loss(pos_scores, neg_scores)
+        if config.l2:
+            loss = F.add(loss, F.mul(Tensor(config.l2), F.squared_norm(u)))
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+    return user_table.data[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_items=st.integers(2, 40),
+    dim=st.integers(1, 12),
+    steps=st.integers(1, 20),
+    negatives_per_pos=st.integers(1, 6),
+    random_l2=st.booleans(),
+    data=st.data(),
+)
+def test_foldin_closed_form_equals_autograd_property(
+    seed, num_items, dim, steps, negatives_per_pos, random_l2, data
+):
+    """The closed-form gradient + dense Adam lands on the autograd chain's
+    vector (rtol 1e-12) for the same negatives, which avoid the observed
+    set (any size from 1 to ``num_items - 1``, duplicates in the input)."""
+    rng = np.random.default_rng(seed)
+    index = _random_index(rng, 2, num_items, dim)
+    distinct = data.draw(st.integers(1, num_items - 1), label="distinct")
+    observed = rng.choice(num_items, size=distinct, replace=False)
+    item_ids = np.r_[observed, rng.choice(observed, size=rng.integers(0, 4))]
+    l2 = float(rng.uniform(1e-5, 1e-1)) if random_l2 else 0.0
+    config = FoldInConfig(
+        steps=steps, lr=float(rng.uniform(1e-3, 0.2)), l2=l2,
+        negatives_per_pos=negatives_per_pos, seed=seed,
+    )
+    engine = FoldInEngine(index, config)
+    items = engine.observed(item_ids)
+    negatives = engine.negatives(items)
+    assert negatives.shape == (steps, negatives_per_pos * items.size)
+    assert not np.isin(negatives, items).any()
+    got = engine.embed(item_ids)
+    want = _autograd_foldin(index, config, items, negatives)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
 
 # ----------------------------------------------------------------- service
 class TestRecommendService:
@@ -313,6 +409,14 @@ class TestRecommendService:
         # Fold-in exclusions: none of the observed items come back.
         assert not {1, 2, 3} & set(responses[1]["items"])
         assert responses[1] == service.recommend_one({"handle": handle, "k": 5})
+
+    def test_handle_is_content_derived(self, index):
+        """``foldin-`` + 12 hex of sha256("<seed>:<sorted unique ids>")."""
+        service = RecommendService(index, FoldInConfig(seed=9))
+        key = b"9:1,2,3"
+        assert service.fold_in([3, 1, 2, 2]) == (
+            "foldin-" + hashlib.sha256(key).hexdigest()[:12]
+        )
 
     def test_foldin_recs_change_with_more_interactions(self, index):
         service = RecommendService(index)

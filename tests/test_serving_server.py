@@ -140,6 +140,25 @@ class TestHttpRoutes:
             assert run_with_server(index, scenario)
         assert not caplog.records
 
+    def test_foldin_id_past_int64_answers_400(self, index, caplog):
+        """An item id too large for int64 is out of range like any other:
+        a 400 with the range message, and the server keeps serving."""
+
+        async def scenario(client, server):
+            status, body = await client.fold_in([1, 10**29])
+            assert status == 400
+            assert body == {
+                "error": f"fold-in item ids outside [0, {NUM_ITEMS}): [{10**29}]"
+            }
+            async with ServingClient(server.host, server.port) as fresh:
+                status, _ = await fresh.get("/healthz")
+                assert status == 200
+            return True
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            assert run_with_server(index, scenario)
+        assert not caplog.records
+
     def test_keep_alive_many_requests_one_connection(self, index):
         async def scenario(client, server):
             for i in range(20):
