@@ -16,8 +16,8 @@ The package implements, from scratch in NumPy:
   :mod:`repro.autograd`;
 - the **experiment harness** regenerating every table and figure of the
   paper's evaluation — :mod:`repro.experiments`;
-- **parallel propagation** building blocks (the paper's future-work note)
-  — :mod:`repro.parallel`.
+- **data-parallel training** (the paper's future-work note) —
+  :mod:`repro.train`.
 
 Quickstart
 ----------

@@ -3,13 +3,12 @@
 Full-ranking evaluation is embarrassingly parallel over users: each user's
 metrics depend only on their own score row, train positives, and test set.
 This module splits the eval-user list into contiguous shards
-(:func:`repro.parallel.executor.chunk_indices`), evaluates each shard in a
+(:func:`repro.parallel.chunk_indices`), evaluates each shard in a
 worker process, and merges by concatenating the per-user metric vectors in
 shard order.  Because every evaluator step is row-wise (see
 :mod:`repro.eval.evaluator`), the concatenated vectors are identical to a
 single serial pass, so the reduced means are **bit-identical** to the
-:class:`~repro.parallel.executor.SerialExecutor` reference — the same
-serial-is-the-reference discipline the sharded propagation path follows.
+in-process shard loop and to :meth:`RankingEvaluator.evaluate`.
 
 Workers cannot share a live model, so scoring is handed off through a
 checkpoint: :class:`SnapshotScorer` pickles a model *factory* plus a
@@ -21,15 +20,14 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import EvaluationResult, PerUserMetrics, RankingEvaluator
 from repro.io.checkpoints import load_parameters
-from repro.parallel.executor import MapExecutor, SerialExecutor, chunk_indices
-from repro.pipeline import DatasetRef
+from repro.parallel import ProcessExecutor, chunk_indices
 from repro.utils.telemetry import RunLogger
 
 __all__ = ["SnapshotScorer", "EvalShard", "sharded_evaluate"]
@@ -83,34 +81,15 @@ class SnapshotScorer:
 
 @dataclasses.dataclass(frozen=True)
 class EvalShard:
-    """Picklable work unit: evaluate one contiguous user shard.
+    """Picklable work unit: evaluate one contiguous user shard."""
 
-    The split travels either inline (``train``/``test`` pickled arrays —
-    the legacy spelling) or by reference (``dataset_ref``): a ref-carrying
-    shard materializes its split through the worker's process-cached
-    :class:`~repro.pipeline.DatasetPipeline`, memory-mapping the cached
-    artifact when the ref names a cache dir.  All shards of one evaluation
-    then share a single split materialization per worker process instead of
-    each deserializing its own copy.
-    """
-
-    train: Optional[InteractionDataset]
-    test: Optional[InteractionDataset]
+    train: InteractionDataset
+    test: InteractionDataset
     users: np.ndarray
     score_fn: Callable[[np.ndarray], np.ndarray]
     k: int
     user_batch: int
     score_dtype: str
-    dataset_ref: Optional[DatasetRef] = None
-
-    def resolve_split(self) -> Tuple[InteractionDataset, InteractionDataset]:
-        """(train, test) for this shard, from inline arrays or the ref."""
-        if self.train is not None and self.test is not None:
-            return self.train, self.test
-        if self.dataset_ref is None:
-            raise ValueError("EvalShard needs either train/test or a dataset_ref")
-        split = self.dataset_ref.pipeline().split()
-        return split.train, split.test
 
 
 def _evaluate_shard(shard: EvalShard) -> Tuple[PerUserMetrics, float]:
@@ -121,10 +100,9 @@ def _evaluate_shard(shard: EvalShard) -> Tuple[PerUserMetrics, float]:
     not queueing.
     """
     start = time.perf_counter()
-    train, test = shard.resolve_split()
     evaluator = RankingEvaluator(
-        train,
-        test,
+        shard.train,
+        shard.test,
         k=shard.k,
         user_batch=shard.user_batch,
         score_dtype=np.dtype(shard.score_dtype),
@@ -137,10 +115,9 @@ def sharded_evaluate(
     evaluator: RankingEvaluator,
     score_fn: Callable[[np.ndarray], np.ndarray],
     num_shards: int,
-    executor: Optional[MapExecutor] = None,
+    executor: Optional[ProcessExecutor] = None,
     users: Optional[np.ndarray] = None,
     logger: Optional[RunLogger] = None,
-    dataset_ref: Optional[DatasetRef] = None,
 ) -> EvaluationResult:
     """Evaluate ``score_fn`` with users split across ``num_shards`` workers.
 
@@ -150,13 +127,14 @@ def sharded_evaluate(
         Configured :class:`RankingEvaluator`; supplies train/test, ``k``,
         ``user_batch`` and ``score_dtype`` to every shard.
     score_fn:
-        Scoring callable.  With a process-backed executor it must be
+        Scoring callable.  With a :class:`ProcessExecutor` it must be
         picklable — use :class:`SnapshotScorer` to ship a checkpointed
         model; plain bound methods of live models only work serially.
     num_shards:
         Number of contiguous user shards (typically the worker count).
     executor:
-        Backend; defaults to :class:`SerialExecutor`, the reference the
+        Optional :class:`ProcessExecutor` to fan the shards out to; ``None``
+        evaluates them in a plain in-process loop, the reference the
         parallel result is guaranteed to match exactly.
     users:
         Optional explicit user subset (validated like
@@ -165,12 +143,6 @@ def sharded_evaluate(
         Optional :class:`~repro.utils.telemetry.RunLogger`; emits one
         ``eval_shard`` event per shard (index, user count, worker-side
         seconds) plus a closing ``eval_sharded`` total.
-    dataset_ref:
-        When given, shards carry this lightweight ref instead of the pickled
-        train/test datasets; workers re-materialize the split through the
-        process-cached pipeline (identical arrays by construction).  The
-        ref's split MUST be the evaluator's split — it is the caller's
-        contract, same as passing a matching evaluator/score_fn pair.
 
     Returns
     -------
@@ -182,22 +154,24 @@ def sharded_evaluate(
     all_users = evaluator._resolve_users(users)
     if all_users.size == 0:
         raise ValueError("no users to evaluate")
-    executor = executor or SerialExecutor()
     shards = [
         EvalShard(
-            train=None if dataset_ref is not None else evaluator.train,
-            test=None if dataset_ref is not None else evaluator.test,
+            train=evaluator.train,
+            test=evaluator.test,
             users=all_users[chunk.start : chunk.stop],
             score_fn=score_fn,
             k=evaluator.k,
             user_batch=evaluator.user_batch,
             score_dtype=evaluator.score_dtype.name,
-            dataset_ref=dataset_ref,
         )
         for chunk in chunk_indices(len(all_users), num_shards)
     ]
     start = time.perf_counter()
-    timed: Sequence[Tuple[PerUserMetrics, float]] = executor.map(_evaluate_shard, shards)
+    timed: List[Tuple[PerUserMetrics, float]] = (
+        [_evaluate_shard(shard) for shard in shards]
+        if executor is None
+        else executor.map(_evaluate_shard, shards)
+    )
     if logger is not None:
         for i, (shard, (_, seconds)) in enumerate(zip(shards, timed)):
             logger.log("eval_shard", shard=i, num_users=int(shard.users.size), seconds=seconds)

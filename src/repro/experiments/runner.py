@@ -38,7 +38,7 @@ from repro.models import (
 )
 from repro.io.checkpoints import normalize_checkpoint_path
 from repro.models.base import FitConfig
-from repro.parallel.executor import MapExecutor, ProcessExecutor, SerialExecutor
+from repro.parallel import ProcessExecutor
 from repro.utils.telemetry import RunLogger
 
 __all__ = [
@@ -175,7 +175,8 @@ def run_single_model(
     treatment, so the comparison stays fair).
 
     ``log_dir`` turns on JSONL telemetry (one ``<label>_<dataset>.jsonl``
-    per run); ``checkpoint_dir`` turns on periodic full-state checkpoints
+    per run, started afresh unless the run resumes from a checkpoint);
+    ``checkpoint_dir`` turns on periodic full-state checkpoints
     every ``checkpoint_every`` epochs, and ``resume=True`` restarts from the
     run's checkpoint when one exists — producing the same parameters as an
     uninterrupted run (see :meth:`repro.models.base.Recommender.fit`).
@@ -202,9 +203,6 @@ def run_single_model(
         fit_cfg.keep_best_metric = f"recall@{k}"
         eval_callback = lambda: evaluator.evaluate_model(model).as_dict()  # noqa: E731
     slug = _run_slug(label or name, dataset.name)
-    logger = None
-    if log_dir is not None:
-        logger = RunLogger(pathlib.Path(log_dir) / f"{slug}.jsonl", run_id=slug)
     checkpoint_path = None
     resume_from = None
     if checkpoint_dir is not None:
@@ -212,6 +210,15 @@ def run_single_model(
         checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         if resume and normalize_checkpoint_path(checkpoint_path).exists():
             resume_from = checkpoint_path
+    logger = None
+    if log_dir is not None:
+        log_path = pathlib.Path(log_dir) / f"{slug}.jsonl"
+        if resume_from is None:
+            # Only a resumed run continues its log; a fresh or re-run cell
+            # (a worker retry, a second table run) would otherwise append a
+            # second copy of the run to the first.
+            log_path.unlink(missing_ok=True)
+        logger = RunLogger(log_path, run_id=slug)
     executor = None
     if train_workers:
         if train_workers < 0:
@@ -277,7 +284,7 @@ class CellSpec:
 
     A cell is one (model × dataset × variant) train→evaluate run — the unit
     the paper's Tables II–V are made of.  Cells share nothing at runtime, so
-    they can fan out across a :class:`~repro.parallel.executor.ProcessExecutor`.
+    they can fan out across a :class:`~repro.parallel.ProcessExecutor`.
 
     ``dataset`` is preferably a lightweight
     :class:`~repro.pipeline.DatasetRef` — the worker materializes the stages
@@ -336,30 +343,19 @@ def run_cell(spec: CellSpec) -> RunResult:
 
 def run_cells(
     specs: Sequence[CellSpec],
-    executor: Optional[MapExecutor] = None,
     num_workers: int = 0,
 ) -> List[Tuple[CellSpec, RunResult]]:
     """Run independent cells, optionally fanned across worker processes.
 
-    Parameters
-    ----------
-    specs:
-        The cells to run.
-    executor:
-        Explicit backend.  When ``None``, ``num_workers > 1`` selects a
-        :class:`ProcessExecutor` (closed after the run); anything else falls
-        back to the :class:`SerialExecutor` reference.
-    num_workers:
-        Convenience worker count used only when ``executor`` is ``None``.
+    ``num_workers > 1`` maps the cells through a :class:`ProcessExecutor`
+    (closed after the run); anything else runs them in a plain loop.
 
     Results are returned in spec order, paired with their specs, and are
     identical to a serial run: each cell derives all randomness from its own
     seeds, so process boundaries cannot change the numbers.
     """
     specs = list(specs)
-    if executor is not None:
-        return list(zip(specs, executor.map(run_cell, specs)))
     if num_workers > 1:
         with ProcessExecutor(max_workers=num_workers) as pool:
             return list(zip(specs, pool.map(run_cell, specs)))
-    return list(zip(specs, SerialExecutor().map(run_cell, specs)))
+    return [(spec, run_cell(spec)) for spec in specs]

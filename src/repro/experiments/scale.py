@@ -9,9 +9,8 @@ process peak RSS (``ru_maxrss``).
 The benchmark (`benchmarks/test_bench_scale.py`) runs this module in a
 *subprocess* so the reported ``ru_maxrss`` is the high-water mark of exactly
 this pipeline, not of whatever the host process touched earlier.  For the
-same reason evaluation runs in-process on the
-:class:`~repro.parallel.executor.SerialExecutor` — farming shards to worker
-processes would move their memory out of the measured budget.
+same reason evaluation runs its shards in-process — farming them to
+worker processes would move their memory out of the measured budget.
 
 The OOI-style catalog is reused with the site count scaled up: the paper's
 facilities serve a few thousand distinct data streams to ~10⁵–10⁶ users, so

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.autograd.sparse import SparseRowGrad
 from repro.io.checkpoints import parameter_keys
-from repro.parallel.executor import chunk_indices
+from repro.parallel import chunk_indices
 from repro.train.engine import FitConfig
 from repro.train.sharded import _RankState, shard_stream_rng
 

@@ -53,7 +53,7 @@ import numpy as np
 from repro.autograd import Parameter, no_grad
 from repro.autograd.optim import Adam, assemble_row_sharded_state
 from repro.autograd.sparse import SparseRowGrad
-from repro.parallel.executor import chunk_indices
+from repro.parallel import chunk_indices
 from repro.store import SegmentArena
 from repro.train.engine import FitConfig, StepExecutor, make_step_fn
 from repro.utils.rng import ensure_rng
@@ -228,7 +228,7 @@ class ShardedExecutor(StepExecutor):
     ----------
     num_workers:
         Worker (rank) count.  Shards are assigned to ranks in contiguous
-        blocks via :func:`repro.parallel.executor.chunk_indices`.
+        blocks via :func:`repro.parallel.chunk_indices`.
     users_per_shard:
         Shard granularity handed to the default
         :class:`~repro.data.sampling.ShardedBPRSampler`; ``None`` sizes

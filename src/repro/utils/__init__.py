@@ -1,9 +1,8 @@
-"""Shared utilities: RNG plumbing, timing, telemetry, text tables, validation."""
+"""Shared utilities: RNG plumbing, telemetry, text tables, validation."""
 
 from repro.utils.rng import ensure_rng, spawn_rngs, SeedSequenceFactory
 from repro.utils.tables import TextTable, format_float
 from repro.utils.telemetry import RunLogger, read_run_log, render_run_report, summarize_run
-from repro.utils.timing import Timer
 from repro.utils.validation import check_positive, check_probability, check_in_choices
 
 __all__ = [
@@ -12,7 +11,6 @@ __all__ = [
     "SeedSequenceFactory",
     "TextTable",
     "format_float",
-    "Timer",
     "RunLogger",
     "read_run_log",
     "summarize_run",

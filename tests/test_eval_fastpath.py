@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.data import InteractionDataset
 from repro.eval import PerUserMetrics, RankingEvaluator, SnapshotScorer, sharded_evaluate
 from repro.eval.metrics import ndcg_at_k, precision_at_k, recall_at_k
-from repro.parallel.executor import SerialExecutor
 
 
 def random_split(seed, n_users=12, n_items=40, train_per_user=6, test_per_user=3):
@@ -233,9 +232,7 @@ class TestShardedEvaluate:
         ev = RankingEvaluator(train, test, k=5, user_batch=3)
         serial = ev.evaluate(lambda users: table[users])
         for shards in (1, 2, 5, 100):
-            sharded = sharded_evaluate(
-                ev, lambda users: table[users], num_shards=shards, executor=SerialExecutor()
-            )
+            sharded = sharded_evaluate(ev, lambda users: table[users], num_shards=shards)
             assert sharded == serial
 
     def test_num_shards_validated(self):

@@ -30,7 +30,6 @@ class TestExampleHealth:
             "ooi_data_discovery",
             "gage_knowledge_sources",
             "cross_facility",
-            "parallel_propagation",
             "cold_start_analysis",
         } <= names
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.eval import RankingEvaluator, sharded_evaluate
-from repro.parallel.executor import ProcessExecutor, SerialExecutor
+from repro.parallel import ProcessExecutor
 
 
 def _double(x):
@@ -65,7 +65,7 @@ class TestWorkerExceptionRecovery:
         items = [(os.getpid(), x) for x in range(4)]
         with ProcessExecutor(max_workers=2) as pool:
             out = pool.map(_raise_in_worker, items)
-        assert out == SerialExecutor().map(_raise_in_worker, items)
+        assert out == [_raise_in_worker(item) for item in items]
 
     def test_deterministic_failure_still_propagates(self):
         """A function that fails everywhere (including in-process) raises."""
@@ -107,7 +107,7 @@ class TestShardedEvalSurvivesWorkerFailure:
         rng = np.random.default_rng(0)
         table = rng.normal(size=(ooi_split.train.num_users, ooi_split.train.num_items))
         scorer = _CrashyScorer(table, os.getpid())
-        reference = sharded_evaluate(ev, scorer, num_shards=3, executor=SerialExecutor())
+        reference = sharded_evaluate(ev, scorer, num_shards=3)
         with ProcessExecutor(max_workers=2) as pool:
             survived = sharded_evaluate(ev, scorer, num_shards=3, executor=pool)
             assert pool.failure_count >= 1

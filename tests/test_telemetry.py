@@ -320,6 +320,31 @@ class TestHarnessIntegration:
         assert resumed.ndcg == straight.ndcg
         assert resumed.final_loss == straight.final_loss
 
+    def test_rerun_without_resume_starts_a_fresh_log(self, small_ooi, tmp_path):
+        """A re-run cell (worker retry, second table run) keeps one log."""
+        from repro.experiments import run_single_model
+        from repro.experiments.runner import _run_slug
+
+        for _ in range(2):
+            run_single_model("BPRMF", small_ooi, epochs=2, seed=0, log_dir=tmp_path)
+        events = read_run_log(tmp_path / f"{_run_slug('BPRMF', 'ooi')}.jsonl")
+        kinds = [e["event"] for e in events]
+        assert kinds.count("cell_start") == 1
+        assert kinds.count("epoch") == 2
+        assert summarize_run(events)["epochs"] == 2
+
+    def test_resumed_run_appends_to_its_log(self, small_ooi, tmp_path):
+        from repro.experiments import run_single_model
+        from repro.experiments.runner import _run_slug
+
+        common = dict(seed=0, log_dir=tmp_path, checkpoint_dir=tmp_path, checkpoint_every=2)
+        run_single_model("BPRMF", small_ooi, epochs=2, **common)
+        run_single_model("BPRMF", small_ooi, epochs=4, resume=True, **common)
+        events = read_run_log(tmp_path / f"{_run_slug('BPRMF', 'ooi')}.jsonl")
+        kinds = [e["event"] for e in events]
+        assert kinds.count("cell_start") == 2
+        assert kinds.count("epoch") == 4
+
     def test_slugified_label(self, small_ooi, tmp_path):
         from repro.experiments import run_single_model
         from repro.experiments.runner import _run_slug
