@@ -21,8 +21,9 @@ Every violation raises :class:`SanitizerError` carrying the *innermost*
 offending op name, so a NaN born in ``log`` is reported as ``log`` even when
 it surfaces inside ``bpr_loss``.
 
-Enable with the ``REPRO_SANITIZE=1`` environment variable (checked at
-``import repro`` time), the :func:`sanitized` context manager, or explicit
+Enable with the ``REPRO_SANITIZE=1`` environment variable (checked when
+the :mod:`repro` package is first imported), the :func:`sanitized` context
+manager, or explicit
 :func:`enable`/:func:`disable` calls.  The instrumentation is installed by
 patching module/class attributes and fully removed on :func:`disable`, so a
 disabled sanitizer costs nothing.
@@ -295,8 +296,11 @@ def sanitized() -> Iterator[None]:
 def install_from_env(environ=None) -> bool:
     """Enable the sanitizer when ``REPRO_SANITIZE`` is set to a truthy value.
 
-    Called once at ``import repro`` time; returns whether it enabled.
-    Recognized falsy values: unset, empty, ``0``, ``false``, ``no``, ``off``
+    Called once when the :mod:`repro` package is first imported (by any
+    ``import repro.…``), and only if the variable is set and non-empty, so
+    an unset variable never imports this module; returns whether it
+    enabled.  This is the only place that parses the value.  Recognized
+    falsy values: unset, empty, ``0``, ``false``, ``no``, ``off``
     (case-insensitive).
     """
     env = os.environ if environ is None else environ

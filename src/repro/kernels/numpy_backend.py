@@ -28,14 +28,18 @@ kernels below never build a per-edge matrix:
 
 Each sparse product accumulates a row's terms sequentially in edge order,
 so results are deterministic and equal to the oracle up to reassociation.
+``scipy.sparse`` is imported inside the three functions that build a CSR
+matrix, so a process that only selects (serving) never loads scipy.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "edge_block",
@@ -137,6 +141,8 @@ def edge_attention_backward(
     the per-tail-run ones, ready for the final coalesce to unique entities
     (:func:`segment_sum_rows`).
     """
+    import scipy.sparse as sp
+
     d = ent.shape[1]
     num_head_runs = len(head_rows)
     grad_rel = np.zeros_like(rel)
@@ -250,6 +256,8 @@ def weighted_adjacency(
     is sorted, and parallel edges stay separate entries, which the product
     sums.
     """
+    import scipy.sparse as sp
+
     return sp.csr_matrix(
         (weights, tails, offsets), shape=(len(offsets) - 1, num_cols)
     )
@@ -316,6 +324,8 @@ def segment_sum_rows(
     ``num_runs + 1``) delimits each run: a 0/1 CSR matrix with exactly that
     structure, so the permuted copy of ``values`` is never materialized.
     """
+    import scipy.sparse as sp
+
     ones = np.ones(len(gather_idx), dtype=np.float64)
     return (
         sp.csr_matrix(

@@ -25,7 +25,6 @@ from repro.kg.graph_analysis import (
     connectivity_summary,
     hop_reachability,
     item_distance_histogram,
-    to_networkx,
 )
 from repro.kg.multi import MultiFacilityIndex, build_cross_facility_ckg
 from repro.kg.paths import RelationPath, explain_recommendation, find_paths
@@ -53,7 +52,6 @@ __all__ = [
     "RelationPath",
     "find_paths",
     "explain_recommendation",
-    "to_networkx",
     "connectivity_summary",
     "hop_reachability",
     "item_distance_histogram",

@@ -1,13 +1,11 @@
-"""Structural analysis of the collaborative knowledge graph (networkx bridge).
+"""Structural analysis of the collaborative knowledge graph.
 
 Section II-C argues that "capturing high-order connectivity is essential":
 related data objects can sit several hops apart in the CKG.  This module
 quantifies that claim on our graphs:
 
-- :func:`to_networkx` — export the CKG as a ``networkx.MultiDiGraph`` for
-  ad-hoc analysis;
-- :func:`connectivity_summary` — connected components, degree statistics,
-  and the entity-block mix;
+- :func:`connectivity_summary` — connected components and degree
+  statistics;
 - :func:`hop_reachability` — how many items a user can reach within k hops
   (the quantity that decides whether depth-L propagation has anything to
   propagate);
@@ -20,54 +18,50 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import networkx as nx
 import numpy as np
+import scipy.sparse as sp
 
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.ckg import CollaborativeKnowledgeGraph
 from repro.utils.rng import ensure_rng
 
 __all__ = [
-    "to_networkx",
     "connectivity_summary",
     "hop_reachability",
     "item_distance_histogram",
 ]
 
 
-def to_networkx(ckg: CollaborativeKnowledgeGraph, use_inverses: bool = False) -> nx.MultiDiGraph:
-    """Export the CKG as a ``networkx.MultiDiGraph``.
-
-    Nodes carry a ``block`` attribute (user/item/site/…); edges carry
-    ``relation`` names.  ``use_inverses`` exports the propagation store
-    (both edge directions) instead of the canonical triples.
-    """
-    store = ckg.propagation_store if use_inverses else ckg.store
-    graph = nx.MultiDiGraph()
-    for block in ckg.space.block_names:
-        offset, size = ckg.space.block(block)
-        graph.add_nodes_from(
-            ((offset + i, {"block": block}) for i in range(size))
-        )
-    names = store.relations
-    for h, r, t in zip(store.heads, store.rels, store.tails):
-        graph.add_edge(int(h), int(t), relation=names.name_of(int(r)))
-    return graph
-
-
 def connectivity_summary(ckg: CollaborativeKnowledgeGraph) -> Dict[str, float]:
-    """Key structural statistics of the undirected CKG."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(ckg.num_entities))
-    graph.add_edges_from(zip(ckg.store.heads.tolist(), ckg.store.tails.tolist()))
-    components = list(nx.connected_components(graph))
-    giant = max(components, key=len) if components else set()
-    degrees = np.array([d for _, d in graph.degree()], dtype=np.float64)
+    """Key structural statistics of the undirected CKG.
+
+    The canonical triples are read as a simple undirected graph: parallel
+    and reversed triples are one edge, a self-loop adds 2 to its node's
+    degree, and an entity with no edge is a component of its own.
+    """
+    # Imported here: scipy.sparse.csgraph loads scipy.linalg, ~0.15 s that
+    # every importer of repro.kg would otherwise pay.
+    from scipy.sparse.csgraph import connected_components
+
+    num_nodes = ckg.num_entities
+    heads, tails = ckg.store.heads, ckg.store.tails
+    pairs = np.unique(
+        np.stack([np.minimum(heads, tails), np.maximum(heads, tails)], axis=1), axis=0
+    )
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    degrees = (
+        np.bincount(lo, minlength=num_nodes) + np.bincount(hi, minlength=num_nodes)
+    ).astype(np.float64)
+    adjacency = sp.csr_matrix(
+        (np.ones(len(pairs)), (lo, hi)), shape=(num_nodes, num_nodes)
+    )
+    num_components, labels = connected_components(adjacency, directed=False)
+    giant = int(np.bincount(labels).max()) if num_nodes else 0
     return {
-        "num_nodes": float(graph.number_of_nodes()),
-        "num_edges": float(graph.number_of_edges()),
-        "num_components": float(len(components)),
-        "giant_component_fraction": len(giant) / max(graph.number_of_nodes(), 1),
+        "num_nodes": float(num_nodes),
+        "num_edges": float(len(pairs)),
+        "num_components": float(num_components),
+        "giant_component_fraction": giant / max(num_nodes, 1),
         "mean_degree": float(degrees.mean()) if degrees.size else 0.0,
         "max_degree": float(degrees.max()) if degrees.size else 0.0,
         "isolated_nodes": float((degrees == 0).sum()),

@@ -1,38 +1,56 @@
-"""Graph-analysis tests: networkx export, connectivity, hop reachability."""
+"""Graph-analysis tests: connectivity, hop reachability, item distances."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kg.graph_analysis import (
     connectivity_summary,
     hop_reachability,
     item_distance_histogram,
-    to_networkx,
 )
+from repro.kg.triples import TripleStore
 
 
-class TestToNetworkx:
-    def test_node_and_edge_counts(self, ooi_ckg):
-        g = to_networkx(ooi_ckg)
-        assert g.number_of_nodes() == ooi_ckg.num_entities
-        assert g.number_of_edges() == len(ooi_ckg.store)
+def _networkx_summary(ckg):
+    """The statistics of :func:`connectivity_summary`, computed by networkx."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(range(ckg.num_entities))
+    graph.add_edges_from(zip(ckg.store.heads.tolist(), ckg.store.tails.tolist()))
+    components = list(nx.connected_components(graph))
+    giant = max(components, key=len) if components else set()
+    degrees = np.array([d for _, d in graph.degree()], dtype=np.float64)
+    return {
+        "num_nodes": float(graph.number_of_nodes()),
+        "num_edges": float(graph.number_of_edges()),
+        "num_components": float(len(components)),
+        "giant_component_fraction": len(giant) / max(graph.number_of_nodes(), 1),
+        "mean_degree": float(degrees.mean()) if degrees.size else 0.0,
+        "max_degree": float(degrees.max()) if degrees.size else 0.0,
+        "isolated_nodes": float((degrees == 0).sum()),
+    }
 
-    def test_inverse_export_doubles_edges(self, ooi_ckg):
-        g = to_networkx(ooi_ckg, use_inverses=True)
-        assert g.number_of_edges() == len(ooi_ckg.propagation_store)
 
-    def test_node_blocks_annotated(self, ooi_ckg):
-        g = to_networkx(ooi_ckg)
-        user0 = int(ooi_ckg.all_user_entities()[0])
-        item0 = int(ooi_ckg.all_item_entities()[0])
-        assert g.nodes[user0]["block"] == "user"
-        assert g.nodes[item0]["block"] == "item"
+def _graph(num_entities, edges):
+    """A stand-in CKG over one relation holding ``edges`` as given."""
+    store = TripleStore(num_entities)
+    store.add_triples(
+        "r",
+        np.array([h for h, _ in edges], dtype=np.int64),
+        np.array([t for _, t in edges], dtype=np.int64),
+    )
+    return SimpleNamespace(num_entities=num_entities, store=store)
 
-    def test_edge_relations_annotated(self, ooi_ckg):
-        g = to_networkx(ooi_ckg)
-        some_edge = next(iter(g.edges(data=True)))
-        assert "relation" in some_edge[2]
-        names = set(ooi_ckg.store.relations.names)
-        assert some_edge[2]["relation"] in names
+
+@st.composite
+def _small_graphs(draw):
+    num_entities = draw(st.integers(1, 12))
+    ids = st.integers(0, num_entities - 1)
+    return _graph(num_entities, draw(st.lists(st.tuples(ids, ids), max_size=30)))
 
 
 class TestConnectivitySummary:
@@ -48,6 +66,31 @@ class TestConnectivitySummary:
         component — otherwise propagation cannot carry collaborative signal."""
         s = connectivity_summary(ooi_ckg)
         assert s["giant_component_fraction"] > 0.9
+
+    def test_equals_networkx_on_ooi_ckg(self, ooi_ckg):
+        assert connectivity_summary(ooi_ckg) == _networkx_summary(ooi_ckg)
+
+
+@pytest.mark.parametrize(
+    "num_entities, edges",
+    [
+        (5, []),  # zero edges: every node isolated, its own component
+        (3, [(1, 1)]),  # a self-loop adds 2 to the degree
+        (4, [(0, 1), (1, 0), (0, 1), (2, 3)]),  # duplicates and reversals
+        (6, [(0, 1), (1, 2), (2, 2)]),  # isolated nodes beside a component
+    ],
+)
+def test_connectivity_summary_edge_cases(num_entities, edges):
+    ckg = _graph(num_entities, edges)
+    assert connectivity_summary(ckg) == _networkx_summary(ckg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs())
+def test_connectivity_summary_equals_networkx(ckg):
+    """Duplicate and reversed edges, self-loops, isolated nodes and zero
+    edges all occur in the generated graphs."""
+    assert connectivity_summary(ckg) == _networkx_summary(ckg)
 
 
 class TestHopReachability:
