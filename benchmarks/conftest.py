@@ -59,6 +59,16 @@ def write_bench_json(name: str, payload: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def update_bench_json(name: str, payload: dict) -> None:
+    """Like :func:`write_bench_json`, keeping the keys ``payload`` does not set.
+
+    For a ``BENCH_<name>.json`` that several tests fill in part.
+    """
+    path = RESULTS_DIR / f"BENCH_{name}.json"
+    prior = json.loads(path.read_text()) if path.exists() else {}
+    write_bench_json(name, {**prior, **payload})
+
+
 @pytest.fixture(scope="session")
 def ooi_dataset():
     return load_dataset("ooi", scale=BENCH_SCALE, seed=BENCH_SEED)

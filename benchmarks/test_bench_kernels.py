@@ -1,4 +1,5 @@
-"""The fused-kernel gate: one full CKAT training epoch, fused vs oracle.
+"""The fused-kernel gates: one full CKAT training epoch, fused vs oracle,
+and the memory that epoch allocates.
 
 This is the headline number for the cache-blocked kernel work
 (``src/repro/kernels/``): a complete CKAT epoch at table-2 scale — the
@@ -21,10 +22,12 @@ reassociation floor; ``rtol`` covers BLAS-build portability.
 
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from conftest import BENCH_SEED, write_bench_json, write_result
+from conftest import BENCH_SEED, update_bench_json, write_result
 
 from repro.experiments.runner import build_model, default_fit_config
 from repro.kernels import dispatch
@@ -33,6 +36,11 @@ from repro.models import CKATConfig
 
 GATE = 2.0
 REPEATS = 3
+#: Ceiling on the traced allocation peak of one fused epoch, over the built
+#: model (MB).  Measured at full scale: 32.7 MB when each aggregator layer
+#: was a chain of ten tape nodes, 25.5 MB with one aggregator node and a
+#: one-node L2 normalize.
+EPOCH_PEAK_CEILING_MB = 29.0
 PARITY_RTOL = 1e-9
 PARITY_ATOL = 1e-12
 
@@ -106,7 +114,7 @@ def test_fused_epoch_speedup(ooi_dataset):
         + ", ".join(f"{k}={v:.1e}" for k, v in sorted(drift.items()))
         + f"\n  entity-table |.|-sum : {checksum:.11f}",
     )
-    write_bench_json(
+    update_bench_json(
         "kernels",
         {
             "oracle_seconds": t_oracle,
@@ -125,4 +133,45 @@ def test_fused_epoch_speedup(ooi_dataset):
     assert speedup >= GATE, (
         f"fused epoch only {speedup:.2f}x faster than oracle "
         f"({t_fused:.3f}s vs {t_oracle:.3f}s); gate is {GATE}x"
+    )
+
+
+@pytest.mark.gate_smoke
+def test_fused_epoch_traced_peak(ooi_dataset):
+    """One fused epoch's ``tracemalloc`` peak stays under the ceiling.
+
+    The peak is taken over what the built model already holds, so it counts
+    the step's activations, gradients and optimizer state.  Allocation sizes
+    do not depend on host speed, so the gate does not flap.
+    """
+    ckg = ooi_dataset.build_ckg(KnowledgeSources.best())
+    graph = ooi_dataset.prepared_graph(KnowledgeSources.best())
+    model = build_model(
+        "CKAT", ooi_dataset, ckg, seed=BENCH_SEED, ckat_config=_CONFIG, graph=graph
+    )
+    fit_cfg = default_fit_config("CKAT", epochs=1, seed=BENCH_SEED)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with dispatch.kernel_backend("numpy"):
+            model.fit(ooi_dataset.split.train, fit_cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    peak_mb = (peak - base) / 2**20
+    write_result(
+        "bench_kernels_epoch_peak",
+        "CKAT fused training epoch (batch attention), traced allocation peak\n"
+        f"  over the built model : {peak_mb:6.2f} MB  (ceiling {EPOCH_PEAK_CEILING_MB} MB)",
+    )
+    update_bench_json(
+        "kernels",
+        {
+            "epoch_traced_peak_mb": peak_mb,
+            "epoch_traced_peak_ceiling_mb": EPOCH_PEAK_CEILING_MB,
+        },
+    )
+    assert peak_mb <= EPOCH_PEAK_CEILING_MB, (
+        f"one fused epoch allocated a {peak_mb:.2f} MB traced peak; "
+        f"the ceiling is {EPOCH_PEAK_CEILING_MB} MB"
     )

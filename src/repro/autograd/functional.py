@@ -282,23 +282,25 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     holding only the gathered rows.  When ``a`` is a leaf (a parameter
     table), the sparse grad is accumulated as-is and the optimizer consumes
     it with a scatter-update; for intermediate tensors — whose own backward
-    closures expect dense arrays — it is densified on the spot, matching the
-    old ``zeros_like`` + scatter-add path exactly for unique indices and to
-    summation-associativity rounding for duplicated ones (see
-    :meth:`SparseRowGrad.coalesce`).
+    closures expect dense arrays — it is densified on the spot, equal to a
+    dense ``np.add.at`` scatter bit for bit.
     """
     idx = np.asarray(indices, dtype=np.intp)
     out = a.data[idx]
 
     def backward(grad: np.ndarray) -> None:
         flat = np.asarray(grad).reshape((idx.size,) + a.data.shape[1:])
-        g = SparseRowGrad(a.data.shape, idx, flat)
-        if sparse_grads_enabled() and not a._parents:
-            a.accumulate_grad(g)
-        else:
-            a.accumulate_grad(g.to_dense(), owned=True)
+        _accumulate_sparse(a, SparseRowGrad(a.data.shape, idx, flat))
 
     return _make(out, (a,), backward)
+
+
+def _accumulate_sparse(t: Tensor, g: SparseRowGrad) -> None:
+    """Hand a leaf table ``g`` as is (sparse grads on), anything else dense."""
+    if sparse_grads_enabled() and not t._parents:
+        t.accumulate_grad(g)
+    else:
+        t.accumulate_grad(g.to_dense(), owned=True)
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -448,7 +450,22 @@ def softplus(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
+def _keep_mask(
+    p: float, rng: Optional[np.random.Generator], shape: Tuple[int, ...], training: bool = True
+) -> Optional[np.ndarray]:
+    """Check ``p``, then draw the dropout keep-mask (``None``: no dropout)."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout with p > 0 needs a generator")
+    return rng.random(shape) >= p
+
+
+def dropout(
+    a: Tensor, p: float, rng: Optional[np.random.Generator], training: bool = True
+) -> Tensor:
     """Inverted dropout with keep-probability scaling.
 
     Parameters
@@ -459,13 +476,12 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True
         Explicit generator — all stochastic components in this repo take one
         so runs are reproducible bit-for-bit.
     training:
-        When False (or ``p == 0``) this is the identity.
+        When False (or ``p == 0``) this is the identity; ``p`` is checked first.
     """
-    if not training or p <= 0.0:
+    keep = _keep_mask(p, rng, a.data.shape, training)
+    if keep is None:
         return a
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    mask = keep / (1.0 - p)
     out = a.data * mask
 
     def backward(grad: np.ndarray) -> None:
@@ -585,8 +601,14 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """Normalize rows of ``a`` to unit L2 norm (entity-embedding constraint).
 
     ``eps`` is added under the square root so zero rows stay finite (their
-    gradient is then also well-defined).
+    gradient is then also well-defined).  One tape node, whose gradient
+    ``(g − y·⟨g, y⟩) / n`` uses the saved output ``y`` and norms ``n``.
     """
-    sq = sum(mul(a, a), axis=axis, keepdims=True)
-    denom = sqrt(add(sq, astensor(eps)))
-    return div(a, denom)
+    norms = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True) + eps)
+    out = a.data / norms
+
+    def backward(grad: np.ndarray) -> None:
+        dot = (grad * out).sum(axis=axis, keepdims=True)
+        a.accumulate_grad((grad - out * dot) / norms, owned=True)
+
+    return _make(out, (a,), backward)

@@ -13,12 +13,12 @@ rows.
 
 Duplicate indices are the norm (the same entity appears many times in a
 batch), so consumers call :meth:`SparseRowGrad.coalesce` first.  Coalescing
-sorts with a *stable* argsort and sums each run with ``np.add.reduceat``:
-rows that appear once come back bit-for-bit, and duplicated rows agree with
-the dense ``np.add.at`` scatter up to summation associativity (``reduceat``
-may associate a run's additions differently than ``add.at``'s strict
-occurrence order — a few ulps on pathological inputs, far inside the
-rtol=1e-10 agreement the benchmarks gate on).
+and densifying both go through :func:`segment_sum_rows`: a *stable* argsort
+puts each row's occurrences next to each other in occurrence order, and one
+0/1 CSR product sums every run.  The product adds a run's terms one by one,
+left to right, into a zeroed row — exactly what the dense ``np.add.at``
+scatter does — so both results equal ``np.add.at`` bit for bit, and no
+sorted ``(nnz, d)`` copy of the values is ever built.
 
 ``dense_grads()`` forces the engine back to dense emission, giving
 benchmarks and debugging sessions an apples-to-apples dense baseline.
@@ -31,7 +31,7 @@ from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["SparseRowGrad", "dense_grads", "sparse_grads_enabled"]
+__all__ = ["SparseRowGrad", "dense_grads", "segment_sum_rows", "sparse_grads_enabled"]
 
 _SPARSE_GRADS = True
 
@@ -57,6 +57,28 @@ def dense_grads() -> Iterator[None]:
         yield
     finally:
         _SPARSE_GRADS = prev
+
+
+def segment_sum_rows(
+    values: np.ndarray, order: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """``out[s] = Σ_{p ∈ run s} values[order[p]]``, summed in ``order``.
+
+    ``offsets`` (length ``num_runs + 1``) delimits the runs of ``order``; an
+    empty run gives a zero row.  One product with the 0/1 CSR matrix
+    ``csr((1, order, offsets))``, keeping ``values``' dtype and trailing
+    axes.  scipy is imported here, not by importing the autograd engine.
+    """
+    import scipy.sparse as sp
+
+    num_runs = len(offsets) - 1
+    tail = values.shape[1:]
+    flat = values.reshape(values.shape[0], int(np.prod(tail, dtype=np.int64)))
+    ones = np.ones(len(order), dtype=values.dtype)
+    matrix = sp.csr_matrix((ones, order, offsets), shape=(num_runs, flat.shape[0]))
+    out = matrix @ flat
+    # A reshaped view does not own its data, so accumulate_grad would copy it.
+    return out if values.ndim == 2 else out.reshape((num_runs,) + tail)
 
 
 class SparseRowGrad:
@@ -124,28 +146,24 @@ class SparseRowGrad:
     def coalesce(self) -> "SparseRowGrad":
         """Return an equivalent grad with sorted, duplicate-free indices.
 
-        Stable argsort keeps duplicate rows in occurrence order and
-        ``np.add.reduceat`` sums each run: singleton rows are returned
-        bit-for-bit, duplicated rows match ``np.add.at`` up to summation
-        associativity.  Returns ``self`` when already coalesced.
+        Each row's values are summed in occurrence order, bit for bit as
+        ``np.add.at`` would.  Returns ``self`` when already coalesced.
         """
         if self.coalesced:
             return self
-        if self.indices.size == 0:
-            return SparseRowGrad(self.shape, self.indices, self.values, coalesced=True)
-        order = np.argsort(self.indices, kind="stable")
-        sorted_idx = self.indices[order]
-        sorted_vals = self.values[order]
-        starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-        summed = np.add.reduceat(sorted_vals, starts, axis=0)
-        return SparseRowGrad(self.shape, sorted_idx[starts], summed, coalesced=True)
+        counts = np.bincount(self.indices, minlength=self.shape[0])
+        rows = np.flatnonzero(counts)
+        return SparseRowGrad(self.shape, rows, self._sum_runs(counts[rows]), coalesced=True)
 
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense array of ``self.shape``."""
-        g = self.coalesce()
-        dense = np.zeros(self.shape, dtype=g.values.dtype)
-        dense[g.indices] = g.values
-        return dense
+        return self._sum_runs(np.bincount(self.indices, minlength=self.shape[0]))
+
+    def _sum_runs(self, counts: np.ndarray) -> np.ndarray:
+        """Sum the values of each run of equal indices (``counts``: run lengths)."""
+        offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        return segment_sum_rows(self.values, np.argsort(self.indices, kind="stable"), offsets)
 
     def add_to_dense(self, dense: np.ndarray) -> np.ndarray:
         """Add this grad into ``dense`` in place (and return it)."""

@@ -18,11 +18,12 @@ unset means ``numpy``) read once at first use, then :func:`set_backend` /
 the :func:`kernel_backend` context manager.
 
 The differentiable wrappers (:func:`edge_attention_scores`,
-:func:`weighted_neighbor_sum`) build ordinary tape nodes, so ``Tensor``,
-``backward`` and checkpointing are untouched: a fused op is just one fat node
-where the oracle chain records eight thin ones.  Gradients for leaf embedding
-tables are emitted as :class:`~repro.autograd.sparse.SparseRowGrad`, matching
-the oracle's gather backward.
+:func:`weighted_neighbor_sum`, :func:`aggregate`, :func:`transr_energy`) build
+ordinary tape nodes, so ``Tensor``, ``backward`` and checkpointing are
+untouched: a fused op is just one fat node where the oracle chain records
+many thin ones.  Gradients for leaf embedding tables are emitted as
+:class:`~repro.autograd.sparse.SparseRowGrad`, matching the oracle's gather
+backward.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from repro.autograd.functional import _make
-from repro.autograd.sparse import SparseRowGrad, sparse_grads_enabled
+from repro.autograd.functional import _accumulate_sparse, _keep_mask, _make
+from repro.autograd.sparse import SparseRowGrad, segment_sum_rows, sparse_grads_enabled
 from repro.autograd.tensor import Tensor
 from repro.kernels import numpy_backend
 
@@ -50,6 +51,7 @@ __all__ = [
     "edge_attention_scores",
     "transr_energy",
     "weighted_neighbor_sum",
+    "aggregate",
     "masked_topk",
     "masked_select",
 ]
@@ -60,7 +62,7 @@ BACKENDS = ("numpy", "oracle")
 #: Dispatch ops that return Tensors — instrumented by the numeric sanitizer
 #: and the op-timer profiler exactly like the ``repro.autograd.functional``
 #: public surface.
-TENSOR_OPS = ("edge_attention_scores", "weighted_neighbor_sum", "transr_energy")
+TENSOR_OPS = ("edge_attention_scores", "weighted_neighbor_sum", "aggregate", "transr_energy")
 
 _backend: Optional[str] = None
 
@@ -161,14 +163,10 @@ def edge_attention_scores(
             # Coalesce the per-run partial rows to the touched entities with
             # the adjacency's cached grouping: the sparse merge and the
             # optimizer then handle at most num_entities rows.
-            values = numpy_backend.segment_sum_rows(
-                node_vals, groups.perm, groups.offsets
+            values = segment_sum_rows(node_vals, groups.perm, groups.offsets)
+            _accumulate_sparse(
+                entity_emb, SparseRowGrad(ent.shape, groups.rows, values, coalesced=True)
             )
-            g = SparseRowGrad(ent.shape, groups.rows, values, coalesced=True)
-            if sparse_grads_enabled() and not entity_emb._parents:
-                entity_emb.accumulate_grad(g)
-            else:
-                entity_emb.accumulate_grad(g.to_dense(), owned=True)
         if relation_emb.requires_grad:
             relation_emb.accumulate_grad(grad_rel, owned=True)
         if proj.requires_grad:
@@ -216,31 +214,16 @@ def transr_energy(
         )
         if entity_emb.requires_grad:
             idx = np.concatenate([heads_g, tails_g])
-            g = SparseRowGrad(ent.shape, idx, ent_rows)
-            if sparse_grads_enabled() and not entity_emb._parents:
-                entity_emb.accumulate_grad(g)
-            else:
-                entity_emb.accumulate_grad(g.to_dense(), owned=True)
+            _accumulate_sparse(entity_emb, SparseRowGrad(ent.shape, idx, ent_rows))
         present = np.flatnonzero(counts > 0)
-        if relation_emb.requires_grad:
-            # Restrict to the relations present so the lazy optimizer touches
-            # the same row set as the oracle chain's gather backward.
-            _accumulate_rows(relation_emb, grad_rel, present)
-        if proj.requires_grad:
-            _accumulate_rows(proj, grad_proj, present)
+        # Restrict to the relations present so the lazy optimizer touches the
+        # same row set as the oracle chain's gather backward.
+        for param, g in ((relation_emb, grad_rel), (proj, grad_proj)):
+            if param.requires_grad:
+                rows = SparseRowGrad(g.shape, present, g[present], coalesced=True)
+                _accumulate_sparse(param, rows)
 
     return _make(out, (entity_emb, relation_emb, proj), backward)
-
-
-def _accumulate_rows(param: Tensor, dense_grad: np.ndarray, rows: np.ndarray) -> None:
-    """Accumulate ``dense_grad`` restricted to ``rows`` as a sparse row grad."""
-    g = SparseRowGrad(
-        dense_grad.shape, rows, dense_grad[rows], coalesced=True
-    )
-    if sparse_grads_enabled() and not param._parents:
-        param.accumulate_grad(g)
-    else:
-        param.accumulate_grad(g.to_dense(), owned=True)
 
 
 # --------------------------------------------------------- fused propagation
@@ -290,6 +273,36 @@ def weighted_neighbor_sum(
             weights_tensor.accumulate_grad(gw, owned=True)
 
     parents = (embeddings,) if weights_tensor is None else (embeddings, weights_tensor)
+    return _make(out, parents, backward)
+
+
+# --------------------------------------------------------- fused aggregator
+def aggregate(
+    self_emb: Tensor, neigh_emb: Tensor, weight: Tensor, bias: Tensor, mode: str,
+    p: float = 0.0, rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """One propagation layer's aggregator and message dropout (Eqs. 6–7).
+
+    ``LeakyReLU(combine(e_h, e_Nh) @ W + b)``, ``combine`` the concat or the
+    sum (``mode``), then inverted dropout at drop probability ``p``, as one
+    tape node saving only the boolean pre-activation sign and keep-mask.
+    The mask is drawn by the helper :func:`repro.autograd.functional.dropout`
+    uses, so the RNG stream is that of the per-op chain.
+    """
+    x, n, w = self_emb.data, neigh_emb.data, weight.data
+    keep = _keep_mask(p, rng, (x.shape[0], w.shape[1]))
+    scale = 1.0 / (1.0 - p)
+    out, positive = numpy_backend.aggregate_forward(x, n, w, bias.data, mode, keep, scale)
+    parents = (self_emb, neigh_emb, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        grads = numpy_backend.aggregate_backward(
+            np.asarray(grad), x, n, w, mode, positive, keep, scale
+        )
+        for t, g in zip(parents, grads):
+            if t.requires_grad:
+                t.accumulate_grad(g)
+
     return _make(out, parents, backward)
 
 

@@ -24,12 +24,16 @@ kernels below never build a per-edge matrix:
 - **Propagation** (Eq. 8).  ``Σ_{e ∈ N_h} w_e · e_t`` is the CSR product
   ``A @ emb`` with ``A = csr(w, tails, offsets)`` built straight from the
   adjacency arrays; its embedding gradient is ``Aᵀ @ grad``.
-- **Gradient coalescing** (:func:`segment_sum_rows`) is a 0/1 CSR product.
+- **Aggregation** (Eqs. 6–7).  Between the two directions of a layer's
+  aggregator and dropout only two boolean masks live, where the per-op
+  chain keeps the combined input, three activations and a float mask.
 
-Each sparse product accumulates a row's terms sequentially in edge order,
-so results are deterministic and equal to the oracle up to reassociation.
-``scipy.sparse`` is imported inside the three functions that build a CSR
-matrix, so a process that only selects (serving) never loads scipy.
+The attention run rows are coalesced to entities by
+:func:`repro.autograd.sparse.segment_sum_rows`.  Each sparse product
+accumulates a row's terms sequentially in edge order, so results are
+deterministic and equal to the oracle up to reassociation.  ``scipy.sparse``
+is imported inside the functions that build a CSR matrix, so a process that
+only selects (serving) never loads scipy.
 """
 
 from __future__ import annotations
@@ -42,15 +46,14 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "edge_block",
     "edge_attention_forward",
     "edge_attention_backward",
     "transr_energy_forward",
     "transr_energy_backward",
     "weighted_adjacency",
-    "weighted_neighbor_sum",
     "gather_dot",
-    "segment_sum_rows",
+    "aggregate_forward",
+    "aggregate_backward",
     "masked_topk",
     "masked_select",
 ]
@@ -58,13 +61,6 @@ __all__ = [
 #: Target bytes for one gathered edge block (values chosen so the two
 #: gathered float64 blocks of :func:`gather_dot` fit in a 256 KiB+ L2 cache).
 _BLOCK_TARGET_BYTES = 1 << 20
-
-
-def edge_block(dim: int, target_bytes: int = _BLOCK_TARGET_BYTES) -> int:
-    """Edges per block so a ``(block, dim)`` float64 scratch is ~``target_bytes``."""
-    if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return max(512, target_bytes // (8 * dim))
 
 
 # ------------------------------------------------------------ edge attention
@@ -139,7 +135,7 @@ def edge_attention_backward(
     Returns ``(node_vals, grad_rel, grad_proj)`` where ``node_vals`` stacks
     the per-head-run entity gradients (first ``len(head_rows)`` rows) over
     the per-tail-run ones, ready for the final coalesce to unique entities
-    (:func:`segment_sum_rows`).
+    (:func:`repro.autograd.sparse.segment_sum_rows`).
     """
     import scipy.sparse as sp
 
@@ -263,26 +259,8 @@ def weighted_adjacency(
     )
 
 
-def weighted_neighbor_sum(
-    emb: np.ndarray,
-    weights: np.ndarray,
-    tails: np.ndarray,
-    offsets: np.ndarray,
-) -> np.ndarray:
-    """``out[h] = Σ_{e ∈ segment(h)} weights[e] · emb[tails[e]]`` (Eq. 8).
-
-    One CSR product (:func:`weighted_adjacency`), so the ``(E, d)``
-    weighted-messages temporary of the per-op chain never exists.
-    """
-    return weighted_adjacency(weights, tails, offsets, emb.shape[0]) @ emb
-
-
 def gather_dot(
-    a: np.ndarray,
-    b: np.ndarray,
-    a_rows: np.ndarray,
-    b_rows: np.ndarray,
-    block: Optional[int] = None,
+    a: np.ndarray, b: np.ndarray, a_rows: np.ndarray, b_rows: np.ndarray
 ) -> np.ndarray:
     """``out[e] = a[a_rows[e]] · b[b_rows[e]]``, gathered block by block.
 
@@ -295,10 +273,8 @@ def gather_dot(
     ``np.take`` buffers every ``out=`` gather, which makes this function
     ~3× slower.
     """
-    num = len(a_rows)
-    k = a.shape[1]
-    if block is None:
-        block = edge_block(k)
+    num, k = len(a_rows), a.shape[1]
+    block = max(512, _BLOCK_TARGET_BYTES // (8 * max(k, 1)))
     out = np.empty(num, dtype=np.float64)
     if num == 0:
         return out
@@ -314,26 +290,59 @@ def gather_dot(
     return out
 
 
-def segment_sum_rows(
-    values: np.ndarray, gather_idx: np.ndarray, run_offsets: np.ndarray
-) -> np.ndarray:
-    """``out[s] = Σ_{p ∈ run s} values[gather_idx[p]]`` — the gradient coalesce.
+# --------------------------------------------------------- fused aggregator
+NEGATIVE_SLOPE = 0.2  # the aggregator LeakyReLU's, as in F.leaky_relu
 
-    ``gather_idx`` permutes ``values`` rows so rows belonging to the same
-    output segment are contiguous, and ``run_offsets`` (length
-    ``num_runs + 1``) delimits each run: a 0/1 CSR matrix with exactly that
-    structure, so the permuted copy of ``values`` is never materialized.
+
+def _combine(self_emb: np.ndarray, neigh: np.ndarray, mode: str) -> np.ndarray:
+    """The aggregator input: ``e_h ‖ e_Nh`` (concat) or ``e_h + e_Nh`` (sum)."""
+    if mode == "concat":
+        return np.concatenate([self_emb, neigh], axis=1)
+    if mode == "sum":
+        return self_emb + neigh
+    raise ValueError(f"mode must be 'concat' or 'sum', got {mode!r}")
+
+
+def aggregate_forward(
+    self_emb: np.ndarray, neigh: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+    mode: str, keep: Optional[np.ndarray], scale: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``LeakyReLU(combine(e_h, e_Nh) @ W + b)``, dropout-masked (Eqs. 6–7).
+
+    Kept entries (``keep``; ``None``: no dropout) are scaled by
+    ``scale = 1 / (1 − p)`` and dropped ones by zero, the products of the
+    per-op chain's float mask.  Returns ``(out, positive)``, ``positive``
+    the boolean sign of the pre-activation.
     """
-    import scipy.sparse as sp
+    out = _combine(self_emb, neigh, mode) @ weight
+    out += bias
+    positive = out > 0
+    # max(x, 0.2·x): the LeakyReLU bit for bit, without np.where's per-element branch.
+    np.maximum(out, out * NEGATIVE_SLOPE, out=out)
+    if keep is not None:
+        out *= scale
+        out *= keep
+    return out, positive
 
-    ones = np.ones(len(gather_idx), dtype=np.float64)
-    return (
-        sp.csr_matrix(
-            (ones, gather_idx, run_offsets),
-            shape=(len(run_offsets) - 1, values.shape[0]),
-        )
-        @ values
-    )
+
+def aggregate_backward(
+    grad: np.ndarray, self_emb: np.ndarray, neigh: np.ndarray, weight: np.ndarray,
+    mode: str, positive: np.ndarray, keep: Optional[np.ndarray], scale: float,
+) -> Tuple[np.ndarray, ...]:
+    """Backward of :func:`aggregate_forward`: grads of ``(e_h, e_Nh, W, b)``.
+
+    With ``G`` the pre-activation gradient, ``d combine = G @ Wᵀ`` and
+    ``d W = combine(e_h, e_Nh)ᵀ @ G``, the combined input rebuilt here.
+    """
+    g = np.multiply(grad, scale)
+    if keep is not None:
+        g *= keep
+    # Exactly 1.0 or 0.2: (1 − 0.2) + 0.2 rounds to 1.
+    g *= positive * (1.0 - NEGATIVE_SLOPE) + NEGATIVE_SLOPE
+    gj = g @ weight.T
+    d = self_emb.shape[1]
+    inputs = (gj[:, :d], gj[:, d:]) if mode == "concat" else (gj, gj)
+    return inputs + (_combine(self_emb, neigh, mode).T @ g, g.sum(axis=0))
 
 
 # ---------------------------------------------------------- fused evaluation

@@ -113,37 +113,46 @@ def uniform_edge_weights(adj: CSRAdjacency) -> np.ndarray:
     return 1.0 / degrees[seg_ids].astype(np.float64)
 
 
-class ConcatAggregator:
+class _Aggregator:
+    """Eqs. 6–7 plus message dropout; ``mode`` names how the inputs combine."""
+
+    mode = ""
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "agg"):
+        rows = 2 * in_dim if self.mode == "concat" else in_dim
+        self.W = Parameter(xavier_uniform((rows, out_dim), rng), name=f"{name}.W")
+        self.b = Parameter(np.zeros(out_dim, dtype=np.float64), name=f"{name}.b")
+
+    def parameters(self) -> List[Parameter]:
+        return [self.W, self.b]
+
+    def __call__(
+        self, self_emb: Tensor, neigh_emb: Tensor, p: float = 0.0,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Tensor:
+        """Aggregate, then drop each output entry with probability ``p``."""
+        if dispatch.fused_enabled():
+            return dispatch.aggregate(self_emb, neigh_emb, self.W, self.b, self.mode, p, rng)
+        if self.mode == "concat":
+            joint = F.concat([self_emb, neigh_emb], axis=1)
+        else:
+            joint = F.add(self_emb, neigh_emb)
+        return F.dropout(F.leaky_relu(F.add(joint @ self.W, self.b)), p, rng)
+
+
+class ConcatAggregator(_Aggregator):
     """Eq. 6: LeakyReLU(W (e_h ‖ e_Nh) + b)."""
 
     mode = "concat"
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "agg"):
-        self.W = Parameter(xavier_uniform((2 * in_dim, out_dim), rng), name=f"{name}.W")
-        self.b = Parameter(np.zeros(out_dim, dtype=np.float64), name=f"{name}.b")
 
-    def parameters(self) -> List[Parameter]:
-        return [self.W, self.b]
-
-    def __call__(self, self_emb: Tensor, neigh_emb: Tensor) -> Tensor:
-        joint = F.concat([self_emb, neigh_emb], axis=1)
-        return F.leaky_relu(F.add(joint @ self.W, self.b))
-
-
-class SumAggregator:
+class SumAggregator(_Aggregator):
     """Eq. 7: LeakyReLU(W (e_h + e_Nh) + b)."""
 
     mode = "sum"
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "agg"):
-        self.W = Parameter(xavier_uniform((in_dim, out_dim), rng), name=f"{name}.W")
-        self.b = Parameter(np.zeros(out_dim, dtype=np.float64), name=f"{name}.b")
 
-    def parameters(self) -> List[Parameter]:
-        return [self.W, self.b]
-
-    def __call__(self, self_emb: Tensor, neigh_emb: Tensor) -> Tensor:
-        return F.leaky_relu(F.add(F.add(self_emb, neigh_emb) @ self.W, self.b))
+_AGGREGATORS = {"concat": ConcatAggregator, "sum": SumAggregator}
 
 
 class PropagationLayer:
@@ -171,16 +180,11 @@ class PropagationLayer:
         normalize: bool = True,
         name: str = "layer",
     ):
-        if aggregator == "concat":
-            self.aggregator = ConcatAggregator(in_dim, out_dim, rng, name=name)
-        elif aggregator == "sum":
-            self.aggregator = SumAggregator(in_dim, out_dim, rng, name=name)
-        else:
+        if aggregator not in _AGGREGATORS:
             raise ValueError(f"aggregator must be 'concat' or 'sum', got {aggregator!r}")
+        self.aggregator = _AGGREGATORS[aggregator](in_dim, out_dim, rng, name=name)
         if not 0.0 <= dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {dropout}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.dropout = dropout
         self.normalize = normalize
 
@@ -207,12 +211,8 @@ class PropagationLayer:
             neigh = dispatch.weighted_neighbor_sum(embeddings, edge_weights, adj)
         else:
             tails = F.take_rows(embeddings, adj.tails)  # (E, d_in)
-            if isinstance(edge_weights, Tensor):
-                weighted = F.mul(tails, F.reshape(edge_weights, (adj.num_edges, 1)))
-            else:
-                weighted = F.mul(tails, F.astensor(np.asarray(edge_weights)[:, None]))
+            scale = F.reshape(F.astensor(edge_weights), (adj.num_edges, 1))
+            weighted = F.mul(tails, scale)
             neigh = F.segment_sum(weighted, adj.offsets)  # (Ent, d_in)
-        out = self.aggregator(embeddings, neigh)
-        if training and self.dropout > 0 and rng is not None:
-            out = F.dropout(out, self.dropout, rng, training=True)
-        return out
+        p = self.dropout if training and rng is not None else 0.0
+        return self.aggregator(embeddings, neigh, p, rng)

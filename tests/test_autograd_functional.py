@@ -312,6 +312,13 @@ class TestDropout:
         with pytest.raises(ValueError):
             F.dropout(Parameter(np.ones(2)), 1.0, rng)
 
+    @pytest.mark.parametrize("p", [-0.5, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_invalid_p_rejected_before_identity_shortcut(self, rng, p, training):
+        """An out-of-range ``p`` raises even where dropout is the identity."""
+        with pytest.raises(ValueError, match="dropout probability"):
+            F.dropout(Parameter(np.ones(2)), p, rng, training=training)
+
     def test_scaling_preserves_expectation(self):
         rng = np.random.default_rng(3)
         a = Tensor(np.ones((200, 200)))
@@ -376,6 +383,50 @@ class TestLosses:
         a = Parameter(RNG.normal(size=(3, 4)))
         c = Tensor(RNG.normal(size=(3, 4)))
         check_grads(lambda: F.sum(F.mul(F.l2_normalize(a, axis=1), c)), [a])
+
+    def test_l2_normalize_is_one_tape_node(self):
+        a = Parameter(RNG.normal(size=(3, 4)))
+        out = F.l2_normalize(a, axis=1)
+        assert out._parents == (a,)
+
+
+def _l2_normalize_chain(a, axis=-1, eps=1e-12):
+    """The per-op ``mul → sum → add eps → sqrt → div`` chain: the reference
+    for the one-node :func:`F.l2_normalize`."""
+    sq = F.sum(F.mul(a, a), axis=axis, keepdims=True)
+    return F.div(a, F.sqrt(F.add(sq, astensor(eps))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 6),
+    axis=st.sampled_from([0, 1, -1]),
+    zero_rows=st.integers(0, 2),
+    scale=st.sampled_from([1e-8, 1.0, 1e6]),
+)
+def test_l2_normalize_matches_chain(seed, rows, cols, axis, zero_rows, scale):
+    """One-node normalize == the 5-node chain: forward bit for bit (the same
+    arithmetic), gradient to rounding, including all-zero rows and the
+    single-entry rows whose gradient cancels to zero."""
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((rows, cols))
+    x[:zero_rows] = 0.0
+    probe = Tensor(rng.standard_normal((rows, cols)))
+    results = []
+    for normalize in (F.l2_normalize, _l2_normalize_chain):
+        a = Parameter(x.copy())
+        out = normalize(a, axis=axis)
+        F.sum(F.mul(out, probe)).backward()
+        results.append((out.data, a.grad))
+    (y, g), (y_ref, g_ref) = results
+    np.testing.assert_array_equal(y, y_ref)
+    # Where the true gradient cancels to ~0 both sides hold rounding residue
+    # of terms of size |probe| / ‖x‖, so that is the absolute scale.
+    norms = np.sqrt((x * x).sum(axis=axis, keepdims=True) + 1e-12)
+    bound = 1e-12 * (np.abs(g_ref) + np.abs(probe.data).max() / norms)
+    assert (np.abs(g - g_ref) <= bound).all()
 
 
 @settings(max_examples=25, deadline=None)

@@ -104,38 +104,3 @@ class TestColdStart:
     def test_no_models_rejected(self, ooi_split):
         with pytest.raises(ValueError):
             cold_start_report({}, ooi_split)
-
-
-class TestReportAggregation:
-    def test_results_index(self, tmp_path):
-        from repro.experiments.report import EXPECTED_RESULTS, results_index
-
-        (tmp_path / "table1_ckg_stats.txt").write_text("Table I\n")
-        index = results_index(tmp_path)
-        assert index["table1_ckg_stats"] is True
-        assert index["table2_overall"] is False
-        assert set(index) == set(EXPECTED_RESULTS)
-
-    def test_collect_results_lists_missing(self, tmp_path):
-        from repro.experiments.report import collect_results
-
-        (tmp_path / "table1_ckg_stats.txt").write_text("Table I content\n")
-        report = collect_results(tmp_path)
-        assert "Table I content" in report
-        assert "missing artifacts" in report
-
-    def test_collect_results_strict(self, tmp_path):
-        from repro.experiments.report import collect_results
-
-        with pytest.raises(FileNotFoundError):
-            collect_results(tmp_path, strict=True)
-
-    def test_collect_results_complete(self, tmp_path):
-        from repro.experiments.report import EXPECTED_RESULTS, collect_results
-
-        for name in EXPECTED_RESULTS:
-            (tmp_path / f"{name}.txt").write_text(f"{name} body\n")
-        report = collect_results(tmp_path, strict=True)
-        assert "missing" not in report
-        for name in EXPECTED_RESULTS:
-            assert name in report

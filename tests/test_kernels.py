@@ -17,15 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import profiler, sanitizer
-from repro.autograd import Parameter, Tensor, functional as F, gradcheck
+from repro.autograd import Parameter, Tensor, functional as F, gradcheck, no_grad
+from repro.autograd.sparse import segment_sum_rows
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import RankingEvaluator
-from repro.kernels import dispatch, numpy_backend
+from repro.kernels import dispatch
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.triples import TripleStore
 from repro.models import CKAT, CKATConfig
 from repro.models.base import FitConfig
 from repro.models.ckat.layers import (
+    PropagationLayer,
     _edge_attention_scores_oracle,
     compute_edge_attention,
 )
@@ -146,6 +148,27 @@ class TestGradcheck:
             assert gradcheck(
                 lambda: F.sum(dispatch.weighted_neighbor_sum(emb, w, small_adj)),
                 [emb],
+            )
+
+    @pytest.mark.parametrize("mode", ["concat", "sum"])
+    @pytest.mark.parametrize("p", [0.0, 0.4])
+    def test_aggregate(self, mode, p):
+        rng = np.random.default_rng(8)
+        x = Parameter(rng.standard_normal((5, 3)))
+        n = Parameter(rng.standard_normal((5, 3)))
+        w = Parameter(rng.standard_normal((6 if mode == "concat" else 3, 4)))
+        b = Parameter(rng.standard_normal(4))
+        probe = Tensor(rng.standard_normal((5, 4)))
+        with dispatch.kernel_backend("numpy"):
+            # A fresh generator per evaluation keeps the dropout mask fixed.
+            assert gradcheck(
+                lambda: F.sum(
+                    F.mul(
+                        dispatch.aggregate(x, n, w, b, mode, p, np.random.default_rng(3)),
+                        probe,
+                    )
+                ),
+                [x, n, w, b],
             )
 
     def test_transr_energy(self, small_params):
@@ -424,20 +447,149 @@ def test_edge_attention_scores_matches_oracle_property(
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_entities=st.integers(1, 10),
+    num_edges=st.integers(0, 30),
+    in_dim=st.integers(1, 4),
+    out_dim=st.integers(1, 4),
+    aggregator=st.sampled_from(["concat", "sum"]),
+    dropout=st.sampled_from([0.0, 0.3]),
+    normalize=st.booleans(),
+)
+def test_aggregate_matches_oracle_property(
+    seed, num_entities, num_edges, in_dim, out_dim, aggregator, dropout, normalize
+):
+    """Fused == oracle aggregator of one training-mode propagation layer.
+
+    The neighborhood input is the layer's weighted neighbor sum over a
+    random graph (``num_edges == 0``: the zero-edge graph, all-zero input).
+    Checked: the output (optionally L2-normalized, as it enters Eq. 10) and
+    the gradients of both inputs, ``W`` and ``b``.  The fused op performs
+    the oracle chain's arithmetic, so the results are bit for bit equal,
+    and both sides draw the same dropout masks, leaving the generator in
+    the same state.
+    """
+    rng = np.random.default_rng(seed)
+    store = TripleStore(num_entities)
+    store.add_triples(
+        "r",
+        rng.integers(0, num_entities, num_edges),
+        rng.integers(0, num_entities, num_edges),
+    )
+    adj = CSRAdjacency(store)
+    layer = PropagationLayer(in_dim, out_dim, aggregator, rng, dropout=dropout)
+    emb = Parameter(rng.standard_normal((num_entities, in_dim)))
+    with no_grad():
+        neigh_data = dispatch.weighted_neighbor_sum(
+            emb, rng.standard_normal(adj.num_edges), adj
+        ).data
+    neigh = Parameter(neigh_data)
+    probe = Tensor(rng.standard_normal((num_entities, out_dim)))
+
+    def run(backend):
+        params = [emb, neigh] + layer.parameters()
+        for p in params:
+            p.grad = None
+        draws = np.random.default_rng(seed)
+        with dispatch.kernel_backend(backend):
+            out = layer.aggregator(emb, neigh, layer.dropout, draws)
+            if normalize:
+                out = F.l2_normalize(out, axis=1)
+            F.sum(F.mul(out, probe)).backward()
+        return [out.data] + [_dense(p.grad) for p in params] + [draws.random()]
+
+    for got, ref in zip(run("numpy"), run("oracle")):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_aggregate_dropout_mask_is_the_generators_draw():
+    """Entry ``i`` survives iff ``rng.random(shape)[i] >= p``, scaled by
+    ``1 / (1 − p)``: the draw ``F.dropout`` makes, so the stream is unchanged."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.uniform(0.5, 1.0, (6, 3)))
+    w, b = Parameter(rng.uniform(0.5, 1.0, (6, 2))), Parameter(np.ones(2))
+    with dispatch.kernel_backend("numpy"):
+        kept = dispatch.aggregate(x, x, w, b, "concat", 0.3, np.random.default_rng(9))
+        full = dispatch.aggregate(x, x, w, b, "concat")
+    keep = np.random.default_rng(9).random((6, 2)) >= 0.3
+    np.testing.assert_array_equal(kept.data, np.where(keep, full.data * (1 / 0.7), 0.0))
+
+
+@pytest.mark.parametrize("p", [-0.5, 1.0, 1.5, float("nan")])
+def test_aggregate_rejects_dropout_out_of_range(p):
+    """The fused op validates ``p`` exactly as ``F.dropout`` does."""
+    rng = np.random.default_rng(0)
+    x = Tensor(np.ones((2, 3)))
+    w, b = Parameter(np.ones((6, 2))), Parameter(np.zeros(2))
+    with pytest.raises(ValueError, match="dropout probability"):
+        dispatch.aggregate(x, x, w, b, "concat", p, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_entities=st.integers(1, 10),
+    num_relations=st.integers(1, 5),
+    batch=st.integers(1, 40),
+    num_dups=st.integers(0, 8),
+)
+def test_transr_energy_matches_oracle_property(
+    seed, num_entities, num_relations, batch, num_dups
+):
+    """Fused == oracle TransR energy: scores and entity/relation/proj grads.
+
+    Triples use a random non-empty subset of the relations (the others form
+    empty groups), few entities (repeated heads and tails), and ``num_dups``
+    triples repeated verbatim.
+    """
+    rng = np.random.default_rng(seed)
+    transr = TransR(
+        num_entities=num_entities,
+        num_relations=num_relations,
+        entity_dim=4,
+        relation_dim=3,
+        seed=rng,
+    )
+    used = rng.permutation(num_relations)[: rng.integers(1, num_relations + 1)]
+    heads = rng.integers(0, num_entities, batch)
+    rels = rng.choice(used, batch)
+    tails = rng.integers(0, num_entities, batch)
+    dup = rng.integers(0, batch, num_dups)
+    heads, rels, tails = np.r_[heads, heads[dup]], np.r_[rels, rels[dup]], np.r_[tails, tails[dup]]
+    params = transr.parameters()
+    upstream = rng.standard_normal(len(heads))
+
+    def run(energy):
+        for p in params:
+            p.grad = None
+        scores = energy(heads, rels, tails)
+        scores.backward(upstream)
+        return [scores.data.copy()] + [_dense(p.grad) for p in params]
+
+    with dispatch.kernel_backend("numpy"):
+        fused = run(transr.energy)
+    oracle = run(transr._energy_oracle)
+    for got, ref in zip(fused, oracle):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
+
+
 class TestTrainingParity:
     """End-to-end: fused and oracle land on the same trained CKAT."""
 
     @pytest.mark.parametrize(
-        "dropout, attention_mode",
+        "dropout, attention_mode, aggregator",
         [
-            pytest.param(0.0, "batch", id="0.0"),
-            pytest.param(0.3, "batch", id="0.3"),
-            pytest.param(0.0, "epoch", id="epoch-0.0"),
-            pytest.param(0.3, "epoch", id="epoch-0.3"),
+            pytest.param(0.0, "batch", "concat", id="0.0"),
+            pytest.param(0.3, "batch", "concat", id="0.3"),
+            pytest.param(0.0, "epoch", "concat", id="epoch-0.0"),
+            pytest.param(0.3, "epoch", "concat", id="epoch-0.3"),
+            pytest.param(0.3, "batch", "sum", id="sum-0.3"),
         ],
     )
     def test_two_epoch_fit_matches_oracle(
-        self, ooi_split, ooi_ckg_best, dropout, attention_mode
+        self, ooi_split, ooi_ckg_best, dropout, attention_mode, aggregator
     ):
         cfg = CKATConfig(
             dim=16,
@@ -445,6 +597,7 @@ class TestTrainingParity:
             layer_dims=(16, 8),
             dropout=dropout,
             attention_mode=attention_mode,
+            aggregator=aggregator,
         )
         fit_cfg = FitConfig(epochs=2, batch_size=64, seed=3)
         tables = {}
@@ -464,8 +617,8 @@ class TestTrainingParity:
                 "proj": model.transr.proj.data.copy(),
             }
         for name, ref in tables["oracle"].items():
-            # Dropout masks are drawn outside the kernels from the same RNG
-            # stream, so the trajectories coincide to reassociation-level
+            # The fused aggregator draws its dropout masks as the oracle's
+            # F.dropout does, so the trajectories coincide to reassociation-level
             # rounding (see benchmarks/test_bench_kernels.py for the policy).
             np.testing.assert_allclose(
                 tables["numpy"][name], ref, rtol=1e-9, atol=1e-11
@@ -705,13 +858,13 @@ class TestSegmentKernels:
         sorted_seg = seg_of[perm]
         starts = np.flatnonzero(np.r_[True, sorted_seg[1:] != sorted_seg[:-1]])
         offsets = np.r_[starts, 50].astype(np.int64)
-        got = numpy_backend.segment_sum_rows(values, perm, offsets)
+        got = segment_sum_rows(values, perm, offsets)
         expect = np.zeros((len(starts), 3))
         np.add.at(expect, np.searchsorted(sorted_seg[starts], seg_of), values)
-        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        np.testing.assert_array_equal(got, expect)
 
     def test_segment_sum_rows_empty(self):
-        got = numpy_backend.segment_sum_rows(
+        got = segment_sum_rows(
             np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
         )
         assert got.shape == (0, 3)
@@ -747,6 +900,20 @@ class TestInstrumentation:
             F.sum(scores).backward()
         stats = {s.name for s in report.sorted_stats()}
         assert "edge_attention_scores" in stats
+
+    def test_profiler_and_sanitizer_wrap_aggregate(self):
+        rng = np.random.default_rng(2)
+        x = Parameter(rng.standard_normal((4, 3)))
+        w, b = Parameter(rng.standard_normal((6, 2))), Parameter(np.zeros(2))
+        with dispatch.kernel_backend("numpy"), profiler.profiled() as report:
+            F.sum(dispatch.aggregate(x, x, w, b, "concat")).backward()
+        assert "aggregate" in {s.name for s in report.sorted_stats()}
+        values = x.data.copy()
+        values[0, 0] = np.nan
+        bad = Parameter(values)
+        with dispatch.kernel_backend("numpy"), sanitizer.sanitized():
+            with pytest.raises(sanitizer.SanitizerError, match="aggregate"):
+                dispatch.aggregate(bad, x, w, b, "concat")
 
     def test_sanitizer_flags_nonfinite_through_fused_op(self, small_adj, small_params):
         _, rel, proj = small_params
