@@ -46,11 +46,12 @@ smoke:
 # small scale, the out-of-core pipeline at 3e4 users (peak-RSS ceiling,
 # warm-rerun bit-safety), data-parallel fork-vs-inline loss identity plus
 # gradient agreement, the serving gate (batched == single under 8
-# concurrent clients, >= 500 req/s, p99 <= 50 ms) and the traced allocation
-# peak of one fused CKAT epoch (<= 29 MB). Writes
+# concurrent clients, >= 500 req/s, p99 <= 50 ms), the traced allocation
+# peak of one fused CKAT epoch (<= 29 MB) and one OOI TransR step, fused
+# >= 5x faster than the oracle chains. Writes
 # benchmarks/results/BENCH_scale.json, BENCH_parallel.json,
-# BENCH_serving.json and BENCH_kernels.json; the speedup gates need full
-# scale or >= 4 cores and stay in the full benchmark run.
+# BENCH_serving.json and BENCH_kernels.json; the other speedup gates need
+# full scale or >= 4 cores and stay in the full benchmark run.
 bench-smoke:
 	$(PYTHON) -m pytest -q -m gate_smoke benchmarks
 

@@ -763,9 +763,6 @@ class ProgramGraph:
         for fqn in sorted(self.functions):
             yield self.functions[fqn]
 
-    def fn_path(self, fqn: str) -> str:
-        return self.functions[fqn].path
-
     def class_of_method(self, fn: FnInfo) -> Optional[str]:
         cls = fn.summary.get("class")
         if cls is None:

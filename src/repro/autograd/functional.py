@@ -69,6 +69,7 @@ __all__ = [
     "segment_softmax",
     "squared_norm",
     "bpr_loss",
+    "bpr_objective",
     "margin_ranking_loss",
     "l2_normalize",
 ]
@@ -586,6 +587,71 @@ def squared_norm(a: Tensor) -> Tensor:
 def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
     """Bayesian Personalized Ranking loss: ``-mean(log σ(pos - neg))`` (Eq. 12)."""
     return neg(mean(log_sigmoid(sub(pos_scores, neg_scores))))
+
+
+def bpr_objective(
+    user_table: Tensor,
+    item_table: Tensor,
+    users: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    l2: float,
+) -> Tensor:
+    """One BPR minibatch objective as one tape node (Eqs. 11–13).
+
+    Gathers ``u = user_table[users]``, ``i = item_table[pos]`` and
+    ``j = item_table[neg]`` and returns
+    ``−mean log σ(⟨u, i⟩ − ⟨u, j⟩) + (λ/B)(‖u‖² + ‖i‖² + ‖j‖²)``, the value of
+    the ``take_rows``/``mul``/``sum``/:func:`bpr_loss`/squared-norm chain.
+    With ``g = −σ(⟨u, j⟩ − ⟨u, i⟩)/B`` the gradient is ``g·(i − j) + 2λ/B·u``
+    for ``u``, ``g·u + 2λ/B·i`` for ``i`` and ``−g·u + 2λ/B·j`` for ``j``, sent
+    as one :class:`~repro.autograd.sparse.SparseRowGrad` per source table: a
+    non-leaf source (CKAT's propagated table, used for users and items) is
+    densified once, not once per gather.
+    """
+    u_idx = np.asarray(users, dtype=np.intp)
+    i_idx = np.asarray(pos, dtype=np.intp)
+    j_idx = np.asarray(neg, dtype=np.intp)
+    batch = len(u_idx)
+    u, i, j = user_table.data[u_idx], item_table.data[i_idx], item_table.data[j_idx]
+    # Every product goes through one scratch: the chain's arithmetic, bit
+    # for bit, without its five (B, d) temporaries.
+    prod = np.multiply(u, i)
+    x = prod.sum(axis=1)
+    x -= np.multiply(u, j, out=prod).sum(axis=1)
+    log_sig = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    scale = l2 / batch
+    reg = np.multiply(u, u, out=prod).sum()
+    reg += np.multiply(i, i, out=prod).sum()
+    reg += np.multiply(j, j, out=prod).sum()
+    del prod
+    out = np.asarray(-(log_sig.sum() * (1.0 / batch)) + reg * scale)
+
+    def backward(grad: np.ndarray) -> None:
+        g = (-float(grad) / batch) * _stable_sigmoid(-x)[:, None]
+        decay = 2.0 * scale * float(grad)
+        # The u, i and j row grads, stacked in place.
+        vals = np.empty((3 * batch,) + u.shape[1:], dtype=u.dtype)
+        gu, gi, gj = vals[:batch], vals[batch : 2 * batch], vals[2 * batch :]
+        np.multiply(g, u, out=gj)
+        np.multiply(decay, i, out=gi)
+        gi += gj
+        np.multiply(decay, j, out=gu)
+        np.subtract(gu, gj, out=gj)
+        np.subtract(i, j, out=gu)
+        gu *= g
+        gu += decay * u
+        if user_table is item_table:
+            idx = np.concatenate([u_idx, i_idx, j_idx])
+            _accumulate_sparse(user_table, SparseRowGrad(user_table.data.shape, idx, vals))
+            return
+        if user_table.requires_grad:
+            _accumulate_sparse(user_table, SparseRowGrad(user_table.data.shape, u_idx, gu))
+        if item_table.requires_grad:
+            idx = np.concatenate([i_idx, j_idx])
+            _accumulate_sparse(item_table, SparseRowGrad(item_table.data.shape, idx, vals[batch:]))
+
+    return _make(out, (user_table, item_table), backward)
 
 
 def margin_ranking_loss(pos_energy: Tensor, neg_energy: Tensor, margin: float) -> Tensor:

@@ -333,14 +333,27 @@ class Adam(Optimizer):
         idx, val = grad.indices, grad.values
         delta = (t - last[idx]).astype(np.float64)
         expand = (-1,) + (1,) * (val.ndim - 1)
-        m_rows = m[idx] * (b1**delta).reshape(expand) + (1 - b1) * val
-        v_rows = v[idx] * (b2**delta).reshape(expand) + (1 - b2) * (val * val)
+        # The arithmetic of m·β₁^Δ + (1 − β₁)·g, v·β₂^Δ + (1 − β₂)·g² and
+        # lr·m̂ / (√v̂ + ε), in place through one scratch: each fresh
+        # (rows, d) temporary costs more in page faults than in arithmetic.
+        scratch = np.multiply(val, 1 - b1)
+        m_rows = m[idx]
+        m_rows *= (b1**delta).reshape(expand)
+        m_rows += scratch
+        np.multiply(val, val, out=scratch)
+        scratch *= 1 - b2
+        v_rows = v[idx]
+        v_rows *= (b2**delta).reshape(expand)
+        v_rows += scratch
         m[idx] = m_rows
         v[idx] = v_rows
         last[idx] = t
-        mhat = m_rows / (1 - b1**t)
-        vhat = v_rows / (1 - b2**t)
-        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        np.divide(v_rows, 1 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        update = np.divide(m_rows, 1 - b1**t, out=m_rows)
+        update *= self.lr
+        update /= scratch
         p.data[idx] -= update  # reprolint: disable=RPL007
 
     def state_size(self) -> int:

@@ -187,37 +187,32 @@ def transr_energy(
     """Fused TransR plausibility scores ``‖W_r e_h + e_r − W_r e_t‖²`` (Eq. 1).
 
     One tape node for the grouped gather → project → translate → norm chain
-    of :meth:`repro.models.embeddings.TransR.energy`, shape ``(B,)``.
-    Always NumPy: triple batches are optimizer-step sized, so each relation
-    group is a single BLAS call either way — the fusion removes the per-group
-    tape nodes, not arithmetic.
+    of :meth:`repro.models.embeddings.TransR.energy`, shape ``(B,)``.  Each
+    distinct (relation, entity) pair of the batch is projected once, and
+    the backward reduces to those run rows before any per-relation GEMM, so
+    a positive‖corrupted margin batch pays for its ~2k distinct pairs, not
+    its 4·B endpoints.  All three grads arrive coalesced: the entity grad
+    on the batch's unique entities, the relation and projection grads on
+    the relations present.
     """
     heads = np.asarray(heads, dtype=np.int64)
     rels = np.asarray(rels, dtype=np.int64)
     tails = np.asarray(tails, dtype=np.int64)
     ent, rel, prj = entity_emb.data, relation_emb.data, proj.data
-    num_relations = rel.shape[0]
-    order = np.argsort(rels, kind="stable")
-    heads_g, tails_g = heads[order], tails[order]
-    counts = np.bincount(rels[order], minlength=num_relations)
-    bounds = np.zeros(num_relations + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    scores_g, diff = numpy_backend.transr_energy_forward(
-        ent, rel, prj, heads_g, tails_g, bounds
-    )
-    out = np.empty(len(rels), dtype=np.float64)
-    out[order] = scores_g
+    runs = numpy_backend.transr_runs(heads, rels, tails, ent.shape[0], rel.shape[0])
+    out, diff = numpy_backend.transr_energy_forward(ent, rel, prj, rels, *runs)
 
     def backward(grad: np.ndarray) -> None:
-        ent_rows, grad_rel, grad_proj = numpy_backend.transr_energy_backward(
-            np.asarray(grad)[order], ent, rel, prj, heads_g, tails_g, bounds, diff
+        run_vals, grad_rel, grad_proj = numpy_backend.transr_energy_backward(
+            np.asarray(grad), ent, prj, rels, diff, *runs
         )
+        run_rows, run_bounds = runs[0], runs[1]
         if entity_emb.requires_grad:
-            idx = np.concatenate([heads_g, tails_g])
-            _accumulate_sparse(entity_emb, SparseRowGrad(ent.shape, idx, ent_rows))
-        present = np.flatnonzero(counts > 0)
+            g_ent = SparseRowGrad(ent.shape, run_rows, run_vals).coalesce()
+            _accumulate_sparse(entity_emb, g_ent)
         # Restrict to the relations present so the lazy optimizer touches the
         # same row set as the oracle chain's gather backward.
+        present = np.flatnonzero(np.diff(run_bounds))
         for param, g in ((relation_emb, grad_rel), (proj, grad_proj)):
             if param.requires_grad:
                 rows = SparseRowGrad(g.shape, present, g[present], coalesced=True)

@@ -21,6 +21,11 @@ kernels below never build a per-edge matrix:
   score is a blocked row-dot of two run rows (:func:`gather_dot`).  The
   backward puts the score gradients in one CSR matrix ``S`` (head runs ×
   tail runs) and reduces them to run rows with two sparse products.
+- **TransR** (Eq. 1).  ``W_r e`` depends only on the *(relation, entity)*
+  pair, so a triple batch projects each distinct pair once
+  (:func:`transr_runs`) and gathers its residuals from those rows.  The
+  backward reduces the residual gradients to run and relation rows with
+  one signed CSR product and runs the per-relation GEMMs on run rows.
 - **Propagation** (Eq. 8).  ``Σ_{e ∈ N_h} w_e · e_t`` is the CSR product
   ``A @ emb`` with ``A = csr(w, tails, offsets)`` built straight from the
   adjacency arrays; its embedding gradient is ``Aᵀ @ grad``.
@@ -28,7 +33,7 @@ kernels below never build a per-edge matrix:
   aggregator and dropout only two boolean masks live, where the per-op
   chain keeps the combined input, three activations and a float mask.
 
-The attention run rows are coalesced to entities by
+The attention and TransR run rows are coalesced to entities by
 :func:`repro.autograd.sparse.segment_sum_rows`.  Each sparse product
 accumulates a row's terms sequentially in edge order, so results are
 deterministic and equal to the oracle up to reassociation.  ``scipy.sparse``
@@ -48,6 +53,7 @@ if TYPE_CHECKING:
 __all__ = [
     "edge_attention_forward",
     "edge_attention_backward",
+    "transr_runs",
     "transr_energy_forward",
     "transr_energy_backward",
     "weighted_adjacency",
@@ -61,6 +67,10 @@ __all__ = [
 #: Target bytes for one gathered edge block (values chosen so the two
 #: gathered float64 blocks of :func:`gather_dot` fit in a 256 KiB+ L2 cache).
 _BLOCK_TARGET_BYTES = 1 << 20
+#: Rows per block of the TransR residual's gathered scratch (256 KiB at
+#: k = 64).  A 2048-row (1 MiB) scratch made the OOI forward 2.5x slower:
+#: that size is mapped fresh and page-faulted on every call.
+_ROW_BLOCK = 512
 
 
 # ------------------------------------------------------------ edge attention
@@ -149,7 +159,11 @@ def edge_attention_backward(
     )
     # d scores / d th = pt ; d th / d u = 1 − th² ; d scores / d pt = th.
     gu = scores_grad @ pt
-    gu *= 1.0 - th * th
+    # gu *= 1 − th², through one scratch array instead of two temporaries.
+    slope = np.multiply(th, th)
+    np.subtract(1.0, slope, out=slope)
+    gu *= slope
+    del slope
     gp = scores_grad.T @ th
     for r in range(len(head_bounds) - 1):
         hs, he = int(head_bounds[r]), int(head_bounds[r + 1])
@@ -168,77 +182,127 @@ def edge_attention_backward(
 
 
 # ------------------------------------------------------------ TransR energy
+def transr_runs(
+    heads: np.ndarray, rels: np.ndarray, tails: np.ndarray, num_entities: int, num_relations: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (relation, entity) pairs of a triple batch, grouped by relation.
+
+    ``W_r e`` depends only on the pair, and heads and tails share one pair
+    set.  Returns ``(run_rows, run_bounds, head_run, tail_run)``: the entity
+    of every run, sorted by (relation, entity); the slices of runs per
+    relation (length ``num_relations + 1``); and each triple's head and tail
+    run.  Ids out of range raise ``IndexError``: they would alias another
+    pair's key.
+    """
+    if len(rels) and (
+        min(heads.min(), tails.min(), rels.min()) < 0
+        or max(heads.max(), tails.max()) >= num_entities
+        or rels.max() >= num_relations
+    ):
+        raise IndexError(
+            f"triple ids out of range for {num_entities} entities, {num_relations} relations"
+        )
+    keys = np.concatenate([rels, rels]) * num_entities + np.concatenate([heads, tails])
+    pair_keys, run_of = np.unique(keys, return_inverse=True)
+    run_rels = pair_keys // num_entities
+    run_bounds = np.searchsorted(run_rels, np.arange(num_relations + 1))
+    n = len(heads)
+    return pair_keys - run_rels * num_entities, run_bounds, run_of[:n], run_of[n:]
+
+
 def transr_energy_forward(
     ent: np.ndarray,
     rel: np.ndarray,
     proj: np.ndarray,
-    heads_g: np.ndarray,
-    tails_g: np.ndarray,
-    bounds: np.ndarray,
+    rels: np.ndarray,
+    run_rows: np.ndarray,
+    run_bounds: np.ndarray,
+    head_run: np.ndarray,
+    tail_run: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """TransR plausibility ``‖W_r e_h + e_r − W_r e_t‖²`` (Eq. 1), fused.
+    """TransR plausibility ``‖W_r e_h + e_r − W_r e_t‖²`` (Eq. 1), run-factored.
 
-    Inputs are in relation-grouped order (``bounds`` delimits each
-    relation's run in the batch).  Returns ``(scores, diff)`` where ``diff``
-    holds the per-triple translation residuals ``W_r e_h + e_r − W_r e_t``
-    saved for the backward pass.  Batches are optimizer-step sized (a few
-    thousand triples), so each relation group is one matmul — the win over
-    the per-op chain is collapsing its ~8 tape nodes per relation group
-    (gathers, reshapes, transposes, concat, inverse scatter) into one.
+    Projects each run of :func:`transr_runs` once, one matmul per relation,
+    and gathers every triple's residual ``W_r e_h + e_r − W_r e_t`` from the
+    run rows.  Returns ``(scores, diff)``, ``diff`` the residuals saved for
+    the backward pass.
     """
-    n = len(heads_g)
-    k = rel.shape[1]
-    scores = np.empty(n, dtype=np.float64)
-    diff = np.empty((n, k), dtype=np.float64)
-    for r in range(len(bounds) - 1):
-        lo, hi = int(bounds[r]), int(bounds[r + 1])
-        if hi == lo:
-            continue
-        w_t = proj[r].T  # (d, k)
-        d_b = diff[lo:hi]
-        np.matmul(ent[heads_g[lo:hi]], w_t, out=d_b)
-        d_b += rel[r]
-        d_b -= ent[tails_g[lo:hi]] @ w_t
-        np.einsum("ij,ij->i", d_b, d_b, out=scores[lo:hi])
-    return scores, diff
+    projected = np.empty((len(run_rows), rel.shape[1]), dtype=np.float64)
+    # C-contiguous W_rᵀ: with a transposed view as the right operand,
+    # multithreaded OpenBLAS ran these (~10³ × d × k) products 1.7× slower
+    # and sometimes stalled for tens of milliseconds.
+    proj_t = np.ascontiguousarray(proj.transpose(0, 2, 1))
+    for r in range(len(run_bounds) - 1):
+        lo, hi = int(run_bounds[r]), int(run_bounds[r + 1])
+        if hi > lo:
+            np.matmul(ent[run_rows[lo:hi]], proj_t[r], out=projected[lo:hi])
+    diff = projected[head_run]
+    # Add e_r and subtract W_r e_t block by block through one small scratch:
+    # two full (B, k) gather temporaries cost more in fresh pages than in
+    # arithmetic.  The ids are checked by transr_runs, so the gathers run
+    # unchecked (see gather_dot).
+    n, k = diff.shape
+    scratch = np.empty((min(_ROW_BLOCK, n), k), dtype=np.float64)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        d_b, s_b = diff[lo:hi], scratch[: hi - lo]
+        d_b += np.take(rel, rels[lo:hi], axis=0, out=s_b, mode="clip")
+        d_b -= np.take(projected, tail_run[lo:hi], axis=0, out=s_b, mode="clip")
+    return np.einsum("ij,ij->i", diff, diff), diff
 
 
 def transr_energy_backward(
     grad_scores: np.ndarray,
     ent: np.ndarray,
-    rel: np.ndarray,
     proj: np.ndarray,
-    heads_g: np.ndarray,
-    tails_g: np.ndarray,
-    bounds: np.ndarray,
+    rels: np.ndarray,
     diff: np.ndarray,
+    run_rows: np.ndarray,
+    run_bounds: np.ndarray,
+    head_run: np.ndarray,
+    tail_run: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of :func:`transr_energy_forward`.
+    """Backward of :func:`transr_energy_forward`, reduced to run rows first.
 
-    Returns ``(ent_rows, grad_rel, grad_proj)``: ``ent_rows`` stacks the
-    per-triple head gradients (first B rows) over the tail gradients (last B
-    rows, the negation), indexed by ``concat(heads_g, tails_g)``; the
-    relation-table and projection-tensor gradients are dense ``(R, k)`` /
-    ``(R, k, d)`` accumulators the caller restricts to the relations present.
+    The residual gradient is ``2 g · diff``.  One sparse product sums it
+    to run rows and relations at once: column ``t`` of the matrix holds
+    triple ``t``'s three entries, ``+2g`` in its head run's row, ``−2g`` in
+    its tail run's and ``+2g`` in its relation's, so every row sums its
+    terms in triple order.  It is a signed 0/1 matrix with the score
+    gradients folded in: it multiplies the saved residuals, and neither a
+    ``(B, k)`` gradient nor a sort is needed to build it (CSC, three
+    entries per column).  With ``G_r`` the run rows of relation ``r``,
+    ``d e = G_r @ W_r`` per run and ``d W_r = G_rᵀ @ ent[runs of r]``.
+
+    Returns ``(run_vals, grad_rel, grad_proj)``: the per-run entity
+    gradients (rows of ``run_rows``, for the caller's coalesce to unique
+    entities) and the dense ``(R, k)`` / ``(R, k, d)`` relation and
+    projection gradients.
     """
-    n = len(heads_g)
-    d = ent.shape[1]
-    ent_rows = np.empty((2 * n, d), dtype=np.float64)
-    grad_rel = np.zeros_like(rel)
+    import scipy.sparse as sp
+
+    n = len(rels)
+    num_runs = len(run_rows)
+    num_relations = proj.shape[0]
+    rows = np.stack([head_run, tail_run, num_runs + rels], axis=1)
+    weights = np.empty((n, 3), dtype=np.float64)
+    np.multiply(grad_scores, 2.0, out=weights[:, 0])
+    np.negative(weights[:, 0], out=weights[:, 1])
+    weights[:, 2] = weights[:, 0]
+    reduce = sp.csc_matrix(
+        (weights.ravel(), rows.ravel(), np.arange(0, 3 * n + 1, 3)),
+        shape=(num_runs + num_relations, n),
+    )
+    sums = reduce @ diff
+    run_grads = sums[:num_runs]
+    run_vals = np.empty((num_runs, ent.shape[1]), dtype=np.float64)
     grad_proj = np.zeros_like(proj)
-    for r in range(len(bounds) - 1):
-        lo, hi = int(bounds[r]), int(bounds[r + 1])
-        if hi == lo:
-            continue
-        # d score / d diff = 2 g diff ; diff = W_r e_h + e_r − W_r e_t.
-        gd = 2.0 * grad_scores[lo:hi, None] * diff[lo:hi]  # (m, k)
-        w_r = proj[r]  # (k, d)
-        np.matmul(gd, w_r, out=ent_rows[lo:hi])
-        np.negative(ent_rows[lo:hi], out=ent_rows[n + lo : n + hi])
-        grad_rel[r] += gd.sum(axis=0)
-        grad_proj[r] += gd.T @ ent[heads_g[lo:hi]]
-        grad_proj[r] -= gd.T @ ent[tails_g[lo:hi]]
-    return ent_rows, grad_rel, grad_proj
+    for r in range(num_relations):
+        lo, hi = int(run_bounds[r]), int(run_bounds[r + 1])
+        if hi > lo:
+            np.matmul(run_grads[lo:hi], proj[r], out=run_vals[lo:hi])
+            np.matmul(run_grads[lo:hi].T, ent[run_rows[lo:hi]], out=grad_proj[r])
+    return run_vals, sums[num_runs:], grad_proj
 
 
 # -------------------------------------------------------- fused propagation

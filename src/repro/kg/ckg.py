@@ -115,11 +115,6 @@ class CollaborativeKnowledgeGraph:
         ) & (tails < item_off + item_size)
         return heads[is_ui] - user_off, tails[is_ui] - item_off
 
-    def knowledge_triple_count(self) -> int:
-        """Canonical triples excluding user–item and user–user interactions."""
-        counts = self.store.relation_counts()
-        return sum(c for name, c in counts.items() if name != INTERACT)
-
     def describe(self) -> str:
         """One-line structural summary."""
         return (

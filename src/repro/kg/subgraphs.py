@@ -143,10 +143,6 @@ class EntitySpace:
     def num_entities(self) -> int:
         return self._total
 
-    @property
-    def block_names(self) -> Tuple[str, ...]:
-        return tuple(self._blocks)
-
 
 def build_uig(
     space: EntitySpace, user_ids: np.ndarray, item_ids: np.ndarray

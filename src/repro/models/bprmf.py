@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.autograd import Parameter, Tensor, xavier_uniform
 from repro.autograd import functional as F
-from repro.models.base import Recommender, batch_l2
+from repro.models.base import Recommender
 from repro.utils.rng import ensure_rng
 
 __all__ = ["BPRMF"]
@@ -46,14 +46,7 @@ class BPRMF(Recommender):
     def batch_loss(
         self, users: np.ndarray, pos: np.ndarray, neg: np.ndarray, rng: np.random.Generator
     ) -> Tensor:
-        u = F.take_rows(self.user_emb, users)
-        i = F.take_rows(self.item_emb, pos)
-        j = F.take_rows(self.item_emb, neg)
-        pos_scores = F.sum(F.mul(u, i), axis=1)
-        neg_scores = F.sum(F.mul(u, j), axis=1)
-        loss = F.bpr_loss(pos_scores, neg_scores)
-        reg = F.mul(batch_l2(u, i, j), F.astensor(self.l2 / len(users)))
-        return F.add(loss, reg)
+        return F.bpr_objective(self.user_emb, self.item_emb, users, pos, neg, self.l2)
 
     def score_users(self, users: np.ndarray) -> np.ndarray:
         users = np.asarray(users, dtype=np.int64)

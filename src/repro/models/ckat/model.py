@@ -36,7 +36,7 @@ from repro.autograd import functional as F
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.ckg import CollaborativeKnowledgeGraph
 from repro.kg.prepared import PreparedGraph
-from repro.models.base import FitConfig, Recommender, batch_l2
+from repro.models.base import FitConfig, Recommender
 from repro.models.ckat.layers import (
     PropagationLayer,
     compute_edge_attention,
@@ -214,12 +214,14 @@ class CKAT(Recommender):
         self, users: np.ndarray, pos: np.ndarray, neg: np.ndarray, rng: np.random.Generator
     ) -> Tensor:
         final = self.propagate(training=True)
-        u = F.take_rows(final, self._user_entities[users])
-        i = F.take_rows(final, self._item_entities[pos])
-        j = F.take_rows(final, self._item_entities[neg])
-        loss = F.bpr_loss(F.sum(F.mul(u, i), axis=1), F.sum(F.mul(u, j), axis=1))
-        reg = F.mul(batch_l2(u, i, j), F.astensor(self.config.l2 / len(users)))
-        return F.add(loss, reg)
+        return F.bpr_objective(
+            final,
+            final,
+            self._user_entities[users],
+            self._item_entities[pos],
+            self._item_entities[neg],
+            self.config.l2,
+        )
 
     def extra_epoch_step(
         self, step: StepFn, rng: np.random.Generator, config: FitConfig

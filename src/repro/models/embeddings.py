@@ -155,10 +155,25 @@ class TransR:
     def margin_loss(
         self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray, rng: np.random.Generator
     ) -> Tensor:
-        """Eq. 2: hinge over corrupted triples, mean-reduced."""
+        """Eq. 2: hinge over corrupted triples, mean-reduced.
+
+        The fused path scores the positive‖corrupted batch in one
+        :func:`~repro.kernels.dispatch.transr_energy` call, so a pair shared
+        by both halves is projected once.
+        """
         ch, ct = corrupt_triples(heads, tails, self.num_entities, rng)
-        pos = self.energy(heads, rels, tails)
-        neg = self.energy(ch, rels, ct)
+        if not dispatch.fused_enabled():
+            pos = self._energy_oracle(heads, rels, tails)
+            neg = self._energy_oracle(ch, rels, ct)
+            return F.margin_ranking_loss(pos, neg, self.margin)
+        n = len(heads)
+        energy = dispatch.transr_energy(
+            self.entity_emb, self.relation_emb, self.proj,
+            np.concatenate([heads, ch]), np.concatenate([rels, rels]),
+            np.concatenate([tails, ct]),
+        )
+        pos = F.take_rows(energy, np.arange(n, dtype=np.int64))
+        neg = F.take_rows(energy, np.arange(n, 2 * n, dtype=np.int64))
         return F.margin_ranking_loss(pos, neg, self.margin)
 
     def sample_triples(

@@ -91,9 +91,6 @@ class RecommendService:
         self._foldin_users[handle] = (vector, items)
         return handle
 
-    def foldin_handles(self) -> List[str]:
-        return sorted(self._foldin_users)
-
     # ------------------------------------------------------------- resolution
     def _user_vector(self, user: int) -> np.ndarray:
         cached = self.user_cache.get(user)

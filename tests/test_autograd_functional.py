@@ -429,6 +429,97 @@ def test_l2_normalize_matches_chain(seed, rows, cols, axis, zero_rows, scale):
     assert (np.abs(g - g_ref) <= bound).all()
 
 
+def _bpr_objective_chain(user_table, item_table, users, pos, neg, l2):
+    """The per-op ``take_rows → mul → sum → bpr_loss`` + squared-norm chain:
+    the reference for the one-node :func:`F.bpr_objective`."""
+    u = F.take_rows(user_table, users)
+    i = F.take_rows(item_table, pos)
+    j = F.take_rows(item_table, neg)
+    loss = F.bpr_loss(F.sum(F.mul(u, i), axis=1), F.sum(F.mul(u, j), axis=1))
+    reg = F.add(F.add(F.squared_norm(u), F.squared_norm(i)), F.squared_norm(j))
+    return F.add(loss, F.mul(reg, astensor(l2 / len(users))))
+
+
+class TestBprObjective:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_gradcheck(self, shared):
+        from repro.autograd import gradcheck
+
+        rng = np.random.default_rng(4)
+        users, pos, neg = np.array([0, 2, 2, 4]), np.array([1, 3, 0, 3]), np.array([3, 3, 2, 0])
+        base = Parameter(rng.normal(size=(5, 3)))
+        items = Parameter(rng.normal(size=(4, 3)))
+        scale = Tensor(rng.uniform(0.5, 1.5, size=(5, 3)))
+
+        def loss():
+            if shared:
+                # A non-leaf source, as CKAT's propagated table.
+                table = F.mul(base, scale)
+                return F.bpr_objective(table, table, users, pos, neg, 0.3)
+            return F.bpr_objective(base, items, users, pos, neg, 0.3)
+
+        assert gradcheck(loss, [base] if shared else [base, items])
+
+    def test_is_one_tape_node(self):
+        rng = np.random.default_rng(5)
+        users, items = Parameter(rng.normal(size=(2, 3))), Parameter(rng.normal(size=(4, 3)))
+        out = F.bpr_objective(users, items, [0, 1], [2, 3], [3, 0], 1e-5)
+        assert out._parents == (users, items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_users=st.integers(1, 6),
+    num_items=st.integers(1, 6),
+    batch=st.integers(1, 12),
+    l2=st.sampled_from([0.0, 1e-5, 0.5]),
+    shared=st.booleans(),
+)
+def test_bpr_objective_matches_chain(seed, num_users, num_items, batch, l2, shared):
+    """One-node BPR objective == the per-op chain, with duplicate ids.
+
+    Leaf tables (BPRMF) get sparse grads on the chain's row sets; a non-leaf
+    source used for users and items (CKAT's propagated table) passes a
+    dense grad to its parameter.  The loss is the chain's arithmetic, so it
+    is equal bit for bit; the gradients agree to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    users = rng.integers(0, num_users, batch)
+    pos = rng.integers(0, num_items, batch)
+    neg = rng.integers(0, num_items, batch)
+    users[-1], pos[-1] = users[0], pos[0]  # a repeated (user, item) pair
+    user_data = rng.normal(size=(num_users, 4))
+    item_data = rng.normal(size=(num_items, 4))
+    scale_data = rng.uniform(0.5, 1.5, size=(num_users + num_items, 4))
+    results = []
+    for objective in (F.bpr_objective, _bpr_objective_chain):
+        if shared:
+            base = Parameter(np.concatenate([user_data, item_data]))
+            table = F.mul(base, Tensor(scale_data))
+            params = [base]
+            out = objective(table, table, users, pos + num_users, neg + num_users, l2)
+        else:
+            params = [Parameter(user_data.copy()), Parameter(item_data.copy())]
+            out = objective(params[0], params[1], users, pos, neg, l2)
+        out.backward()
+        results.append((out.item(), [p.grad for p in params]))
+    (loss, grads), (loss_ref, grads_ref) = results
+    assert loss == loss_ref
+    for g, g_ref in zip(grads, grads_ref):
+        if shared:
+            assert isinstance(g, np.ndarray) and isinstance(g_ref, np.ndarray)
+        else:
+            assert g.coalesce().indices.tolist() == g_ref.coalesce().indices.tolist()
+        # Where the true gradient cancels to ~0 both sides hold rounding
+        # residue of terms of size |table|/B, so that is the absolute scale.
+        ref = np.asarray(g_ref)
+        terms = 1.5 * max(np.abs(user_data).max(), np.abs(item_data).max()) / batch
+        np.testing.assert_allclose(
+            np.asarray(g), ref, rtol=1e-12, atol=1e-12 * (np.abs(ref).max() + terms)
+        )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=20),

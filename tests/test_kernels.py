@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import profiler, sanitizer
 from repro.autograd import Parameter, Tensor, functional as F, gradcheck, no_grad
-from repro.autograd.sparse import segment_sum_rows
+from repro.autograd.sparse import SparseRowGrad, segment_sum_rows
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import RankingEvaluator
 from repro.kernels import dispatch
@@ -336,6 +336,17 @@ class TestTransREnergyParity:
         for name in ("ent", "rel", "proj"):
             np.testing.assert_array_equal(rows["numpy"][name], rows["oracle"][name])
 
+    @pytest.mark.parametrize(
+        "heads, rels, tails",
+        [([6], [0], [1]), ([0], [0], [-1]), ([0], [3], [1]), ([0], [-1], [1])],
+    )
+    def test_out_of_range_ids_raise(self, small_params, heads, rels, tails):
+        """An id past its table would alias another (relation, entity) key."""
+        ent, rel, proj = small_params
+        ids = [np.array(a, dtype=np.int64) for a in (heads, rels, tails)]
+        with pytest.raises(IndexError, match="out of range"):
+            dispatch.transr_energy(ent, rel, proj, *ids)
+
     def test_empty_batch(self, small_params):
         ent, rel, proj = small_params
         empty = np.zeros(0, dtype=np.int64)
@@ -573,6 +584,70 @@ def test_transr_energy_matches_oracle_property(
     oracle = run(transr._energy_oracle)
     for got, ref in zip(fused, oracle):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_entities=st.integers(1, 8),
+    num_relations=st.integers(1, 5),
+    batch=st.integers(1, 30),
+    hinges=st.sampled_from(["mixed", "active", "inactive"]),
+)
+def test_margin_loss_matches_oracle_property(seed, num_entities, num_relations, batch, hinges):
+    """Run-factored margin loss == the oracle's two per-op energy chains.
+
+    Few entities repeat (relation, entity) pairs across heads, tails and the
+    corrupted half; about a fifth of the triples are self-loops (one entity
+    as head and tail); some relations get no triple.  The margin makes every
+    hinge active, every hinge inactive, or a mix.  The loss and all three
+    grads agree at rtol 1e-12, and each grad arrives coalesced on exactly
+    the oracle's row set, so lazy Adam touches the same rows.
+    """
+    rng = np.random.default_rng(seed)
+    transr = TransR(num_entities, num_relations, entity_dim=4, relation_dim=3, seed=rng)
+    # Energies here are O(1), so a margin of ±1e3 fixes every hinge's side.
+    transr.margin = {"mixed": 1.0, "active": 1e3, "inactive": -1e3}[hinges]
+    used = rng.permutation(num_relations)[: rng.integers(1, num_relations + 1)]
+    heads = rng.integers(0, num_entities, batch)
+    rels = rng.choice(used, batch)
+    tails = rng.integers(0, num_entities, batch)
+    loops = rng.random(batch) < 0.2
+    tails[loops] = heads[loops]
+    params = transr.parameters()
+    results = {}
+    for backend in ("numpy", "oracle"):
+        for p in params:
+            p.grad = None
+        with dispatch.kernel_backend(backend):
+            loss = transr.margin_loss(heads, rels, tails, np.random.default_rng(seed))
+            loss.backward()
+        results[backend] = (loss.item(), [p.grad for p in params])
+    (loss, grads), (loss_ref, grads_ref) = results["numpy"], results["oracle"]
+    np.testing.assert_allclose(loss, loss_ref, rtol=1e-12)
+    for g, g_ref in zip(grads, grads_ref):
+        assert isinstance(g, SparseRowGrad) and g.coalesced
+        np.testing.assert_array_equal(g.indices, np.unique(g_ref.indices))
+        # Parameters and residuals are O(1), so where the terms cancel (one
+        # entity on both sides) each side keeps residue far below atol.
+        np.testing.assert_allclose(g.to_dense(), g_ref.to_dense(), rtol=1e-12, atol=1e-14)
+
+
+def test_margin_loss_scores_both_halves_in_one_call(monkeypatch):
+    """The positive‖corrupted batch goes through one fused energy node."""
+    transr = TransR(num_entities=6, num_relations=3, entity_dim=4, relation_dim=3)
+    calls = []
+    fused = dispatch.transr_energy
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return fused(*args)
+
+    monkeypatch.setattr(dispatch, "transr_energy", counted)
+    heads, rels, tails = np.array([0, 1, 2]), np.array([0, 2, 2]), np.array([3, 4, 5])
+    with dispatch.kernel_backend("numpy"):
+        transr.margin_loss(heads, rels, tails, np.random.default_rng(0))
+    assert calls == [6]
 
 
 class TestTrainingParity:
