@@ -55,8 +55,11 @@ smoke:
 bench-smoke:
 	$(PYTHON) -m pytest -q -m gate_smoke benchmarks
 
+# CKAT trains in float32: any op or kernel that turns float32 inputs into a
+# float64 output trips the sanitizer's upcast check.
 sanitize-smoke:
 	REPRO_SANITIZE=1 $(PYTHON) -m repro.cli sanitize-run BPRMF ooi --epochs 2
+	REPRO_SANITIZE=1 $(PYTHON) -m repro.cli sanitize-run CKAT ooi --epochs 1
 
 test:
 	$(PYTHON) -m pytest -x -q

@@ -10,7 +10,8 @@ with the per-op oracle chains, *and* land on the same trained parameters.
 
 Both backends train from the same seed on the same machine in the same
 process; timings are the median of three interleaved repetitions so the
-gate doesn't flap on allocator warm-up or scheduler noise.  Parameter
+gate doesn't flap on allocator warm-up or scheduler noise.  The model is
+cast to the float64 test reference (CKAT trains in float32), and parameter
 agreement is asserted with ``rtol=1e-9, atol=1e-12``.  The fused kernels
 sum in a different association than the chains (DESIGN.md §10): the
 attention backward factors ``1 − tanh²`` out of each run's sum, and the
@@ -38,6 +39,7 @@ from repro.experiments.runner import build_model, default_fit_config
 from repro.kernels import dispatch
 from repro.kg import KnowledgeSources
 from repro.models import CKATConfig
+from tests.ckat_reference import float64_ckat
 
 GATE = 2.0
 REPEATS = 3
@@ -60,9 +62,9 @@ _CONFIG = CKATConfig(attention_mode="batch")
 
 
 def _train_epoch(ooi_dataset, ckg, graph, backend):
-    """Build a fresh CKAT from BENCH_SEED and train one epoch under ``backend``."""
-    model = build_model(
-        "CKAT", ooi_dataset, ckg, seed=BENCH_SEED, ckat_config=_CONFIG, graph=graph
+    """Build a fresh float64 CKAT from BENCH_SEED and train one epoch under ``backend``."""
+    model = float64_ckat(
+        build_model("CKAT", ooi_dataset, ckg, seed=BENCH_SEED, ckat_config=_CONFIG, graph=graph)
     )
     fit_cfg = default_fit_config("CKAT", epochs=1, seed=BENCH_SEED)
     with dispatch.kernel_backend(backend):

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd.sparse import SparseRowGrad, sparse_grads_enabled
-from repro.autograd.tensor import Tensor, astensor, is_grad_enabled, unbroadcast
+from repro.autograd.tensor import Tensor, astensor, float_dtype, is_grad_enabled, unbroadcast
 
 # This module shadows the builtins ``sum`` and ``abs`` with tensor ops; keep
 # handles to the originals for internal use.
@@ -219,7 +219,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return mul(sum(a, axis=axis, keepdims=keepdims), astensor(1.0 / count))
+    return mul(sum(a, axis=axis, keepdims=keepdims), astensor(1.0 / count, a))
 
 
 def reshape(a: Tensor, shape: Tuple[int, ...]) -> Tensor:
@@ -335,7 +335,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
+    out = np.empty_like(x, dtype=float_dtype(x.dtype))
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -358,7 +358,8 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.2) -> Tensor:
     out = np.where(a.data > 0, a.data, negative_slope * a.data)
 
     def backward(grad: np.ndarray) -> None:
-        a.accumulate_grad(grad * np.where(a.data > 0, 1.0, negative_slope), owned=True)
+        slope = np.where(a.data > 0, 1.0, negative_slope).astype(grad.dtype, copy=False)
+        a.accumulate_grad(grad * slope, owned=True)
 
     return _make(out, (a,), backward)
 
@@ -482,7 +483,8 @@ def dropout(
     keep = _keep_mask(p, rng, a.data.shape, training)
     if keep is None:
         return a
-    mask = keep / (1.0 - p)
+    mask = keep.astype(float_dtype(a.data.dtype))
+    mask *= 1.0 / (1.0 - p)
     out = a.data * mask
 
     def backward(grad: np.ndarray) -> None:
@@ -532,7 +534,7 @@ def segment_max(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     offsets = _check_offsets(offsets, values.shape[0])
     num_segments = len(offsets) - 1
     lengths = np.diff(offsets)
-    out = np.full((num_segments,) + values.shape[1:], -np.inf, dtype=np.float64)
+    out = np.full((num_segments,) + values.shape[1:], -np.inf, dtype=float_dtype(values.dtype))
     nonempty = lengths > 0
     if nonempty.any():
         out[nonempty] = np.maximum.reduceat(values, offsets[:-1][nonempty], axis=0)
@@ -556,7 +558,7 @@ def segment_softmax(scores: Tensor, offsets: np.ndarray) -> Tensor:
     maxes = segment_max(scores.data, offsets)
     shifted = scores.data - maxes[seg_ids]
     e = np.exp(shifted)
-    denom = np.zeros(num_segments, dtype=np.float64)
+    denom = np.zeros(num_segments, dtype=e.dtype)
     nonempty = lengths > 0
     if nonempty.any():
         denom[nonempty] = np.add.reduceat(e, offsets[:-1][nonempty])
@@ -565,7 +567,7 @@ def segment_softmax(scores: Tensor, offsets: np.ndarray) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         # d softmax: out * (grad - sum_segment(grad * out))
         weighted = grad * out
-        seg_dot = np.zeros(num_segments, dtype=np.float64)
+        seg_dot = np.zeros(num_segments, dtype=weighted.dtype)
         if nonempty.any():
             seg_dot[nonempty] = np.add.reduceat(weighted, offsets[:-1][nonempty])
         scores.accumulate_grad(out * (grad - seg_dot[seg_ids]), owned=True)
@@ -660,7 +662,7 @@ def margin_ranking_loss(pos_energy: Tensor, neg_energy: Tensor, margin: float) -
     ``pos_energy`` is the score ``fr`` of true triples (lower = better),
     ``neg_energy`` of corrupted ones.
     """
-    return mean(relu(add(sub(pos_energy, neg_energy), astensor(margin))))
+    return mean(relu(add(sub(pos_energy, neg_energy), astensor(margin, pos_energy))))
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

@@ -256,7 +256,9 @@ class Adam(Optimizer):
     moments, and the row-step vectors travel as a separate top-level
     ``row_steps`` key that older readers ignore (they then see exactly the
     slot format PR 2 defined) and older checkpoints simply lack (all rows
-    are treated as current, which is exact for dense-only histories).
+    are treated as current, which is exact for dense-only histories).  The
+    moment slots and the lazy decay factors are in the parameter's dtype,
+    so a float32 parameter steps without float64 temporaries.
     """
 
     def __init__(
@@ -304,8 +306,9 @@ class Adam(Optimizer):
             lag = (self.step_count - 1) - last
             if lag.any():
                 expand = (-1,) + (1,) * (p.data.ndim - 1)
-                m *= (b1 ** lag.astype(np.float64)).reshape(expand)
-                v *= (b2 ** lag.astype(np.float64)).reshape(expand)
+                lag = lag.astype(p.data.dtype)
+                m *= (b1**lag).reshape(expand)
+                v *= (b2**lag).reshape(expand)
             last[:] = self.step_count
         m *= b1
         m += (1 - b1) * g
@@ -331,7 +334,7 @@ class Adam(Optimizer):
             self._last[id(p)] = last
         t = self.step_count
         idx, val = grad.indices, grad.values
-        delta = (t - last[idx]).astype(np.float64)
+        delta = (t - last[idx]).astype(p.data.dtype)
         expand = (-1,) + (1,) * (val.ndim - 1)
         # The arithmetic of m·β₁^Δ + (1 − β₁)·g, v·β₂^Δ + (1 − β₂)·g² and
         # lr·m̂ / (√v̂ + ε), in place through one scratch: each fresh

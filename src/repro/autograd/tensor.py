@@ -80,11 +80,24 @@ def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     return arr
 
 
-def astensor(value: ArrayLike) -> "Tensor":
-    """Coerce ``value`` to a :class:`Tensor` (constants get requires_grad=False)."""
+def float_dtype(dtype) -> np.dtype:
+    """The dtype values of ``dtype`` compute in: float32 and float64 are
+    kept, anything else (ints, bools, float16) becomes float64."""
+    dtype = np.dtype(dtype)
+    return dtype if dtype in (np.float32, np.float64) else np.dtype(np.float64)
+
+
+def astensor(value: ArrayLike, like: Optional["Tensor"] = None) -> "Tensor":
+    """Coerce ``value`` to a :class:`Tensor` (constants get requires_grad=False).
+
+    A constant takes the float dtype of ``like``, the tensor whose graph it
+    joins (float64 without one): a Python-float margin or scale must not
+    upcast a float32 graph.
+    """
     if isinstance(value, Tensor):
         return value
-    return Tensor(_as_array(value, dtype=np.float64), requires_grad=False)
+    dtype = float_dtype(like.data.dtype) if like is not None else np.float64
+    return Tensor(_as_array(value, dtype=dtype), requires_grad=False)
 
 
 class Tensor:
@@ -177,13 +190,19 @@ class Tensor:
         sparse + sparse merges row lists, sparse arriving on a dense buffer
         scatter-adds into it, and a dense grad arriving on a sparse buffer
         densifies the buffer first.  Sparse grads are never broadcast — their
-        shape must match the tensor exactly.
+        shape must match the tensor exactly.  Either kind is stored in the
+        tensor's dtype.
         """
         if isinstance(grad, SparseRowGrad):
             if grad.shape != self.data.shape:
                 raise ValueError(
                     f"sparse grad shape {grad.shape} does not match tensor "
                     f"shape {self.data.shape}"
+                )
+            if grad.values.dtype != self.data.dtype:
+                grad = SparseRowGrad(
+                    grad.shape, grad.indices, grad.values.astype(self.data.dtype),
+                    coalesced=grad.coalesced,
                 )
             if self.grad is None:
                 self.grad = grad
@@ -264,36 +283,36 @@ class Tensor:
     def __add__(self, other: ArrayLike) -> "Tensor":
         from repro.autograd import functional as F
 
-        return F.add(self, astensor(other))
+        return F.add(self, astensor(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         from repro.autograd import functional as F
 
-        return F.sub(self, astensor(other))
+        return F.sub(self, astensor(other, self))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         from repro.autograd import functional as F
 
-        return F.sub(astensor(other), self)
+        return F.sub(astensor(other, self), self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         from repro.autograd import functional as F
 
-        return F.mul(self, astensor(other))
+        return F.mul(self, astensor(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         from repro.autograd import functional as F
 
-        return F.div(self, astensor(other))
+        return F.div(self, astensor(other, self))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         from repro.autograd import functional as F
 
-        return F.div(astensor(other), self)
+        return F.div(astensor(other, self), self)
 
     def __neg__(self) -> "Tensor":
         from repro.autograd import functional as F
@@ -308,7 +327,7 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         from repro.autograd import functional as F
 
-        return F.matmul(self, astensor(other))
+        return F.matmul(self, astensor(other, self))
 
     # ------------------------------------------------------------- reducers
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -342,13 +361,16 @@ class Parameter(Tensor):
     """A :class:`Tensor` that is a trainable model parameter.
 
     Identical to ``Tensor(data, requires_grad=True)`` but the distinct type
-    lets models and optimizers collect parameters generically.
+    lets models and optimizers collect parameters generically.  A float32 or
+    float64 array keeps its dtype; any other input becomes float64.
     """
 
     __slots__ = ()
 
     def __init__(self, data: ArrayLike, name: str = ""):
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+        arr = _as_array(data)
+        arr = arr.astype(float_dtype(arr.dtype), copy=False)
+        super().__init__(arr, requires_grad=True, name=name)
         # Parameters are leaves even under no_grad construction.
         self.requires_grad = True
 

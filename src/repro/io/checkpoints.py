@@ -87,8 +87,9 @@ def save_parameters(path: PathLike, model) -> pathlib.Path:
 def load_parameters(path: PathLike, model) -> None:
     """Load a checkpoint into ``model`` (in place).
 
-    Raises ``ValueError`` on missing/extra parameters or shape mismatches —
-    a checkpoint only loads into the architecture that produced it.
+    Raises ``ValueError`` on missing/extra parameters or shape or dtype
+    mismatches — a checkpoint only loads into the architecture that produced
+    it, at the precision it trained in.
     """
     path = normalize_checkpoint_path(path)
     params = model.parameters()
@@ -111,6 +112,10 @@ def load_parameters(path: PathLike, model) -> None:
                 if arr.shape != p.data.shape:
                     raise ValueError(
                         f"{path}: shape mismatch for {key}: file {arr.shape} vs model {p.data.shape}"
+                    )
+                if arr.dtype != p.data.dtype:
+                    raise ValueError(
+                        f"{path}: dtype mismatch for {key}: file {arr.dtype} vs model {p.data.dtype}"
                     )
                 p.data[...] = arr
 

@@ -232,16 +232,17 @@ def weighted_neighbor_sum(
     either way the step is one CSR product ``A @ embeddings`` over the
     adjacency arrays and its embedding gradient ``Aᵀ @ grad``, so the
     ``(E, d)`` weighted-messages temporary of the per-op chain never exists.
-    Returns the per-entity neighborhood aggregate, shape
-    ``(num_entities, d)``.
+    Constant weights are cast to the embeddings' dtype, so float64 uniform
+    weights do not turn a float32 propagation into a float64 one.  Returns
+    the per-entity neighborhood aggregate, shape ``(num_entities, d)``.
     """
+    emb = embeddings.data
     weights_tensor = edge_weights if isinstance(edge_weights, Tensor) else None
     w = (
         weights_tensor.data
         if weights_tensor is not None
-        else np.asarray(edge_weights, dtype=np.float64)
+        else np.asarray(edge_weights, dtype=emb.dtype)
     )
-    emb = embeddings.data
     matrix = numpy_backend.weighted_adjacency(w, adj.tails, adj.offsets, emb.shape[0])
     out = matrix @ emb
 

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: Target bytes for one gathered edge block (values chosen so the two
-#: gathered float64 blocks of :func:`gather_dot` fit in a 256 KiB+ L2 cache).
+#: gathered blocks of :func:`gather_dot` fit in a 256 KiB+ L2 cache).
 _BLOCK_TARGET_BYTES = 1 << 20
 #: Rows per block of the TransR residual's gathered scratch (256 KiB at
 #: k = 64).  A 2048-row (1 MiB) scratch made the OOI forward 2.5x slower:
@@ -96,14 +96,18 @@ def edge_attention_forward(
     for the backward pass.
     """
     k = rel.shape[1]
-    th = np.empty((len(head_rows), k), dtype=np.float64)
-    pt = np.empty((len(tail_rows), k), dtype=np.float64)
+    th = np.empty((len(head_rows), k), dtype=ent.dtype)
+    pt = np.empty((len(tail_rows), k), dtype=ent.dtype)
+    # One C-contiguous W_rᵀ per call, as in transr_energy_forward: with a
+    # transposed view as the right operand, multithreaded OpenBLAS sometimes
+    # stalls for tens of milliseconds.
+    proj_t = np.ascontiguousarray(proj.transpose(0, 2, 1))
     for r in range(len(head_bounds) - 1):
         hs, he = int(head_bounds[r]), int(head_bounds[r + 1])
         if he == hs:
             continue
         ts, te = int(tail_bounds[r]), int(tail_bounds[r + 1])
-        w_t = proj[r].T  # (d, k), one view per relation
+        w_t = proj_t[r]  # (d, k)
         th_r = th[hs:he]
         np.matmul(ent[head_rows[hs:he]], w_t, out=th_r)
         th_r += rel[r]
@@ -153,7 +157,7 @@ def edge_attention_backward(
     num_head_runs = len(head_rows)
     grad_rel = np.zeros_like(rel)
     grad_proj = np.zeros_like(proj)
-    node_vals = np.empty((num_head_runs + len(tail_rows), d), dtype=np.float64)
+    node_vals = np.empty((num_head_runs + len(tail_rows), d), dtype=ent.dtype)
     scores_grad = sp.csr_matrix(
         (grad_scores, tail_run, head_offsets), shape=(num_head_runs, len(tail_rows))
     )
@@ -227,7 +231,7 @@ def transr_energy_forward(
     run rows.  Returns ``(scores, diff)``, ``diff`` the residuals saved for
     the backward pass.
     """
-    projected = np.empty((len(run_rows), rel.shape[1]), dtype=np.float64)
+    projected = np.empty((len(run_rows), rel.shape[1]), dtype=ent.dtype)
     # C-contiguous W_rᵀ: with a transposed view as the right operand,
     # multithreaded OpenBLAS ran these (~10³ × d × k) products 1.7× slower
     # and sometimes stalled for tens of milliseconds.
@@ -242,7 +246,7 @@ def transr_energy_forward(
     # arithmetic.  The ids are checked by transr_runs, so the gathers run
     # unchecked (see gather_dot).
     n, k = diff.shape
-    scratch = np.empty((min(_ROW_BLOCK, n), k), dtype=np.float64)
+    scratch = np.empty((min(_ROW_BLOCK, n), k), dtype=diff.dtype)
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         d_b, s_b = diff[lo:hi], scratch[: hi - lo]
@@ -285,7 +289,7 @@ def transr_energy_backward(
     num_runs = len(run_rows)
     num_relations = proj.shape[0]
     rows = np.stack([head_run, tail_run, num_runs + rels], axis=1)
-    weights = np.empty((n, 3), dtype=np.float64)
+    weights = np.empty((n, 3), dtype=diff.dtype)
     np.multiply(grad_scores, 2.0, out=weights[:, 0])
     np.negative(weights[:, 0], out=weights[:, 1])
     weights[:, 2] = weights[:, 0]
@@ -295,7 +299,7 @@ def transr_energy_backward(
     )
     sums = reduce @ diff
     run_grads = sums[:num_runs]
-    run_vals = np.empty((num_runs, ent.shape[1]), dtype=np.float64)
+    run_vals = np.empty((num_runs, ent.shape[1]), dtype=ent.dtype)
     grad_proj = np.zeros_like(proj)
     for r in range(num_relations):
         lo, hi = int(run_bounds[r]), int(run_bounds[r + 1])
@@ -338,13 +342,14 @@ def gather_dot(
     ~3× slower.
     """
     num, k = len(a_rows), a.shape[1]
-    block = max(512, _BLOCK_TARGET_BYTES // (8 * max(k, 1)))
-    out = np.empty(num, dtype=np.float64)
+    itemsize = max(a.dtype.itemsize, b.dtype.itemsize)
+    block = max(512, _BLOCK_TARGET_BYTES // (itemsize * max(k, 1)))
+    out = np.empty(num, dtype=np.result_type(a, b))
     if num == 0:
         return out
     bmax = min(block, num)
-    a_gat = np.empty((bmax, k), dtype=np.float64)
-    b_gat = np.empty((bmax, k), dtype=np.float64)
+    a_gat = np.empty((bmax, k), dtype=a.dtype)
+    b_gat = np.empty((bmax, k), dtype=b.dtype)
     for e0 in range(0, num, block):
         e1 = min(e0 + block, num)
         n = e1 - e0
@@ -401,8 +406,12 @@ def aggregate_backward(
     g = np.multiply(grad, scale)
     if keep is not None:
         g *= keep
-    # Exactly 1.0 or 0.2: (1 − 0.2) + 0.2 rounds to 1.
-    g *= positive * (1.0 - NEGATIVE_SLOPE) + NEGATIVE_SLOPE
+    # Exactly 1.0 or 0.2, in g's dtype: (1 − 0.2) + 0.2 rounds to 1.
+    slope = positive.astype(g.dtype)
+    slope *= 1.0 - NEGATIVE_SLOPE
+    slope += NEGATIVE_SLOPE
+    g *= slope
+    del slope
     gj = g @ weight.T
     d = self_emb.shape[1]
     inputs = (gj[:, :d], gj[:, d:]) if mode == "concat" else (gj, gj)

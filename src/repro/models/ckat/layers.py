@@ -56,7 +56,7 @@ def compute_edge_attention(
     if adj.num_edges == 0:
         # F.concat rejects an empty piece list; a graph with no triples has
         # an empty (but well-formed) attention vector.
-        return F.astensor(np.zeros(0, dtype=np.float64))
+        return F.astensor(np.zeros(0, dtype=entity_emb.dtype))
     if dispatch.fused_enabled():
         scores_sorted = dispatch.edge_attention_scores(entity_emb, relation_emb, proj, adj)
     else:
@@ -211,7 +211,7 @@ class PropagationLayer:
             neigh = dispatch.weighted_neighbor_sum(embeddings, edge_weights, adj)
         else:
             tails = F.take_rows(embeddings, adj.tails)  # (E, d_in)
-            scale = F.reshape(F.astensor(edge_weights), (adj.num_edges, 1))
+            scale = F.reshape(F.astensor(edge_weights, embeddings), (adj.num_edges, 1))
             weighted = F.mul(tails, scale)
             neigh = F.segment_sum(weighted, adj.offsets)  # (Ent, d_in)
         p = self.dropout if training and rng is not None else 0.0

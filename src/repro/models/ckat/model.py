@@ -49,6 +49,13 @@ from repro.utils.validation import check_in_choices
 
 __all__ = ["CKAT", "CKATConfig"]
 
+#: The dtype of CKAT's parameters: the TransR tables and the aggregator
+#: weights.  Their initial values are drawn by the float64 initialisers (so
+#: the RNG stream does not depend on it) and stored in this dtype; the tape,
+#: the fused kernels and Adam's moments follow it.  KGAT's reference
+#: implementation trains in float32 too; float64 is the test reference.
+PARAM_DTYPE = np.float32
+
 
 @dataclasses.dataclass(frozen=True)
 class CKATConfig:
@@ -140,6 +147,9 @@ class CKAT(Recommender):
                 )
             )
             in_dim = out_dim
+        with no_grad():
+            for p in self.parameters():
+                p.data = p.data.astype(PARAM_DTYPE)
         self._user_entities = ckg.all_user_entities()
         self._item_entities = ckg.all_item_entities()
         self._dropout_rng = ensure_rng(rng.integers(2**31))

@@ -254,7 +254,7 @@ class TrainEngine:
         """Load a :class:`TrainingCheckpoint` into live training state.
 
         Validates that the checkpoint matches the architecture (same
-        parameter keys and shapes), the replay-relevant config fields, *and*
+        parameter keys, shapes and dtypes), the replay-relevant config fields, *and*
         the executor/shard layout — resuming under a different batch size,
         learning rate, seed, or worker layout could not possibly reproduce
         the uninterrupted run, so it raises instead.
@@ -287,6 +287,11 @@ class TrainEngine:
                     raise ValueError(
                         f"cannot resume: shape mismatch for {key}: "
                         f"checkpoint {arr.shape} vs model {p.data.shape}"
+                    )
+                if arr.dtype != p.data.dtype:
+                    raise ValueError(
+                        f"cannot resume: dtype mismatch for {key}: "
+                        f"checkpoint {arr.dtype} vs model {p.data.dtype}"
                     )
                 p.data[...] = arr
         self.executor.load_optimizer_state(optimizer, ckpt.optimizer_state)

@@ -280,5 +280,9 @@ class TestParameter:
         assert p.requires_grad
 
     def test_float64_coercion(self):
-        p = Parameter(np.zeros(2, dtype=np.float32))
-        assert p.dtype == np.float64
+        """Non-float input becomes float64; float32 and float64 are kept."""
+        assert Parameter(np.zeros(2, dtype=np.int64)).dtype == np.float64
+        assert Parameter([1, 2]).dtype == np.float64
+        assert Parameter(np.zeros(2, dtype=np.float16)).dtype == np.float64
+        assert Parameter(np.zeros(2, dtype=np.float32)).dtype == np.float32
+        assert Parameter(np.zeros(2, dtype=np.float64)).dtype == np.float64

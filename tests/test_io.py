@@ -13,6 +13,7 @@ from repro.io import (
 )
 from repro.io.checkpoints import parameter_keys
 from repro.models import BPRMF
+from tests.ckat_reference import float64_ckat
 
 
 class TestTraceIO:
@@ -74,6 +75,25 @@ class TestCheckpointIO:
         save_parameters(path, small)
         with pytest.raises(ValueError, match="shape"):
             load_parameters(path, big)
+
+    def test_dtype_mismatch_rejected(self, tmp_path, ooi_ckg_best, ooi_split):
+        """A float64 CKAT checkpoint does not load into float32 tables."""
+        from repro.models import CKAT, CKATConfig
+
+        def build():
+            cfg = CKATConfig(dim=8, relation_dim=8, layer_dims=(8,))
+            M, N = ooi_split.train.num_users, ooi_split.train.num_items
+            return CKAT(M, N, ooi_ckg_best, cfg, seed=0)
+
+        path = tmp_path / "m.npz"
+        save_parameters(path, float64_ckat(build()))
+        model = build()
+        before = [p.data.copy() for p in model.parameters()]
+        mismatch = r"dtype mismatch for .*: file float64 vs model float32"
+        with pytest.raises(ValueError, match=mismatch):
+            load_parameters(path, model)
+        for p, b in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, b)
 
     def test_parameter_set_mismatch_rejected(self, tmp_path, ooi_ckg_best, ooi_split):
         from repro.models import CKE

@@ -10,6 +10,7 @@ empty batches).
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.models.ckat.layers import (
     compute_edge_attention,
 )
 from repro.models.embeddings import TransR
+from tests.ckat_reference import float64_ckat
 
 
 def _store(num_entities, triples):
@@ -650,6 +652,106 @@ def test_margin_loss_scores_both_halves_in_one_call(monkeypatch):
     assert calls == [6]
 
 
+#: Tolerance of a fused kernel run at float32 against its per-op oracle
+#: chain run at float64, in units of float32's machine epsilon: rtol, and
+#: atol relative to the output's largest entry (sums with cancellation keep
+#: an absolute, not a relative, rounding error).  1600 random cases of the
+#: property below came within 5.5 eps.
+F32_ULPS = 16
+F32_TOL = F32_ULPS * float(np.finfo(np.float32).eps)
+
+
+def _transr_energy_oracle(ent, rel, proj, heads, rels, tails):
+    transr = TransR(ent.shape[0], rel.shape[0], ent.shape[1], rel.shape[1])
+    transr.entity_emb, transr.relation_emb, transr.proj = ent, rel, proj
+    return transr._energy_oracle(heads, rels, tails)
+
+
+def _aggregate_oracle(x, n, w, b, mode, p, rng):
+    joint = F.concat([x, n], axis=1) if mode == "concat" else F.add(x, n)
+    return F.dropout(F.leaky_relu(F.add(joint @ w, b)), p, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_entities=st.integers(1, 12),
+    num_relations=st.integers(1, 4),
+    num_edges=st.integers(1, 40),
+    num_dups=st.integers(0, 8),
+    kernel=st.sampled_from(["attention", "propagation", "aggregate", "transr"]),
+)
+def test_fused_float32_matches_float64_oracle_property(
+    seed, num_entities, num_relations, num_edges, num_dups, kernel
+):
+    """Each fused kernel at float32 == its per-op oracle at float64, to rounding.
+
+    The random graph is that of the float64 parity properties above.  Both
+    sides read the same float32-representable inputs, so the gap is the
+    fused kernel's float32 arithmetic alone; the fused output and every
+    gradient stay float32.
+    """
+    rng = np.random.default_rng(seed)
+    used = rng.permutation(num_relations)[: rng.integers(1, num_relations + 1)]
+    heads = rng.integers(0, max(1, num_entities // 2), num_edges)
+    rels = rng.choice(used, num_edges)
+    tails = rng.integers(0, num_entities, num_edges)
+    dup = rng.integers(0, num_edges, num_dups)
+    heads, rels, tails = np.r_[heads, heads[dup]], np.r_[rels, rels[dup]], np.r_[tails, tails[dup]]
+    store = TripleStore(num_entities)
+    for r in range(num_relations):
+        mask = rels == r
+        store.add_triples(f"r{r}", heads[mask], tails[mask])
+    adj = CSRAdjacency(store)
+    tables = (
+        0.5 * rng.standard_normal((num_entities, 4)),
+        0.5 * rng.standard_normal((num_relations, 3)),
+        0.5 * rng.standard_normal((num_relations, 3, 4)),
+    )
+    if kernel == "attention":
+        fused = partial(dispatch.edge_attention_scores, adj=adj)
+        oracle = partial(_edge_attention_scores_oracle, adj=adj)
+        out_shape = (adj.num_edges,)
+    elif kernel == "propagation":
+        tables = (rng.standard_normal((num_entities, 3)), rng.standard_normal(adj.num_edges))
+        fused = partial(dispatch.weighted_neighbor_sum, adj=adj)
+        oracle = partial(_oracle_neighbor_sum, adj=adj)
+        out_shape = (num_entities, 3)
+    elif kernel == "aggregate":
+        # Both sides draw the same dropout masks from their own generator.
+        mode, p = ["concat", "sum"][seed % 2], [0.0, 0.3][seed // 2 % 2]
+        tables = (
+            rng.standard_normal((num_entities, 3)),
+            rng.standard_normal((num_entities, 3)),
+            rng.standard_normal((6 if mode == "concat" else 3, 2)),
+            rng.standard_normal(2),
+        )
+        fused = partial(dispatch.aggregate, mode=mode, p=p, rng=np.random.default_rng(seed))
+        oracle = partial(_aggregate_oracle, mode=mode, p=p, rng=np.random.default_rng(seed))
+        out_shape = (num_entities, 2)
+    else:
+        triples = {"heads": heads, "rels": rels, "tails": tails}
+        fused = partial(dispatch.transr_energy, **triples)
+        oracle = partial(_transr_energy_oracle, **triples)
+        out_shape = (len(heads),)
+    tables = [t.astype(np.float32) for t in tables]
+    upstream = rng.standard_normal(out_shape).astype(np.float32)
+
+    def run(fn, dtype):
+        params = [Parameter(t.astype(dtype)) for t in tables]
+        out = fn(*params)
+        out.backward(upstream.astype(dtype))
+        return [out.data] + [_dense(p.grad) for p in params]
+
+    with dispatch.kernel_backend("numpy"):
+        got = run(fused, np.float32)
+    ref = run(oracle, np.float64)
+    for g, r in zip(got, ref):
+        assert g.dtype == np.float32
+        scale = max(float(np.abs(r).max(initial=0.0)), 1.0)
+        np.testing.assert_allclose(g, r, rtol=F32_TOL, atol=F32_TOL * scale)
+
+
 class TestTrainingParity:
     """End-to-end: fused and oracle land on the same trained CKAT."""
 
@@ -677,12 +779,14 @@ class TestTrainingParity:
         fit_cfg = FitConfig(epochs=2, batch_size=64, seed=3)
         tables = {}
         for backend in ("oracle", "numpy"):
-            model = CKAT(
-                ooi_split.train.num_users,
-                ooi_split.train.num_items,
-                ooi_ckg_best,
-                cfg,
-                seed=3,
+            model = float64_ckat(
+                CKAT(
+                    ooi_split.train.num_users,
+                    ooi_split.train.num_items,
+                    ooi_ckg_best,
+                    cfg,
+                    seed=3,
+                )
             )
             with dispatch.kernel_backend(backend):
                 model.fit(ooi_split.train, fit_cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Adam, Tensor, no_grad
 from repro.kernels import dispatch
 from repro.models import CKAT, CKATConfig
 from repro.models.base import FitConfig
@@ -18,16 +18,20 @@ from repro.models.ckat.layers import (
     uniform_edge_weights,
 )
 from repro.models.embeddings import TransE, TransR, corrupt_triples
+from tests.ckat_reference import float64_ckat
 
 
 @pytest.fixture(scope="module")
 def ckat_model(ooi_split, ooi_ckg_best):
-    return CKAT(
-        ooi_split.train.num_users,
-        ooi_split.train.num_items,
-        ooi_ckg_best,
-        CKATConfig(dim=16, relation_dim=16, layer_dims=(16, 8)),
-        seed=0,
+    # Float64: the tests below assert identities at atol 1e-9/1e-10.
+    return float64_ckat(
+        CKAT(
+            ooi_split.train.num_users,
+            ooi_split.train.num_items,
+            ooi_ckg_best,
+            CKATConfig(dim=16, relation_dim=16, layer_dims=(16, 8)),
+            seed=0,
+        )
     )
 
 
@@ -282,6 +286,69 @@ class TestCKATTraining:
         params = ckat_model.parameters()
         # TransR: entity + relation + proj; per layer: W + b.
         assert len(params) == 3 + 2 * len(ckat_model.layers)
+
+
+def _tape(root):
+    """Every tensor reachable from ``root`` through the recorded parents."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+class TestFloat32Training:
+    """CKAT trains in float32: no op, kernel or optimizer slot upcasts."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"attention_mode": "batch"}, {"attention_mode": "epoch"}, {"use_attention": False}],
+        ids=["batch-attention", "epoch-attention", "no-attention"],
+    )
+    def test_training_step_stays_float32(self, ooi_split, ooi_ckg_best, monkeypatch, overrides):
+        model = CKAT(
+            ooi_split.train.num_users,
+            ooi_split.train.num_items,
+            ooi_ckg_best,
+            CKATConfig(dim=8, relation_dim=8, layer_dims=(8, 4), **overrides),
+            seed=0,
+        )
+        params = model.parameters()
+        f32 = np.dtype(np.float32)
+        assert {p.dtype for p in params} == {f32}
+        arriving = []
+        accumulate = Tensor.accumulate_grad
+
+        def recording(self, grad, owned=False):
+            arriving.append(grad.dtype)
+            accumulate(self, grad, owned)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+        optimizer = Adam(params, lr=1e-3)
+        rng = np.random.default_rng(0)
+        users = rng.integers(0, ooi_split.train.num_users, 32)
+        pos, neg = rng.integers(0, ooi_split.train.num_items, (2, 32))
+        h, r, t = model.transr.sample_triples(ooi_ckg_best.propagation_store, 64, rng)
+        # One step of each phase: the TransR margin step, then a BPR step.
+        for loss_fn in (
+            lambda: model.transr.margin_loss(h, r, t, rng),
+            lambda: model.batch_loss(users, pos, neg, rng),
+        ):
+            optimizer.zero_grad()
+            loss = loss_fn()
+            assert {n.dtype for n in _tape(loss)} == {f32}
+            loss.backward()
+            optimizer.step()
+            assert {p.grad.dtype for p in params if p.grad is not None} == {f32}
+        assert set(arriving) == {f32}
+        slots = list(optimizer._m.values()) + list(optimizer._v.values())
+        assert len(slots) == 2 * len(params)
+        assert {s.dtype for s in slots} == {f32}
+        model.on_epoch_end()
+        assert model.scoring_factors()[0].dtype == f32
 
 
 class TestTransR:

@@ -11,6 +11,7 @@ import pytest
 from repro.experiments.datasets import load_dataset
 from repro.experiments.runner import MODEL_NAMES, build_model
 from repro.models.base import FitConfig
+from tests.ckat_reference import float64_ckat
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,9 @@ def trained_registry(tiny_setup):
             seed=0,
             ckat_config=CKATConfig(dim=8, relation_dim=8, layer_dims=(8,), kg_steps_per_epoch=2),
         )
+        if name == "CKAT":
+            # Float64: batching invariance is asserted at rtol 1e-8.
+            float64_ckat(model)
         model.fit(ds.split.train, FitConfig(epochs=2, batch_size=256, seed=0))
         out[name] = model
     return out

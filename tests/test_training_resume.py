@@ -15,6 +15,7 @@ from repro.io.checkpoints import (
 )
 from repro.models import BPRMF, CKAT, CKATConfig, CKE, NFM, ItemFeatureTable
 from repro.models.base import FitConfig
+from tests.ckat_reference import float64_ckat
 
 
 @pytest.fixture()
@@ -275,6 +276,24 @@ class TestResumeValidation:
         other_dim = BPRMF(40, 60, dim=16, seed=0)
         with pytest.raises(ValueError, match="shape mismatch"):
             other_dim.fit(tiny_data, FitConfig(epochs=4, batch_size=64, seed=3), resume_from=ck)
+
+    def test_dtype_mismatch_rejected(self, ooi_split, ooi_ckg_best, tmp_path):
+        """A float64 CKAT checkpoint does not resume into float32 tables."""
+        M, N = ooi_split.train.num_users, ooi_split.train.num_items
+        cfg = CKATConfig(dim=8, relation_dim=8, layer_dims=(8,), kg_steps_per_epoch=1)
+        ck = tmp_path / "d.ckpt.npz"
+        old = float64_ckat(CKAT(M, N, ooi_ckg_best, cfg, seed=0))
+        old.fit(
+            ooi_split.train,
+            FitConfig(epochs=1, batch_size=256, seed=0),
+            checkpoint_every=1,
+            checkpoint_path=ck,
+        )
+        fresh = CKAT(M, N, ooi_ckg_best, cfg, seed=0)
+        with pytest.raises(
+            ValueError, match=r"dtype mismatch for .*: checkpoint float64 vs model float32"
+        ):
+            fresh.fit(ooi_split.train, FitConfig(epochs=2, batch_size=256, seed=0), resume_from=ck)
 
     def test_checkpoint_every_requires_path(self, tiny_data):
         m = BPRMF(40, 60, dim=4, seed=0)
