@@ -47,11 +47,13 @@ smoke:
 # warm-rerun bit-safety), data-parallel fork-vs-inline loss identity plus
 # gradient agreement, the serving gate (batched == single under 8
 # concurrent clients, >= 500 req/s, p99 <= 50 ms), the traced allocation
-# peak of one fused CKAT epoch (<= 29 MB) and one OOI TransR step, fused
-# >= 5x faster than the oracle chains. Writes
+# peak of one fused CKAT epoch (<= 29 MB), one OOI TransR step, fused
+# >= 5x faster than the oracle chains, and the vectorized evaluator >= 3x
+# faster than its per-user-loop baseline. Writes
 # benchmarks/results/BENCH_scale.json, BENCH_parallel.json,
-# BENCH_serving.json and BENCH_kernels.json; the other speedup gates need
-# full scale or >= 4 cores and stay in the full benchmark run.
+# BENCH_serving.json, BENCH_kernels.json and BENCH_eval.json; the other
+# speedup gates need full scale or >= 4 cores and stay in the full
+# benchmark run.
 bench-smoke:
 	$(PYTHON) -m pytest -q -m gate_smoke benchmarks
 

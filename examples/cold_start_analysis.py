@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from repro import BPRMF, CKAT, CKATConfig, KnowledgeSources, load_dataset
-from repro.eval import paired_bootstrap_test, per_user_metrics
+from repro.eval import RankingEvaluator, paired_bootstrap_test
 from repro.experiments.coldstart import cold_start_report
 from repro.models.base import FitConfig
 
@@ -46,8 +46,9 @@ def main() -> None:
     print(table)
 
     # Significance of the overall per-user gap.
-    r_bprmf, _, _ = per_user_metrics(bprmf.score_users, train, test, k=20)
-    r_ckat, _, _ = per_user_metrics(ckat.score_users, train, test, k=20)
+    evaluator = RankingEvaluator(train, test, k=20)
+    r_bprmf = evaluator.evaluate_per_user(bprmf.score_users).recall
+    r_ckat = evaluator.evaluate_per_user(ckat.score_users).recall
     test_result = paired_bootstrap_test(r_ckat, r_bprmf, seed=0)
     print(
         f"\npaired bootstrap (CKAT − BPRMF recall@20): "

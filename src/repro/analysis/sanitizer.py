@@ -8,7 +8,7 @@ fast path.  When enabled it instruments the engine at four choke points —
 
 - every public op in :mod:`repro.autograd.functional` and every fused Tensor
   op in :mod:`repro.kernels.dispatch` (outputs are checked for non-finite
-  values and for all-float32 inputs producing float64);
+  values and for a float32 input producing a float64 output);
 - :class:`~repro.autograd.tensor.Tensor` construction (data checked unless
   the tensor is being built inside an instrumented op, which already names
   the op);
@@ -127,13 +127,9 @@ def _wrap_op(name: str, fn: Callable) -> Callable:
         if isinstance(out, Tensor):
             _check_finite(out.data, name, "output")
             ins = _tensor_args(args, kwargs)
-            if (
-                ins
-                and out.data.dtype == np.float64
-                and all(t.data.dtype == np.float32 for t in ins)
-            ):
+            if out.data.dtype == np.float64 and any(t.data.dtype == np.float32 for t in ins):
                 raise SanitizerError(
-                    f"silent float64 upcast in '{name}': every tensor input is "
+                    f"silent float64 upcast in '{name}': a tensor input is "
                     "float32 but the output is float64",
                     op=name,
                     kind="upcast",

@@ -6,7 +6,6 @@ and the top K of the remainder are compared against the held-out test items.
 """
 
 from repro.eval.evaluator import EvaluationResult, PerUserMetrics, RankingEvaluator
-from repro.eval.loo import LOOResult, evaluate_loo, leave_one_out_split
 from repro.eval.metrics import (
     average_precision_at_k,
     hit_at_k,
@@ -16,12 +15,7 @@ from repro.eval.metrics import (
     recall_at_k,
 )
 from repro.eval.sharded import SnapshotScorer, sharded_evaluate
-from repro.eval.significance import (
-    PairedTestResult,
-    bootstrap_ci,
-    paired_bootstrap_test,
-    per_user_metrics,
-)
+from repro.eval.significance import PairedTestResult, bootstrap_ci, paired_bootstrap_test
 
 __all__ = [
     "recall_at_k",
@@ -37,9 +31,5 @@ __all__ = [
     "sharded_evaluate",
     "bootstrap_ci",
     "paired_bootstrap_test",
-    "per_user_metrics",
     "PairedTestResult",
-    "LOOResult",
-    "evaluate_loo",
-    "leave_one_out_split",
 ]

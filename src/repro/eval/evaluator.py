@@ -1,24 +1,22 @@
 """Vectorized full-ranking evaluator.
 
-For each batch of test users the evaluator asks the model for a dense
-(users × items) score matrix, masks the users' training items out of the
-ranking, takes the top K columns with ``argpartition`` (O(N) per row instead
-of a full sort), and accumulates recall/ndcg/precision/hit vectorized across
-the batch.
+For each batch of test users the evaluator writes the batch's negated
+(users × items) scores into a reusable float64 buffer, masks the users'
+training items and takes each row's top K through
+:func:`repro.kernels.dispatch.masked_select` (the package's one selection),
+then accumulates recall/ndcg/precision/hit vectorized across the batch.
 
 The hot path is loop-free (DESIGN.md §6):
 
 - train/test interactions are indexed as CSR (``indptr``/``indices``) once at
-  construction;
-- a batch's training positives are masked with one flat fancy-index (row
-  indices repeated by per-user degree, columns gathered straight from the
-  CSR ``indices`` array);
+  construction, and ``masked_select`` masks a batch's training positives
+  straight from that CSR;
 - hit flags come from a single ``searchsorted`` of the batch's top-K
   ``user * num_items + item`` keys against the globally sorted test keys —
   no per-row ``np.isin``;
 - per-user metrics accumulate into preallocated arrays, and the dense score
-  matrix lives in a reusable buffer (optionally float32) so steady-state
-  evaluation performs no per-batch ``users × items`` allocation.
+  matrix lives in a reusable buffer, so steady-state evaluation performs no
+  per-batch ``users × items`` allocation.
 
 Only users with at least one test interaction are evaluated (the paper's
 protocol: metrics are means over test users).  Because every step is
@@ -29,7 +27,7 @@ the sharded evaluator (:mod:`repro.eval.sharded`) relies on for exactness.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -127,11 +125,6 @@ class RankingEvaluator:
     user_batch:
         Number of users scored per model call — bounds the dense score
         matrix to ``user_batch × num_items`` floats.
-    score_dtype:
-        Dtype of the internal score buffer, ``np.float64`` (default) or
-        ``np.float32``.  float32 halves the masking/top-K memory traffic; at
-        K=20 the induced ranking is identical unless scores tie within
-        float32 resolution.
     """
 
     def __init__(
@@ -140,7 +133,6 @@ class RankingEvaluator:
         test: InteractionDataset,
         k: int = 20,
         user_batch: int = 256,
-        score_dtype=np.float64,
     ):
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -148,14 +140,10 @@ class RankingEvaluator:
             raise ValueError(f"user_batch must be positive, got {user_batch}")
         if train.num_users != test.num_users or train.num_items != test.num_items:
             raise ValueError("train and test must share id spaces")
-        score_dtype = np.dtype(score_dtype)
-        if score_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"score_dtype must be float32 or float64, got {score_dtype}")
         self.train = train
         self.test = test
         self.k = k
         self.user_batch = user_batch
-        self.score_dtype = score_dtype
         self.eval_users = test.active_users()
         # CSR views over the (already user-sorted) interaction arrays.
         self._train_indptr = train.user_offsets
@@ -199,72 +187,47 @@ class RankingEvaluator:
         """A reusable (rows, num_items) view of the internal score buffer."""
         n_items = self.train.num_items
         if self._score_buf is None or self._score_buf.shape[0] < rows:
-            self._score_buf = np.empty((rows, n_items), dtype=self.score_dtype)
+            self._score_buf = np.empty((rows, n_items), dtype=np.float64)
         return self._score_buf[:rows]
 
-    def _mask_train_positives(self, neg_scores: np.ndarray, batch: np.ndarray) -> None:
-        """Mask every training positive of ``batch`` in one flat fancy-index.
-
-        ``neg_scores`` holds *negated* scores, so masking writes +inf
-        (ranked last).
-        """
-        indptr = self._train_indptr
-        deg = indptr[batch + 1] - indptr[batch]
-        total = int(deg.sum())
-        if total == 0:
-            return
-        rows = np.repeat(np.arange(len(batch), dtype=np.int64), deg)
-        # Flat positions into the CSR indices array: each user's run starts
-        # at indptr[user] and the within-run offset is a global arange minus
-        # the run's exclusive cumulative start.
-        run_starts = np.zeros(len(batch), dtype=np.int64)
-        np.cumsum(deg[:-1], out=run_starts[1:])
-        flat = np.repeat(indptr[batch] - run_starts, deg) + np.arange(total, dtype=np.int64)
-        neg_scores[rows, self._train_indices[flat]] = np.inf
-
-    def _top_k(self, neg_scores: np.ndarray) -> np.ndarray:
-        """Row-wise top-K item ids, best first (stable under ties).
-
-        Operates on negated scores so no ``-scores`` temporary is ever
-        materialized: ascending selection over ``neg_scores`` is descending
-        selection over the original scores, with identical tie behavior.
-        """
-        k = self.k
-        top = np.argpartition(neg_scores, k - 1, axis=1)[:, :k]
-        row_idx = np.arange(neg_scores.shape[0], dtype=np.int64)[:, None]
-        order = np.argsort(neg_scores[row_idx, top], axis=1, kind="stable")
-        return top[row_idx, order]
-
-    def _accumulate_batch(
+    def _rank_batches(
         self,
-        top: np.ndarray,
-        batch: np.ndarray,
-        sl: slice,
-        recall: np.ndarray,
-        ndcg: np.ndarray,
-        precision: np.ndarray,
-        hit: np.ndarray,
-    ) -> None:
-        """Fill the per-user metric slices for one ranked batch.
+        users: Optional[np.ndarray],
+        rank_batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> PerUserMetrics:
+        """The protocol's batch loop, shared by the score-function and factor
+        paths so both feed the identical metric pipeline.
 
-        Shared by the score-function and factor paths, so fused and per-op
-        rankings feed the identical metric pipeline.  Hit flags come from one
+        ``rank_batch(batch, neg_buf)`` fills the reusable float64 buffer rows
+        with the batch's negated scores and returns their masked top-``k`` ids
+        (``(len(batch), k)``, best first).  Hit flags come from one
         ``searchsorted`` of the batch's (user, item) keys against the sorted
         global test keys.
         """
+        users = self._resolve_users(users)
+        if users.size == 0:
+            raise ValueError("no users to evaluate")
         k = self.k
         n_items = self.train.num_items
-        keys = batch[:, None] * np.int64(n_items) + top
-        idx = np.searchsorted(self._test_keys, keys.ravel())
-        idx = np.minimum(idx, len(self._test_keys) - 1)
-        gains = (self._test_keys[idx] == keys.ravel()).astype(np.float64)
-        gains = gains.reshape(len(batch), k)
-        n_hit = gains.sum(axis=1)
-        rel = self._test_degree[batch]
-        recall[sl] = n_hit / rel
-        precision[sl] = n_hit / k
-        hit[sl] = n_hit > 0
-        ndcg[sl] = (gains @ self._discounts) / self._idcg[np.minimum(rel, k) - 1]
+        if k > n_items:
+            raise ValueError(f"k={k} exceeds the number of items {n_items}")
+        recall, ndcg, precision, hit = np.empty((4, len(users)), dtype=np.float64)
+        for start in range(0, len(users), self.user_batch):
+            batch = users[start : start + self.user_batch]
+            top = rank_batch(batch, self._score_buffer(len(batch)))
+            keys = (batch[:, None] * np.int64(n_items) + top).ravel()
+            idx = np.minimum(np.searchsorted(self._test_keys, keys), len(self._test_keys) - 1)
+            gains = (self._test_keys[idx] == keys).astype(np.float64).reshape(len(batch), k)
+            n_hit = gains.sum(axis=1)
+            rel = self._test_degree[batch]
+            sl = slice(start, start + len(batch))
+            recall[sl] = n_hit / rel
+            precision[sl] = n_hit / k
+            hit[sl] = n_hit > 0
+            ndcg[sl] = (gains @ self._discounts) / self._idcg[np.minimum(rel, k) - 1]
+        return PerUserMetrics(
+            users=users, recall=recall, ndcg=ndcg, precision=precision, hit=hit, k=k
+        )
 
     # -------------------------------------------------------------- protocol
     def evaluate_per_user(
@@ -280,20 +243,11 @@ class RankingEvaluator:
             Subset of users to evaluate; defaults to all test-active users.
             Every explicit user must have at least one test interaction.
         """
-        users = self._resolve_users(users)
-        if users.size == 0:
-            raise ValueError("no users to evaluate")
-        k = self.k
         n_items = self.train.num_items
-        if k > n_items:
-            raise ValueError(f"k={k} exceeds the number of items {n_items}")
-        n_users = len(users)
-        recall = np.empty(n_users, dtype=np.float64)
-        ndcg = np.empty(n_users, dtype=np.float64)
-        precision = np.empty(n_users, dtype=np.float64)
-        hit = np.empty(n_users, dtype=np.float64)
-        for start in range(0, n_users, self.user_batch):
-            batch = users[start : start + self.user_batch]
+        held = None
+
+        def rank_batch(batch: np.ndarray, neg_scores: np.ndarray) -> np.ndarray:
+            nonlocal held
             raw = np.asarray(score_fn(batch))
             if raw.shape != (len(batch), n_items):
                 raise ValueError(
@@ -301,15 +255,18 @@ class RankingEvaluator:
                 )
             # Fused copy + negate into the reusable buffer: one pass, no
             # per-batch (users × items) allocation.
-            neg_scores = self._score_buffer(len(batch))
-            np.multiply(raw, -1.0, out=neg_scores, casting="unsafe")
-            self._mask_train_positives(neg_scores, batch)
-            top = self._top_k(neg_scores)
-            sl = slice(start, start + len(batch))
-            self._accumulate_batch(top, batch, sl, recall, ndcg, precision, hit)
-        return PerUserMetrics(
-            users=users, recall=recall, ndcg=ndcg, precision=precision, hit=hit, k=k
-        )
+            np.multiply(raw, -1.0, out=neg_scores)
+            # Free each score block only once the next one exists.  A
+            # multi-MB block freed at the top of the heap is trimmed back to
+            # the OS (glibc), so the next batch would page-fault a fresh one:
+            # 1.7x slower ``evaluate`` on the 2k-user problem of
+            # ``benchmarks/test_bench_eval.py`` (2-vCPU x86 VM, one BLAS thread).
+            held = raw
+            return dispatch.masked_select(
+                neg_scores, self.k, self._train_indptr, self._train_indices, batch
+            )
+
+        return self._rank_batches(users, rank_batch)
 
     def evaluate(self, score_fn, users: Optional[np.ndarray] = None) -> EvaluationResult:
         """Run the protocol and reduce to metric means (the paper's numbers)."""
@@ -327,11 +284,11 @@ class RankingEvaluator:
         For models whose scores factor through embedding matrices (CKAT,
         BPR-MF, …) this skips the score-function indirection: per batch the
         fused :func:`repro.kernels.dispatch.masked_topk` writes the negated
-        product straight into the reusable score buffer, masks training
-        positives and selects the top K in one call — no raw ``(B, N)``
-        score matrix or separate copy-negate pass.  Under the ``oracle``
-        backend it degrades to :meth:`evaluate_per_user` with an equivalent
-        score function, which is the parity reference.
+        product straight into the reusable score buffer and selects through
+        ``masked_select`` — no raw ``(B, N)`` score matrix or separate
+        copy-negate pass.  float32 factors (CKAT) are multiplied at their own
+        precision and widened into the float64 buffer, exactly as a float32
+        ``score_fn`` is on :meth:`evaluate_per_user`.
         """
         user_vecs = np.asarray(user_vecs)
         item_vecs = np.asarray(item_vecs)
@@ -344,36 +301,17 @@ class RankingEvaluator:
             raise ValueError(
                 f"item_vecs must be ({n_items}, {user_vecs.shape[1]}), got {item_vecs.shape}"
             )
-        if not dispatch.fused_enabled():
-            return self.evaluate_per_user(
-                lambda batch: user_vecs[batch] @ item_vecs.T, users
-            )
-        users = self._resolve_users(users)
-        if users.size == 0:
-            raise ValueError("no users to evaluate")
-        k = self.k
-        if k > n_items:
-            raise ValueError(f"k={k} exceeds the number of items {n_items}")
-        n_users = len(users)
-        recall = np.empty(n_users, dtype=np.float64)
-        ndcg = np.empty(n_users, dtype=np.float64)
-        precision = np.empty(n_users, dtype=np.float64)
-        hit = np.empty(n_users, dtype=np.float64)
-        for start in range(0, n_users, self.user_batch):
-            batch = users[start : start + self.user_batch]
-            top = dispatch.masked_topk(
+        return self._rank_batches(
+            users,
+            lambda batch, neg_buf: dispatch.masked_topk(
                 user_vecs[batch],
                 item_vecs,
-                k,
-                self._score_buffer(len(batch)),
+                self.k,
+                neg_buf,
                 self._train_indptr,
                 self._train_indices,
                 batch,
-            )
-            sl = slice(start, start + len(batch))
-            self._accumulate_batch(top, batch, sl, recall, ndcg, precision, hit)
-        return PerUserMetrics(
-            users=users, recall=recall, ndcg=ndcg, precision=precision, hit=hit, k=k
+            ),
         )
 
     def evaluate_factors(
@@ -396,62 +334,3 @@ class RankingEvaluator:
         if factors is not None:
             return self.evaluate_factors(*factors, users=users)
         return self.evaluate(model.score_users, users)
-
-    # ------------------------------------------------------- legacy reference
-    def evaluate_legacy(
-        self, score_fn, users: Optional[np.ndarray] = None
-    ) -> EvaluationResult:
-        """Pre-vectorization reference path (per-user Python loops).
-
-        Kept as the correctness oracle for the fast path and as the baseline
-        of ``benchmarks/test_bench_eval.py``.  Matches :meth:`evaluate` to
-        float tolerance on any input the fast path accepts.
-        """
-        users = self._resolve_users(users)
-        if users.size == 0:
-            raise ValueError("no users to evaluate")
-        k = self.k
-        n_items = self.train.num_items
-        if k > n_items:
-            raise ValueError(f"k={k} exceeds the number of items {n_items}")
-        recalls: List[float] = []
-        ndcgs: List[float] = []
-        precisions: List[float] = []
-        hits: List[float] = []
-        ideal_discounts = 1.0 / np.log2(np.arange(2, k + 2, dtype=np.float64))
-        for start in range(0, len(users), self.user_batch):
-            batch = users[start : start + self.user_batch]
-            scores = np.array(score_fn(batch), dtype=np.float64, copy=True)
-            if scores.shape != (len(batch), n_items):
-                raise ValueError(
-                    f"score_fn returned shape {scores.shape}, expected {(len(batch), n_items)}"
-                )
-            for row, user in enumerate(batch):
-                scores[row, self.train.items_of_user(int(user))] = -np.inf
-            top = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-            row_idx = np.arange(len(batch), dtype=np.int64)[:, None]
-            order = np.argsort(-scores[row_idx, top], axis=1, kind="stable")
-            top = top[row_idx, order]
-            for row, user in enumerate(batch):
-                relevant = self.test.items_of_user(int(user))
-                rel_count = len(relevant)
-                if rel_count == 0:
-                    continue
-                gains = np.isin(top[row], relevant).astype(np.float64)
-                n_hit = gains.sum()
-                recalls.append(n_hit / rel_count)
-                precisions.append(n_hit / k)
-                hits.append(1.0 if n_hit > 0 else 0.0)
-                dcg = float((gains * ideal_discounts).sum())
-                idcg = float(ideal_discounts[: min(rel_count, k)].sum())
-                ndcgs.append(dcg / idcg if idcg > 0 else 0.0)
-        if not recalls:
-            raise ValueError("no evaluable users (every candidate had an empty test set)")
-        return EvaluationResult(
-            recall=float(np.mean(recalls)),
-            ndcg=float(np.mean(ndcgs)),
-            precision=float(np.mean(precisions)),
-            hit=float(np.mean(hits)),
-            k=k,
-            num_users=len(recalls),
-        )

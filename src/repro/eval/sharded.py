@@ -89,7 +89,6 @@ class EvalShard:
     score_fn: Callable[[np.ndarray], np.ndarray]
     k: int
     user_batch: int
-    score_dtype: str
 
 
 def _evaluate_shard(shard: EvalShard) -> Tuple[PerUserMetrics, float]:
@@ -101,11 +100,7 @@ def _evaluate_shard(shard: EvalShard) -> Tuple[PerUserMetrics, float]:
     """
     start = time.perf_counter()
     evaluator = RankingEvaluator(
-        shard.train,
-        shard.test,
-        k=shard.k,
-        user_batch=shard.user_batch,
-        score_dtype=np.dtype(shard.score_dtype),
+        shard.train, shard.test, k=shard.k, user_batch=shard.user_batch
     )
     metrics = evaluator.evaluate_per_user(shard.score_fn, users=shard.users)
     return metrics, time.perf_counter() - start
@@ -124,8 +119,8 @@ def sharded_evaluate(
     Parameters
     ----------
     evaluator:
-        Configured :class:`RankingEvaluator`; supplies train/test, ``k``,
-        ``user_batch`` and ``score_dtype`` to every shard.
+        Configured :class:`RankingEvaluator`; supplies train/test, ``k`` and
+        ``user_batch`` to every shard.
     score_fn:
         Scoring callable.  With a :class:`ProcessExecutor` it must be
         picklable — use :class:`SnapshotScorer` to ship a checkpointed
@@ -162,7 +157,6 @@ def sharded_evaluate(
             score_fn=score_fn,
             k=evaluator.k,
             user_batch=evaluator.user_batch,
-            score_dtype=evaluator.score_dtype.name,
         )
         for chunk in chunk_indices(len(all_users), num_shards)
     ]

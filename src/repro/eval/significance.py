@@ -7,58 +7,22 @@ These helpers quantify whether a Table-II-style gap is real:
   per-user metric mean;
 - :func:`paired_bootstrap_test` — one-sided paired bootstrap on per-user
   metric differences between two models (the standard IR significance test
-  for top-K metrics);
-- :func:`per_user_metrics` — per-user recall/ndcg vectors for a scoring
-  function, the inputs to the above.
+  for top-K metrics).
+
+Their inputs are the per-user metric vectors of
+:meth:`repro.eval.evaluator.RankingEvaluator.evaluate_per_user`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.data.interactions import InteractionDataset
 from repro.utils.rng import ensure_rng
 
-__all__ = ["per_user_metrics", "bootstrap_ci", "paired_bootstrap_test", "PairedTestResult"]
-
-
-def per_user_metrics(
-    score_fn: Callable[[np.ndarray], np.ndarray],
-    train: InteractionDataset,
-    test: InteractionDataset,
-    k: int = 20,
-    user_batch: int = 256,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-user (recall@k, ndcg@k) plus the evaluated user ids.
-
-    Same protocol as :class:`repro.eval.evaluator.RankingEvaluator` but
-    returning the per-user vectors instead of means.
-    """
-    users = test.active_users()
-    recalls = np.empty(len(users), dtype=np.float64)
-    ndcgs = np.empty(len(users), dtype=np.float64)
-    discounts = 1.0 / np.log2(np.arange(2, k + 2, dtype=np.float64))
-    pos = 0
-    for start in range(0, len(users), user_batch):
-        batch = users[start : start + user_batch]
-        scores = np.array(score_fn(batch), dtype=np.float64, copy=True)
-        for row, u in enumerate(batch):
-            scores[row, train.items_of_user(int(u))] = -np.inf
-        top = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        row_idx = np.arange(len(batch), dtype=np.int64)[:, None]
-        order = np.argsort(-scores[row_idx, top], axis=1, kind="stable")
-        top = top[row_idx, order]
-        for row, u in enumerate(batch):
-            relevant = test.items_of_user(int(u))
-            gains = np.isin(top[row], relevant).astype(np.float64)
-            recalls[pos] = gains.sum() / len(relevant)
-            idcg = discounts[: min(len(relevant), k)].sum()
-            ndcgs[pos] = float((gains * discounts).sum() / idcg) if idcg > 0 else 0.0
-            pos += 1
-    return recalls, ndcgs, users
+__all__ = ["bootstrap_ci", "paired_bootstrap_test", "PairedTestResult"]
 
 
 def bootstrap_ci(

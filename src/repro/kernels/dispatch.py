@@ -317,7 +317,7 @@ def masked_topk(
 
     Always NumPy: the product is one BLAS call into the caller's reusable
     buffer, which no jitted loop improves on.  Ranking (including tie
-    behavior) is identical to the evaluator's per-op chain.  ``valid_out``
+    behavior) is :func:`masked_select`'s over the negated product.  ``valid_out``
     receives per-row real-candidate counts (see the backend docstring) so
     serving callers can truncate masked filler from short rows.
     """
@@ -344,8 +344,10 @@ def masked_select(
     """The train-mask → top-k half of :func:`masked_topk`, over scores the
     caller already wrote, negated, into ``neg_buf`` (masked in place).
 
-    Serving fills each row with its own GEMV so a row's bits cannot depend
-    on its batch mates, then selects the whole block in one call.
+    The one selection every top-k in the package runs: the evaluator,
+    ``Recommender.recommend`` and serving.  Serving fills each row with its
+    own GEMV so a row's bits cannot depend on its batch mates, then selects
+    the whole block in one call.
     """
     return numpy_backend.masked_select(
         neg_buf, k, train_indptr, train_indices, batch, valid_out=valid_out

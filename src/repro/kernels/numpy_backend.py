@@ -434,18 +434,17 @@ def masked_topk(
     Writes ``-(user_vecs @ item_vecsᵀ)`` straight into the caller's reusable
     ``neg_buf`` rows (negating the small ``(B, dim)`` factor once instead of
     copy-negating the ``(B, N)`` score matrix), masks each user's training
-    positives to ``+inf`` with one flat fancy-index, and returns the row-wise
-    top-``k`` item ids, best first, stable under ties — the exact ranking the
-    per-op evaluator chain produces.
+    positives and selects through :func:`masked_select`, so its ranking is
+    exactly that of ``masked_select`` over the negated product.
 
     When ``k`` exceeds a row's unmasked-candidate count the selection
     necessarily includes masked (``+inf``) columns; the stable sort pushes
     them past every real candidate, so each row is always a valid prefix of
     real recommendations followed by masked filler.  ``valid_out`` (int64,
     length ≥ rows) receives each row's real-candidate count so callers that
-    must never surface a masked id — the serving layer — can clamp per row,
-    mirroring the single-user clamp in ``Recommender.recommend``.  A row
-    whose every candidate is masked reports 0.
+    must never surface a masked id — the serving layer and
+    ``Recommender.recommend`` — can clamp per row.  A row whose every
+    candidate is masked reports 0.
     """
     rows = user_vecs.shape[0]
     buf = neg_buf[:rows]
@@ -454,10 +453,10 @@ def masked_topk(
         # blocked product equals -(U @ Vᵀ) bit-for-bit.
         np.matmul(-user_vecs, item_vecs.T, out=buf)
     else:
-        # Mixed precision (e.g. float32 score buffer over float64 factors):
-        # compute the product at factor precision and downcast on the copy-
-        # negate — the exact sequence of the per-op evaluator chain.
-        np.multiply(user_vecs @ item_vecs.T, -1.0, out=buf, casting="unsafe")
+        # Mixed precision (float32 CKAT factors, float64 buffer): compute the
+        # product at factor precision and widen on the copy-negate — the
+        # sequence the evaluator applies to a float32 score function.
+        np.multiply(user_vecs @ item_vecs.T, -1.0, out=buf)
     return masked_select(buf, k, train_indptr, train_indices, batch, valid_out)
 
 
@@ -471,8 +470,11 @@ def masked_select(
 ) -> np.ndarray:
     """Train-mask → top-k over a block of already-negated scores.
 
-    The selection half of :func:`masked_topk`, for callers that fill the
-    ``(len(batch), num_items)`` block ``neg_buf`` themselves: row ``i``
+    The one mask-and-select in the package: the evaluator (directly and as
+    the selection half of :func:`masked_topk`), the serving index and
+    ``Recommender.recommend`` all rank through it, and the tests hold it to
+    a brute-force full stable sort (``tests/ranking_oracle.py``).  Callers
+    fill the ``(len(batch), num_items)`` block ``neg_buf`` themselves: row ``i``
     masks the CSR row ``batch[i]`` of ``train_indptr``/``train_indices`` to
     ``+inf`` in place, then the ``k`` smallest entries are selected, best
     first and stable under ties.  Every step works row by row, so a row's

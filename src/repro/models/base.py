@@ -31,6 +31,7 @@ import numpy as np
 from repro.autograd import Parameter, Tensor
 from repro.autograd import functional as F
 from repro.data.interactions import InteractionDataset
+from repro.kernels import dispatch
 from repro.train.engine import FitConfig, FitResult, StepExecutor, StepFn, TrainEngine
 from repro.utils.telemetry import RunLogger
 
@@ -216,31 +217,37 @@ class Recommender:
 
     # ------------------------------------------------------------ inference
     def recommend(self, user: int, k: int = 20, exclude: Optional[np.ndarray] = None) -> np.ndarray:
-        """Top-``k`` item ids for one user, optionally excluding seen items."""
+        """Top-``k`` item ids for one user, optionally excluding seen items.
+
+        The user's row, scored alone, goes through the same train-mask →
+        top-k selection as the evaluator and the serving index
+        (:func:`repro.kernels.dispatch.masked_select`), with ``exclude`` as
+        the row's mask.  Fewer than ``k`` ids come back when fewer items
+        remain rankable.
+        """
         if not 0 <= user < self.num_users:
             raise ValueError(f"user {user} out of range")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        scores = self.score_users(np.array([user]))[0].astype(np.float64, copy=True)
-        if exclude is not None and len(exclude):
-            exclude = np.asarray(exclude, dtype=np.int64)
-            # Validate before masking: a negative id wraps around and masks
-            # the wrong item; an id >= num_items raises a bare IndexError
-            # deep in numpy.  Both reach here straight from serving-layer
-            # request payloads, so fail loudly with the offending ids.
-            bad = exclude[(exclude < 0) | (exclude >= self.num_items)]
-            if bad.size:
-                raise ValueError(
-                    f"exclude contains item ids outside [0, {self.num_items}): "
-                    f"{np.unique(bad).tolist()[:10]}"
-                )
-            scores[exclude] = -np.inf
-        # Clamp to the number of rankable candidates: with a large exclude
-        # set, argpartition on the raw k would let -inf-masked ids survive
-        # into the output.
-        k = min(k, int(np.count_nonzero(scores > -np.inf)))
-        if k == 0:
-            return np.array([], dtype=np.int64)
-        top = np.argpartition(-scores, k - 1)[:k]
-        top = top[np.argsort(-scores[top], kind="stable")]
-        return top[scores[top] > -np.inf]
+        exclude = np.asarray([] if exclude is None else exclude, dtype=np.int64)
+        # Validate before masking: a negative id wraps around and masks the
+        # wrong item; an id >= num_items raises a bare IndexError deep in
+        # numpy.  Both reach here straight from serving-layer request
+        # payloads, so fail loudly with the offending ids.
+        bad = exclude[(exclude < 0) | (exclude >= self.num_items)]
+        if bad.size:
+            raise ValueError(
+                f"exclude contains item ids outside [0, {self.num_items}): "
+                f"{np.unique(bad).tolist()[:10]}"
+            )
+        neg = np.negative(self.score_users(np.array([user])), dtype=np.float64)
+        valid = np.empty(1, dtype=np.int64)
+        top = dispatch.masked_select(
+            neg,
+            min(k, self.num_items),
+            np.array([0, exclude.size], dtype=np.int64),
+            exclude,
+            np.zeros(1, dtype=np.int64),
+            valid_out=valid,
+        )
+        return top[0, : valid[0]]

@@ -91,7 +91,7 @@ class CFKG(Recommender):
         u = F.take_rows(self.transe.entity_emb, self._user_entities[users])
         i = F.take_rows(self.transe.entity_emb, self._item_entities[pos])
         j = F.take_rows(self.transe.entity_emb, self._item_entities[neg])
-        reg = F.mul(batch_l2(u, i, j), F.astensor(self.l2 / len(users)))
+        reg = F.mul(batch_l2(u, i, j), F.astensor(self.l2 / len(users), like=u))
         return F.add(loss, reg)
 
     def extra_epoch_step(

@@ -98,7 +98,7 @@ class CKE(Recommender):
         i = self._item_repr(pos)
         j = self._item_repr(neg)
         loss = F.bpr_loss(F.sum(F.mul(u, i), axis=1), F.sum(F.mul(u, j), axis=1))
-        reg = F.mul(batch_l2(u, i, j), F.astensor(self.l2 / len(users)))
+        reg = F.mul(batch_l2(u, i, j), F.astensor(self.l2 / len(users), like=u))
         return F.add(loss, reg)
 
     def extra_epoch_step(

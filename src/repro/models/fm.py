@@ -135,7 +135,7 @@ class FM(Recommender):
             F.add(F.sum(F.mul(vu, vu), axis=1), F.sum(F.mul(vi, vi), axis=1)),
             F.sum(attr_sq_sum, axis=1),
         )
-        pairwise = F.mul(F.sub(sq_of_sum, sum_of_sq), F.astensor(0.5))
+        pairwise = F.mul(F.sub(sq_of_sum, sum_of_sq), F.astensor(0.5, like=sq_of_sum))
         wu = F.reshape(F.take_rows(self.linear, u_ids), (len(users),))
         wi = F.reshape(F.take_rows(self.linear, i_ids), (len(users),))
         wa = F.reshape(
@@ -152,7 +152,7 @@ class FM(Recommender):
         vu = F.take_rows(self.factors, self._user_feature_ids(users))
         vi = F.take_rows(self.factors, self._item_feature_ids(pos))
         vj = F.take_rows(self.factors, self._item_feature_ids(neg))
-        reg = F.mul(batch_l2(vu, vi, vj), F.astensor(self.l2 / len(users)))
+        reg = F.mul(batch_l2(vu, vi, vj), F.astensor(self.l2 / len(users), like=vu))
         return F.add(loss, reg)
 
     def score_users(self, users: np.ndarray) -> np.ndarray:

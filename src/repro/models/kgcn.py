@@ -141,7 +141,7 @@ class KGCN(Recommender):
         u = F.take_rows(self.user_emb, users)
         vi = F.take_rows(self.entity_emb, self._item_entities[pos])
         vj = F.take_rows(self.entity_emb, self._item_entities[neg])
-        reg = F.mul(batch_l2(u, vi, vj), F.astensor(self.l2 / len(users)))
+        reg = F.mul(batch_l2(u, vi, vj), F.astensor(self.l2 / len(users), like=u))
         return F.add(loss, reg)
 
     def score_users(self, users: np.ndarray, item_chunk: int = 512) -> np.ndarray:

@@ -84,7 +84,7 @@ class NFM(Recommender):
         attr_sq = F.segment_sum(F.mul(va, va), seg)
         total = F.add(F.add(vu, vi), attr_sum)
         sum_sq = F.add(F.add(F.mul(vu, vu), F.mul(vi, vi)), attr_sq)
-        return F.mul(F.sub(F.mul(total, total), sum_sq), F.astensor(0.5))
+        return F.mul(F.sub(F.mul(total, total), sum_sq), F.astensor(0.5, like=total))
 
     def _linear_term(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         u_ids = np.asarray(users, dtype=np.int64) + self.features.user_offset
@@ -113,7 +113,9 @@ class NFM(Recommender):
         vu = F.take_rows(self.factors, users + self.features.user_offset)
         vi = F.take_rows(self.factors, pos + self.features.item_offset)
         vj = F.take_rows(self.factors, neg + self.features.item_offset)
-        reg = F.mul(batch_l2(vu, vi, vj, self.W1, self.h), F.astensor(self.l2 / len(users)))
+        reg = F.mul(
+            batch_l2(vu, vi, vj, self.W1, self.h), F.astensor(self.l2 / len(users), like=vu)
+        )
         return F.add(loss, reg)
 
     # ------------------------------------------------------------- inference

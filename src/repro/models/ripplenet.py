@@ -182,7 +182,7 @@ class RippleNet(Recommender):
         loss = F.bpr_loss(self._pair_scores(users, pos), self._pair_scores(users, neg))
         vi = F.take_rows(self.entity_emb, self._item_entities[pos])
         vj = F.take_rows(self.entity_emb, self._item_entities[neg])
-        reg = F.mul(batch_l2(vi, vj), F.astensor(self.l2 / len(users)))
+        reg = F.mul(batch_l2(vi, vj), F.astensor(self.l2 / len(users), like=vi))
         return F.add(loss, reg)
 
     def score_users(self, users: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ of requests — known users and fold-in handles mixed freely — through one
 row, then one masked selection over the group.  Sub-batching by ``k``
 is a correctness decision, not a convenience: selecting ``k_max`` candidates
 and truncating each row to its own ``k`` is *not* tie-identical to selecting
-``k`` directly (``argpartition`` may admit a different member of a tied
-cohort at the wider cut), and the service promises batched responses
+``k`` directly (the partial selection may admit a different member of a
+tied cohort at the wider cut), and the service promises batched responses
 bit-identical to single-request scoring.
 
 Known users resolve their vector through an LRU cache (copying the row out

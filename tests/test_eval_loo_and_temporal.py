@@ -1,85 +1,14 @@
-"""Tests for the LOO evaluation protocol and temporal session structure."""
+"""Tests for the temporal session structure of facility traces."""
 
 import numpy as np
 import pytest
 
-from repro.eval.loo import LOOResult, evaluate_loo, leave_one_out_split
 from repro.facility.temporal import (
     SessionConfig,
     add_session_structure,
     hour_of_day_profile,
     interarrival_stats,
 )
-
-
-class TestLeaveOneOutSplit:
-    def test_one_heldout_per_multi_user(self, ooi_interactions):
-        train, (users, items) = leave_one_out_split(ooi_interactions, seed=0)
-        deg = ooi_interactions.user_degree()
-        assert len(users) == int((deg >= 2).sum())
-        assert len(train) + len(users) == len(ooi_interactions)
-
-    def test_heldout_removed_from_train(self, ooi_interactions):
-        train, (users, items) = leave_one_out_split(ooi_interactions, seed=0)
-        for u, i in zip(users[:20], items[:20]):
-            assert i not in train.items_of_user(int(u))
-
-    def test_deterministic(self, ooi_interactions):
-        a = leave_one_out_split(ooi_interactions, seed=3)
-        b = leave_one_out_split(ooi_interactions, seed=3)
-        np.testing.assert_array_equal(a[1][1], b[1][1])
-
-
-class TestEvaluateLOO:
-    def test_oracle_gets_perfect_hr(self, ooi_interactions):
-        train, (users, items) = leave_one_out_split(ooi_interactions, seed=0)
-        target_of = dict(zip(users.tolist(), items.tolist()))
-
-        def oracle(batch):
-            scores = np.zeros((len(batch), train.num_items))
-            for row, u in enumerate(batch):
-                scores[row, target_of[int(u)]] = 10.0
-            return scores
-
-        result = evaluate_loo(oracle, train, users, items, k=10, num_negatives=50, seed=0)
-        assert result.hr == pytest.approx(1.0)
-        assert result.ndcg == pytest.approx(1.0)
-
-    def test_adversary_gets_zero(self, ooi_interactions):
-        train, (users, items) = leave_one_out_split(ooi_interactions, seed=0)
-        target_of = dict(zip(users.tolist(), items.tolist()))
-
-        def adversary(batch):
-            scores = np.ones((len(batch), train.num_items))
-            for row, u in enumerate(batch):
-                scores[row, target_of[int(u)]] = -10.0
-            return scores
-
-        result = evaluate_loo(adversary, train, users, items, k=10, num_negatives=50, seed=0)
-        assert result.hr == 0.0
-
-    def test_random_scores_near_expected(self, ooi_interactions):
-        """With random scores, HR@k ≈ k / (negatives + 1)."""
-        train, (users, items) = leave_one_out_split(ooi_interactions, seed=0)
-        rng = np.random.default_rng(0)
-        table = rng.random((train.num_users, train.num_items))
-        result = evaluate_loo(
-            lambda b: table[b], train, users, items, k=10, num_negatives=99, seed=0
-        )
-        assert abs(result.hr - 10 / 100) < 0.08
-
-    def test_validation(self, ooi_interactions):
-        train, (users, items) = leave_one_out_split(ooi_interactions, seed=0)
-        with pytest.raises(ValueError):
-            evaluate_loo(lambda b: None, train, users, items, k=0)
-        with pytest.raises(ValueError):
-            evaluate_loo(lambda b: None, train, users[:2], items[:3])
-        with pytest.raises(ValueError):
-            evaluate_loo(lambda b: None, train, users[:0], items[:0])
-
-    def test_str(self):
-        r = LOOResult(hr=0.5, ndcg=0.3, k=10, num_users=5, num_negatives=99)
-        assert "HR@10" in str(r)
 
 
 class TestSessionStructure:

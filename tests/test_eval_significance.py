@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval import RankingEvaluator, bootstrap_ci, paired_bootstrap_test, per_user_metrics
+from repro.eval import RankingEvaluator, bootstrap_ci, paired_bootstrap_test
 
 
 class TestBootstrapCI:
@@ -78,16 +78,19 @@ class TestPairedBootstrap:
 
 
 class TestPerUserMetrics:
+    """The per-user vectors the bootstrap helpers consume."""
+
     def test_matches_evaluator_means(self, ooi_split):
         rng = np.random.default_rng(0)
         table = rng.normal(size=(ooi_split.train.num_users, ooi_split.train.num_items))
         score_fn = lambda users: table[users]  # noqa: E731
-        recalls, ndcgs, users = per_user_metrics(score_fn, ooi_split.train, ooi_split.test, k=10)
         ev = RankingEvaluator(ooi_split.train, ooi_split.test, k=10)
+        per_user = ev.evaluate_per_user(score_fn)
         result = ev.evaluate(score_fn)
-        assert result.recall == pytest.approx(recalls.mean())
-        assert result.ndcg == pytest.approx(ndcgs.mean())
-        assert len(users) == result.num_users
+        assert result.recall == pytest.approx(per_user.recall.mean())
+        assert result.ndcg == pytest.approx(per_user.ndcg.mean())
+        np.testing.assert_array_equal(per_user.users, ooi_split.test.active_users())
+        assert len(per_user.users) == result.num_users
 
     def test_oracle_gets_ones(self, ooi_split):
         def oracle(users):
@@ -96,7 +99,8 @@ class TestPerUserMetrics:
                 scores[row, ooi_split.test.items_of_user(int(u))] = 1.0
             return scores
 
-        recalls, ndcgs, _ = per_user_metrics(oracle, ooi_split.train, ooi_split.test, k=20)
+        per_user = RankingEvaluator(ooi_split.train, ooi_split.test, k=20).evaluate_per_user(oracle)
+        recalls, ndcgs = per_user.recall, per_user.ndcg
         # Users with ≤20 test items get perfect recall with the oracle.
         few = np.array(
             [len(ooi_split.test.items_of_user(int(u))) <= 20 for u in ooi_split.test.active_users()]

@@ -22,6 +22,7 @@ from repro.autograd import Parameter, Tensor, functional as F, gradcheck, no_gra
 from repro.autograd.sparse import SparseRowGrad, segment_sum_rows
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import RankingEvaluator
+from repro.eval.metrics import ndcg_at_k, recall_at_k
 from repro.kernels import dispatch
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.triples import TripleStore
@@ -34,6 +35,7 @@ from repro.models.ckat.layers import (
 )
 from repro.models.embeddings import TransR
 from tests.ckat_reference import float64_ckat
+from tests.ranking_oracle import assert_matches_oracle, oracle_rank, oracle_topk
 
 
 def _store(num_entities, triples):
@@ -816,41 +818,50 @@ class TestEvaluatorParity:
         v = rng.standard_normal((30, 8))
         return train, test, u, v
 
+    @staticmethod
+    def _oracle_metrics(train, test, u, v, k, users):
+        """Per-user recall/ndcg of the brute-force oracle's rankings."""
+        top = oracle_topk(-(u[users] @ v.T), [train.items_of_user(int(x)) for x in users], k)
+        relevant = [set(test.items_of_user(int(x)).tolist()) for x in users]
+        recall = [recall_at_k(t.tolist(), rel, k) for t, rel in zip(top, relevant)]
+        ndcg = [ndcg_at_k(t.tolist(), rel, k) for t, rel in zip(top, relevant)]
+        return np.array(recall), np.array(ndcg)
+
     def test_factors_path_matches_oracle(self):
         train, test, u, v = self._problem()
         ev = RankingEvaluator(train, test, k=5)
-        with dispatch.kernel_backend("oracle"):
-            ref = ev.evaluate_factors_per_user(u, v)
-        with dispatch.kernel_backend("numpy"):
-            got = ev.evaluate_factors_per_user(u, v)
-        np.testing.assert_array_equal(got.recall, ref.recall)
-        np.testing.assert_array_equal(got.ndcg, ref.ndcg)
+        got = ev.evaluate_factors_per_user(u, v)
+        recall, ndcg = self._oracle_metrics(train, test, u, v, 5, got.users)
+        np.testing.assert_allclose(got.recall, recall, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.ndcg, ndcg, rtol=0, atol=1e-12)
 
     def test_float32_score_mode(self):
+        """float32 factors (CKAT's dtype) are multiplied at float32 and widened
+        into the float64 buffer: bit-equal to a float32 ``score_fn``, and
+        within float32 rounding of the float64 factors."""
         train, test, u, v = self._problem()
-        with dispatch.kernel_backend("numpy"):
-            got = RankingEvaluator(
-                train, test, k=5, score_dtype=np.float32
-            ).evaluate_factors_per_user(u, v)
-            ref = RankingEvaluator(train, test, k=5).evaluate_factors_per_user(u, v)
-        # float32 scoring may only reorder exact ties; aggregates agree
+        u32, v32 = u.astype(np.float32), v.astype(np.float32)
+        ev = RankingEvaluator(train, test, k=5)
+        got = ev.evaluate_factors_per_user(u32, v32)
+        via_score_fn = ev.evaluate_per_user(lambda batch: u32[batch] @ v32.T)
+        np.testing.assert_array_equal(got.recall, via_score_fn.recall)
+        np.testing.assert_array_equal(got.ndcg, via_score_fn.ndcg)
+        ref = ev.evaluate_factors_per_user(u, v)
         assert abs(got.reduce().recall - ref.reduce().recall) < 1e-6
         assert abs(got.reduce().ndcg - ref.reduce().ndcg) < 1e-6
 
     def test_empty_test_users(self):
-        """Users with no test positives are skipped identically on both paths."""
+        """Only users with test positives are evaluated, and they rank as the
+        oracle does."""
         train, _, u, v = self._problem()
         rng = np.random.default_rng(29)
         test = InteractionDataset(
             np.zeros(3, dtype=np.int64), rng.integers(0, 30, 3), 12, 30
         )
-        ev = RankingEvaluator(train, test, k=5)
-        with dispatch.kernel_backend("oracle"):
-            ref = ev.evaluate_factors_per_user(u, v)
-        with dispatch.kernel_backend("numpy"):
-            got = ev.evaluate_factors_per_user(u, v)
-        np.testing.assert_array_equal(got.users, ref.users)
-        np.testing.assert_array_equal(got.recall, ref.recall)
+        got = RankingEvaluator(train, test, k=5).evaluate_factors_per_user(u, v)
+        np.testing.assert_array_equal(got.users, [0])
+        recall, _ = self._oracle_metrics(train, test, u, v, 5, got.users)
+        np.testing.assert_allclose(got.recall, recall, rtol=0, atol=1e-12)
 
     def test_masked_topk_empty_batch(self):
         _, _, u, v = self._problem()
@@ -938,10 +949,11 @@ def test_masked_select_invariants_property(seed, num_users, num_items, rows, dat
     """Selection over negated blocks with forced ties and random exclusions.
 
     Block values come from a five-value set, so most rows hold tied
-    cohorts; one user (when drawn) masks every item.  The ids must equal the
-    evaluator's per-op chain, the valid prefix must be finite, ascending in
-    negated score and free of masked ids, filler must be masked, and
-    ``valid == min(k, unmasked count)``.  ``masked_topk`` must equal
+    cohorts; one user (when drawn) masks every item.  The ids must match the
+    brute-force oracle (tie cohorts as sets), the block must be masked in
+    place exactly as the oracle masks it, the valid prefix must be finite,
+    ascending in negated score and free of masked ids, filler must be
+    masked, and ``valid == min(k, unmasked count)``.  ``masked_topk`` must equal
     ``masked_select`` over ``-(U @ Vᵀ)`` bit for bit.
     """
     k = data.draw(st.integers(1, num_items), label="k")
@@ -951,21 +963,16 @@ def test_masked_select_invariants_property(seed, num_users, num_items, rows, dat
     if rng.random() < 0.5:  # one user has every item masked
         pairs = np.r_[pairs, np.c_[np.full(num_items, full), np.arange(num_items)]]
     train = InteractionDataset(pairs[:, 0], pairs[:, 1], num_users, num_items)
-    empty = np.zeros(0, dtype=np.int64)
-    ev = RankingEvaluator(
-        train, InteractionDataset(empty, empty, num_users, num_items), k=k
-    )
-    indptr, indices = ev._train_indptr, ev._train_indices
+    indptr, indices = train.user_offsets, train.item_ids
     batch = rng.integers(0, num_users, rows)
     block = rng.choice([-1.5, -0.5, 0.0, 0.5, 2.0], (rows, num_items))
 
     neg = block.copy()
     valid = np.empty(rows, dtype=np.int64)
     ids = dispatch.masked_select(neg, k, indptr, indices, batch, valid_out=valid)
-    ref_neg = block.copy()
-    ev._mask_train_positives(ref_neg, batch)
-    np.testing.assert_array_equal(ids, ev._top_k(ref_neg), strict=True)
-    np.testing.assert_array_equal(neg, ref_neg, strict=True)
+    exclusions = [train.items_of_user(int(user)) for user in batch]
+    assert_matches_oracle(ids, block, exclusions)
+    np.testing.assert_array_equal(neg, oracle_rank(block, exclusions)[0], strict=True)
     for r, user in enumerate(batch):
         masked = set(indices[indptr[user] : indptr[user + 1]].tolist())
         assert valid[r] == min(k, num_items - len(masked))

@@ -7,11 +7,14 @@ invariance, exclusion handling, and basic learned-signal sanity.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.datasets import load_dataset
 from repro.experiments.runner import MODEL_NAMES, build_model
-from repro.models.base import FitConfig
+from repro.models.base import FitConfig, Recommender
 from tests.ckat_reference import float64_ckat
+from tests.ranking_oracle import assert_row_matches_oracle, oracle_rank, oracle_valid
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +98,48 @@ class TestScoringInvariants:
         model = trained_registry[name]
         recs = model.recommend(0, k=5, exclude=np.arange(model.num_items))
         assert recs.size == 0
+
+
+class _TableRecommender(Recommender):
+    """Scores every user from a fixed table — ``recommend`` without a model."""
+
+    def __init__(self, table):
+        super().__init__(*table.shape)
+        self.table = table
+
+    def score_users(self, users):
+        return self.table[users]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_items=st.integers(1, 25),
+    data=st.data(),
+)
+def test_recommend_matches_oracle_property(seed, num_items, data):
+    """``recommend`` over forced ties equals the brute-force oracle.
+
+    Scores come from a five-value set, so rows hold tied cohorts; exclusions
+    may repeat ids, be absent, or cover every item; ``k`` runs past
+    ``num_items``.  The result holds ``min(k, unmasked)`` distinct ids, no
+    excluded one, matching the oracle's ranking with tie cohorts as sets.
+    """
+    rng = np.random.default_rng(seed)
+    table = rng.choice([-1.5, -0.5, 0.0, 0.5, 2.0], (3, num_items))
+    model = _TableRecommender(table)
+    user = int(rng.integers(0, 3))
+    mode = data.draw(st.sampled_from(["none", "random", "duplicates", "all"]), label="exclude")
+    exclude = {
+        "none": None,
+        "random": rng.choice(num_items, rng.integers(0, num_items + 1), replace=False),
+        "duplicates": rng.integers(0, num_items, 2 * num_items),
+        "all": rng.permutation(np.r_[np.arange(num_items), np.arange(num_items)]),
+    }[mode]
+    k = data.draw(st.integers(1, num_items + 5), label="k")
+    recs = model.recommend(user, k=k, exclude=exclude)
+    excluded = [] if exclude is None else exclude
+    masked, order = oracle_rank(-table[[user]], [excluded])
+    assert len(recs) == oracle_valid(masked[0], min(k, num_items))
+    assert not set(recs.tolist()) & set(np.asarray(excluded).tolist())
+    assert_row_matches_oracle(recs, masked[0], order[0])

@@ -147,6 +147,15 @@ def test_float64_upcast_on_float32_inputs_flagged():
     assert exc_info.value.op == "upcasting_op"
 
 
+def test_float64_constant_upcasting_float32_operand_flagged():
+    """A float32 operand meeting a float64 constant is an upcast too."""
+    x32 = Tensor(np.ones(3, dtype=np.float32))
+    with sanitized(), pytest.raises(SanitizerError) as exc_info:
+        F.mul(x32, F.astensor(0.5))
+    assert exc_info.value.kind == "upcast"
+    assert exc_info.value.op == "mul"
+
+
 def test_float32_preserving_ops_clean():
     with sanitized():
         a = Tensor(np.ones(3, dtype=np.float32))
