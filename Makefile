@@ -48,10 +48,13 @@ smoke:
 # gradient agreement, the serving gate (batched == single under 8
 # concurrent clients, >= 500 req/s, p99 <= 50 ms), the traced allocation
 # peak of one fused CKAT epoch (<= 29 MB), one OOI TransR step, fused
-# >= 5x faster than the oracle chains, and the vectorized evaluator >= 3x
-# faster than its per-user-loop baseline. Writes
-# benchmarks/results/BENCH_scale.json, BENCH_parallel.json,
-# BENCH_serving.json, BENCH_kernels.json and BENCH_eval.json; the other
+# >= 5x faster than the oracle chains, the vectorized evaluator >= 3x
+# faster than its per-user-loop baseline, and the OOI trace draw >= 2x
+# faster than its per-user rng.choice loop, bit-identical. The scale smoke
+# reports the monolithic path's arithmetic memory floor without asserting
+# it. Writes benchmarks/results/BENCH_scale.json, BENCH_parallel.json,
+# BENCH_serving.json, BENCH_kernels.json, BENCH_eval.json and
+# BENCH_ingest.json; the other
 # speedup gates need full scale or >= 4 cores and stay in the full
 # benchmark run.
 bench-smoke:

@@ -6,14 +6,13 @@ chunked dedup/k-core → blocked split → one BPRMF epoch on the shard-blocked
 sampler → sharded ranking evaluation — inside a **subprocess**, so the
 asserted ``ru_maxrss`` is the high-water mark of exactly that pipeline.
 
-Two asserted bounds make the claim falsifiable in both directions:
-
-- measured peak RSS stays under a ceiling (calibrated ~3× above the
-  measured ~1.3 GB), and
-- the *arithmetic lower bound* of the monolithic path (the M×N float64
-  mixture fan-out plus the three full trace arrays — ~25 GB at 10⁶ users)
-  exceeds that same ceiling, so the monolithic generator provably could not
-  have produced this run inside the budget.
+The asserted bound is the measured peak RSS under a ceiling (calibrated
+~3× above the measured ~1.3 GB).  The arithmetic floor of the monolithic
+path (``monolithic_lower_bound_bytes``: the K×N mixture rows and their CDFs
+plus five all-records arrays) is reported next to it, not asserted: since
+the trace draw stopped fanning the mixture rows out to M×N, that floor sits
+under the ceiling at every scale run here, so it no longer separates the
+two paths.
 
 The smoke subset (the ``gate_smoke`` marker, part of ``make verify``) runs
 the same driver at 3·10⁴ users in seconds with proportionally scaled bounds
@@ -32,9 +31,8 @@ from conftest import BENCH_SCALE, write_bench_json, write_result
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
-# (num_users, rss_ceiling_mb): the ceiling must sit between the measured
-# peak (~1286 MB full / ~226 MB smoke) and the monolithic arithmetic lower
-# bound (~25.5 GB full / ~765 MB smoke).
+# (num_users, rss_ceiling_mb): the ceiling sits above the measured peak
+# (~1286 MB full / ~226 MB smoke).
 FULL_USERS, FULL_CEILING_MB = 1_000_000, 4096
 SMALL_USERS, SMALL_CEILING_MB = 100_000, 1536
 SMOKE_USERS, SMOKE_CEILING_MB = 30_000, 512
@@ -70,10 +68,6 @@ def _check_bounds(stats, ceiling_mb):
     assert stats["peak_rss_mb"] <= ceiling_mb, (
         f"streamed pipeline peaked at {stats['peak_rss_mb']} MB, "
         f"over the {ceiling_mb} MB ceiling"
-    )
-    assert stats["monolithic_lower_bound_mb"] > ceiling_mb, (
-        "ceiling is not discriminating: the monolithic path's arithmetic "
-        f"floor ({stats['monolithic_lower_bound_mb']} MB) fits under it"
     )
 
 

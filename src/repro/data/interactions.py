@@ -44,9 +44,15 @@ class InteractionDataset:
                 raise ValueError("user id out of range")
             if item_ids.min() < 0 or item_ids.max() >= num_items:
                 raise ValueError("item id out of range")
-        order = np.lexsort((item_ids, user_ids))
-        self.user_ids = user_ids[order]
-        self.item_ids = item_ids[order]
+        if _is_sorted_pairs(user_ids, item_ids):
+            # The dedup and split outputs arrive sorted; copy so the dataset
+            # owns its arrays, as the gather below does.
+            self.user_ids = user_ids.copy()
+            self.item_ids = item_ids.copy()
+        else:
+            order = np.lexsort((item_ids, user_ids))
+            self.user_ids = user_ids[order]
+            self.item_ids = item_ids[order]
         self.num_users = num_users
         self.num_items = num_items
         counts = np.bincount(self.user_ids, minlength=num_users)
@@ -91,6 +97,21 @@ class InteractionDataset:
             f"{self.num_users} users × {self.num_items} items, "
             f"density {self.density():.4f})"
         )
+
+
+def _is_sorted_pairs(users: np.ndarray, items: np.ndarray) -> bool:
+    """Whether pairs ascend by user, then item (repeats allowed), in O(n).
+
+    Compares neighbours instead of forming ``user * num_items + item`` keys,
+    which could wrap.  Sorted input is what a stable ``lexsort`` would
+    return unchanged.
+    """
+    if len(users) < 2:
+        return True
+    step = users[1:] - users[:-1]  # ids are range-checked, so no wrap
+    if (step < 0).any():
+        return False
+    return bool(((step > 0) | (items[1:] >= items[:-1])).all())
 
 
 #: Safety bound on k-core rounds.  Each round that does not converge drops at

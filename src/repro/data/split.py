@@ -10,6 +10,7 @@ and an empty test history makes them unevaluable — we prefer the former).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -56,15 +57,15 @@ def per_user_split(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = ensure_rng(seed)
     train_mask = np.zeros(len(data), dtype=bool)
-    for user in range(data.num_users):
-        lo, hi = data.user_offsets[user], data.user_offsets[user + 1]
+    offsets = data.user_offsets.tolist()
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
         count = hi - lo
         if count == 0:
             continue
         if count == 1:
             train_mask[lo] = True
             continue
-        n_train = int(np.ceil(count * train_fraction))
+        n_train = math.ceil(count * train_fraction)
         n_train = min(n_train, count - 1)  # keep at least one test item
         chosen = rng.choice(count, size=n_train, replace=False)
         train_mask[lo + chosen] = True

@@ -12,7 +12,8 @@ Bit-identity arguments (each locked by tests):
 - **Dedup.**  Blocks partition the user space in ascending order, so each
   block's sorted unique ``user * num_items + item`` keys occupy a disjoint,
   ascending key interval; their concatenation equals the globally sorted
-  global unique — exactly what ``QueryTrace.unique_pairs`` produces.
+  global unique — exactly what ``QueryTrace.unique_pairs`` produces (both
+  call :func:`~repro.facility.trace.sorted_unique_pairs`).
 - **Filtering.**  Both paths call the same
   :func:`~repro.data.interactions.kcore_filter_masks` fixed point; chunking
   only changes the order degree counts accumulate in (integer adds —
@@ -41,6 +42,7 @@ from repro.data.interactions import (
 from repro.data.sampling import check_pair_key_space
 from repro.data.split import TrainTestSplit
 from repro.facility.stream import TraceReader
+from repro.facility.trace import sorted_unique_pairs
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -48,17 +50,6 @@ __all__ = [
     "blocked_per_user_split",
     "interaction_pair_chunks",
 ]
-
-
-def _dedup_block(
-    users: np.ndarray, objects: np.ndarray, num_objects: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted unique (user, object) pairs of one block."""
-    keys = np.unique(
-        np.asarray(users, dtype=np.int64) * np.int64(num_objects)
-        + np.asarray(objects, dtype=np.int64)
-    )
-    return keys // num_objects, keys % num_objects
 
 
 def streamed_trace_to_interactions(
@@ -80,7 +71,7 @@ def streamed_trace_to_interactions(
         raise ValueError("minimum interaction counts must be >= 1")
     check_pair_key_space(reader.num_users, reader.num_objects)
     chunks: List[Tuple[np.ndarray, np.ndarray]] = [
-        _dedup_block(users, objects, reader.num_objects)
+        sorted_unique_pairs(users, objects, reader.num_objects)
         for users, objects in reader.pair_chunks()
     ]
     user_keep, item_keep = kcore_filter_masks(

@@ -14,9 +14,9 @@ worker processes would move their memory out of the measured budget.
 
 The OOI-style catalog is reused with the site count scaled up: the paper's
 facilities serve a few thousand distinct data streams to ~10⁵–10⁶ users, so
-scale lives in the *user* dimension while the item space stays catalog-sized
-— exactly the regime where the monolithic mixture fan-out (M×N float64) is
-hopeless and the streamed path is not.
+scale lives in the *user* dimension while the item space stays catalog-sized.
+The monolithic generator then holds several all-records arrays at once
+(:func:`monolithic_lower_bound_bytes`); the streamed path holds one block.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import json
 import resource
 import time
 from typing import Optional
+
+import numpy as np
 
 from repro.data.sampling import ShardedBPRSampler
 from repro.data.streaming import blocked_per_user_split, streamed_trace_to_interactions
@@ -47,18 +49,20 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def monolithic_lower_bound_bytes(num_users: int, num_objects: int, num_records: int) -> int:
+def monolithic_lower_bound_bytes(num_mixture_rows: int, num_objects: int, num_records: int) -> int:
     """Bytes the monolithic trace path *must* allocate at peak.
 
-    ``TraceGenerator.generate`` fans the mixture rows out to an (M, N)
-    float64 matrix and holds the three full trace arrays (two int64, one
-    float64) simultaneously; everything else (sort scratch, dedup keys) only
-    adds to this.  The bound is arithmetic, not measured — at 10⁶ users it
-    is tens of GB, which is precisely why the streamed path exists.
+    ``TraceGenerator.generate`` holds the K deduplicated (K, N) float64
+    mixture rows and their CDFs, and while it draws, five all-records
+    8-byte arrays at once: user ids, each record's mixture row, the uniform
+    draws, their grouping order and the drawn object ids.  Everything else
+    (timestamps, the record permutation, dedup keys) only adds to this.
+    The bound is arithmetic, not measured; the records term grows with the
+    trace, where the streamed path's scratch stays one block.
     """
-    mixtures = int(num_users) * int(num_objects) * 8
-    trace_arrays = 3 * int(num_records) * 8
-    return mixtures + trace_arrays
+    rows = 2 * int(num_mixture_rows) * int(num_objects) * 8
+    records = 5 * int(num_records) * 8
+    return rows + records
 
 
 def run_scale_pipeline(
@@ -102,6 +106,9 @@ def run_scale_pipeline(
         catalog, num_users=num_users, num_orgs=num_orgs, num_cities=num_cities, seed=seed + 1
     )
     mark("facility", t0, num_objects=catalog.num_objects, num_users=num_users)
+    num_mixture_rows = len(
+        np.unique(population.user_focus_site * catalog.num_data_types + population.user_focus_dtype)
+    )
 
     recipe = {
         "experiment": "scale",
@@ -184,7 +191,9 @@ def run_scale_pipeline(
         "total_seconds": round(time.perf_counter() - t_start, 3),
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "monolithic_lower_bound_mb": round(
-            monolithic_lower_bound_bytes(num_users, catalog.num_objects, reader.num_records)
+            monolithic_lower_bound_bytes(
+                num_mixture_rows, catalog.num_objects, reader.num_records
+            )
             / 2**20,
             1,
         ),

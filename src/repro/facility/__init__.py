@@ -41,7 +41,6 @@ from repro.facility.gage import GAGEConfig, build_gage_catalog
 from repro.facility.geo import GeoPoint, Region, haversine_km
 from repro.facility.ooi import OOIConfig, build_ooi_catalog
 from repro.facility.stream import TraceBlock, TraceReader, load_trace_stream, stream_trace
-from repro.facility.temporal import SessionConfig, add_session_structure
 from repro.facility.trace import QueryTrace, TraceGenerator, generate_trace
 from repro.facility.users import Organization, UserPopulation, build_user_population
 
@@ -70,6 +69,4 @@ __all__ = [
     "TraceReader",
     "stream_trace",
     "load_trace_stream",
-    "SessionConfig",
-    "add_session_structure",
 ]

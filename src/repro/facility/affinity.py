@@ -16,6 +16,12 @@ an item uniformly from the matching set weighted by global item popularity.
 Because focus is shared within organizations (see
 :mod:`repro.facility.users`), affinity 3 emerges from 1+2 without extra
 machinery — exactly the mechanism the paper hypothesizes.
+
+The trace generators use the closed form of that per-query process:
+:meth:`AffinityModel.unique_user_mixtures` builds one expected item
+distribution per distinct (focus site, focus data type) key, all keys in one
+broadcast, and :meth:`AffinityModel.mixture_distribution` is the same
+builder for a single key.
 """
 
 from __future__ import annotations
@@ -30,6 +36,12 @@ from repro.facility.users import UserPopulation
 from repro.utils.validation import check_probability
 
 __all__ = ["AffinityModel", "OOI_AFFINITY", "GAGE_AFFINITY"]
+
+#: Block size of the batched mixture builder, in (key, object) cells: its
+#: float64 temporaries stay at 64 KB each, in cache, however many keys a
+#: catalog has.  On OOI full (65 keys × 789 objects) this ran ~1.5x faster
+#: than one block of all keys, and 1.3x faster than 2**14 or 2**15 cells.
+_MIXTURE_BLOCK_CELLS = 1 << 13
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,52 +133,85 @@ class AffinityModel:
         """The *expected* per-query item distribution for a user (closed form).
 
         Mixing the four gate outcomes analytically lets the trace generator
-        draw all of a user's queries in one vectorized multinomial instead of
-        gating per query — orders of magnitude faster and statistically
-        identical (queries are i.i.d. given the user).  Callers either share
-        a precomputed ``base_popularity`` vector or pass the ``rng`` that
-        draws the popularity permutation.
+        draw all of a user's queries from one categorical instead of gating
+        per query — orders of magnitude faster and statistically identical
+        (queries are i.i.d. given the user).  Callers either share a
+        precomputed ``base_popularity`` vector or pass the ``rng`` that draws
+        the popularity permutation.  This is the one-row call of the builder
+        :meth:`unique_user_mixtures` runs over every (site, dtype) key.
         """
-        n = catalog.num_objects
         if base_popularity is None:
             if rng is None:
                 raise ValueError("mixture_distribution needs rng when base_popularity is not given")
-            base_popularity = self.popularity_weights(n, rng)
-        pop = base_popularity.astype(np.float64)
-        region_mask = (catalog.object_region == focus_region).astype(np.float64)
-        if focus_site is not None:
-            region_mask = region_mask * self._site_boost(catalog, focus_site)
-        dtype_mask = (catalog.object_dtype == focus_dtype).astype(np.float64)
+            base_popularity = self.popularity_weights(catalog.num_objects, rng)
+        sites = None if focus_site is None else np.array([focus_site], dtype=np.int64)
+        return self._mixture_rows(
+            catalog,
+            base_popularity,
+            np.array([focus_region], dtype=np.int64),
+            np.array([focus_dtype], dtype=np.int64),
+            sites,
+        )[0]
 
+    def _mixture_rows(
+        self,
+        catalog: FacilityCatalog,
+        base_popularity: np.ndarray,
+        regions: np.ndarray,
+        dtypes: np.ndarray,
+        sites: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Expected item distributions of K (region, dtype[, site]) keys, shape (K, N).
+
+        One broadcast over (key, object), run in key blocks of at most
+        ``_MIXTURE_BLOCK_CELLS`` cells so the temporaries stay small on
+        catalogs with thousands of keys.  A row does not depend on its
+        block: its elementwise steps run in the one-key order, and a row sum
+        over the last axis of a C-contiguous block is the 1-D sum of that
+        row.
+        """
+        n = catalog.num_objects
+        pop = base_popularity.astype(np.float64)
         # Fallbacks mirror item_distribution's gate semantics exactly: an
         # empty region gate is skipped; a dtype gate that would empty the
         # result is skipped (keeping whatever the region gate produced).
         free = pop / pop.sum()
-
-        def norm_or(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-            s = w.sum()
-            return w / s if s > 0 else fallback
-
         pr, pd = self.p_region, self.p_dtype
-        region_only = norm_or(pop * region_mask, free)
-        dtype_only = norm_or(pop * dtype_mask, free)
-        if (pop * region_mask).sum() > 0:
-            both = norm_or(pop * region_mask * dtype_mask, region_only)
-        else:
-            both = dtype_only
-        return (
-            pr * pd * both
-            + pr * (1 - pd) * region_only
-            + (1 - pr) * pd * dtype_only
-            + (1 - pr) * (1 - pd) * free
-        )
+        out = np.empty((len(regions), n), dtype=np.float64)
+        block = max(1, _MIXTURE_BLOCK_CELLS // max(n, 1))
+        for lo in range(0, len(regions), block):
+            keys = slice(lo, lo + block)
+            # Boolean masks multiply as 0.0/1.0, so these products are the
+            # float-mask products bit for bit, without the casting passes.
+            region_mask = catalog.object_region == regions[keys, None]
+            if sites is not None:
+                region_mask = region_mask * np.where(
+                    catalog.object_site == sites[keys, None], self.site_concentration, 1.0
+                )
+            dtype_mask = catalog.object_dtype == dtypes[keys, None]
+            pop_region = pop * region_mask
+            pop_both = pop_region * dtype_mask
+            region_mass = pop_region.sum(axis=1, keepdims=True)
+            region_only = _normalize_or(pop_region, region_mass, free)
+            dtype_only = _normalize_or(pop * dtype_mask, None, free)
+            both = _normalize_or(pop_both, None, region_only)
+            if not (region_mass > 0).all():
+                both = np.where(region_mass > 0, both, dtype_only)
+            # The sum of the four gate outcomes, term by term in the order
+            # of pr*pd*both + pr*(1-pd)*region_only + ..., accumulated in place.
+            mix = out[keys]
+            np.multiply(both, pr * pd, out=mix)
+            mix += pr * (1 - pd) * region_only
+            mix += (1 - pr) * pd * dtype_only
+            mix += (1 - pr) * (1 - pd) * free
+        return out
 
     def popularity_weights(self, num_objects: int, rng: np.random.Generator) -> np.ndarray:
         """Zipf-like unnormalized popularity over object ids.
 
         Ranks are assigned by a pseudorandom permutation of object ids drawn
         from the caller's ``rng`` — one draw per trace, shared across every
-        user (see :meth:`user_mixtures`), so popularity ranks are consistent
+        user (see :meth:`unique_user_mixtures`), so popularity ranks are consistent
         within a generated trace while remaining a function of the caller's
         seed.  The permutation matters: object ids are emitted
         instrument-by-instrument, so rank-by-id would place all the most
@@ -188,37 +233,32 @@ class AffinityModel:
         once.  Returns ``(rows, inverse)`` with ``rows`` of shape (K, N) and
         ``inverse`` of length M such that user ``u``'s distribution is
         ``rows[inverse[u]]``.  K is bounded by sites×dtypes regardless of the
-        population size, which is what keeps million-user trace generation
-        out of the M×N memory regime.  ``rng`` draws the shared popularity
-        permutation (one draw, same as :meth:`user_mixtures`).
+        population size, so no caller ever holds an M×N matrix.  ``rng``
+        draws the popularity permutation once, shared by every row.
         """
         pop = self.popularity_weights(catalog.num_objects, rng)
         nd = catalog.num_data_types
         keys = population.user_focus_site * nd + population.user_focus_dtype
         uniq, inverse = np.unique(keys, return_inverse=True)
-        site_region = catalog.site_region
-        rows = np.empty((len(uniq), catalog.num_objects), dtype=np.float64)
-        for k, key in enumerate(uniq):
-            site = int(key // nd)
-            dtype = int(key % nd)
-            rows[k] = self.mixture_distribution(
-                catalog, int(site_region[site]), dtype, base_popularity=pop, focus_site=site
-            )
+        sites = uniq // nd
+        rows = self._mixture_rows(catalog, pop, catalog.site_region[sites], uniq % nd, sites)
         return rows, inverse
 
-    def user_mixtures(
-        self, catalog: FacilityCatalog, population: UserPopulation, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Stack of per-user expected item distributions, shape (M, N).
 
-        ``rng`` draws the popularity permutation once, shared by every user
-        row.  Memory: M×N float64 — for the default scales (≤2k users × ≤2.5k
-        items) this is ≤40 MB, well worth it for fully vectorized trace
-        generation.  At larger M use :meth:`unique_user_mixtures`, which
-        returns the deduplicated rows without fanning them out.
-        """
-        rows, inverse = self.unique_user_mixtures(catalog, population, rng)
-        return rows[inverse]
+def _normalize_or(
+    weights: np.ndarray, mass: Optional[np.ndarray], fallback: np.ndarray
+) -> np.ndarray:
+    """Rows of ``weights`` over their ``mass`` (row sums), or ``fallback`` where that is 0.
+
+    Divides ``weights`` in place when every row has mass, the common case.
+    """
+    if mass is None:
+        mass = weights.sum(axis=1, keepdims=True)
+    positive = mass > 0
+    if positive.all():
+        weights /= mass
+        return weights
+    return np.where(positive, weights / np.where(positive, mass, 1.0), fallback)
 
 
 # Calibrated presets: chosen so the *measured* same-region / same-data-type

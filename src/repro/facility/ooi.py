@@ -192,11 +192,11 @@ def build_ooi_catalog(config: OOIConfig = OOIConfig(), seed=0) -> FacilityCatalo
     # instrumentation, global arrays toward surface/water-column packages.
     instruments: List[Instrument] = []
     group_names = sorted({c.group for c in classes})
+    region_weights = [_class_weights_for_region(r, classes, group_names) for r in regions]
     for site in sites:
         k = max(1, int(rng.poisson(config.instruments_per_site_mean)))
         k = min(k, len(classes))
-        weights = _class_weights_for_region(regions[site.region_id], classes, group_names)
-        chosen = rng.choice(len(classes), size=k, replace=False, p=weights)
+        chosen = rng.choice(len(classes), size=k, replace=False, p=region_weights[site.region_id])
         for class_id in np.sort(chosen):
             instruments.append(
                 Instrument(

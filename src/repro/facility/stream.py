@@ -1,11 +1,12 @@
 """Out-of-core query-trace generation in fixed-size user blocks.
 
-:func:`generate_trace` materializes a whole year of queries at once, which
-tops out around 10⁴ users: the per-user mixture fan-out alone is M×N float64.
-This module generates the same *distribution* of traces block by block and
-writes each block incrementally into a content-addressed
-:class:`~repro.store.ArtifactStore`, so peak memory is bounded by a block —
-the path to the paper's 10⁶-user / 10⁷-record corpus sizes.
+:func:`generate_trace` materializes a whole year of queries at once: while
+it draws it holds five all-records arrays, about 40 bytes per record, so its
+memory grows with the trace.  This module generates the same
+*distribution* of traces block by block and writes each block incrementally
+into a content-addressed :class:`~repro.store.ArtifactStore`, so peak memory
+is bounded by a block — the path to the paper's 10⁶-user / 10⁷-record
+corpus sizes.
 
 Two deliberate contracts:
 
@@ -117,8 +118,8 @@ class _BlockGenerator:
     Per-user query counts follow the same lognormal as
     :class:`~repro.facility.trace.TraceGenerator`; objects are drawn by
     inverse-CDF sampling from the deduplicated mixture rows
-    (:meth:`AffinityModel.unique_user_mixtures`), so memory is K×N for the
-    K distinct (site, dtype) combinations — never M×N.
+    (:meth:`AffinityModel.unique_user_mixtures`), K×N for the K distinct
+    (site, dtype) combinations, shared by every chunk.
     """
 
     def __init__(

@@ -4,8 +4,9 @@ A :class:`QueryTrace` is the synthetic stand-in for the paper's one-year
 activity logs: a flat structure-of-arrays of (user, data object, timestamp)
 records.  :func:`generate_trace` draws per-user query counts from a
 heavy-tailed lognormal (producing the Fig-3 distribution curves) and then
-samples each user's queried objects from the affinity mixture distribution in
-one vectorized multinomial per user.
+samples every queried object from its user's affinity mixture distribution:
+one uniform draw per record from a single ``random`` call, then one
+inverse-CDF search per distinct mixture row (see :func:`draw_categorical`).
 """
 
 from __future__ import annotations
@@ -20,9 +21,76 @@ from repro.facility.catalog import FacilityCatalog
 from repro.facility.users import UserPopulation
 from repro.utils.rng import ensure_rng
 
-__all__ = ["QueryTrace", "TraceGenerator", "generate_trace"]
+__all__ = [
+    "QueryTrace",
+    "TraceGenerator",
+    "generate_trace",
+    "draw_categorical",
+    "sorted_unique_pairs",
+]
 
 SECONDS_PER_YEAR = 365 * 24 * 3600
+
+#: ``Generator.choice``'s tolerance on a probability row's sum.
+_PROB_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def sorted_unique_pairs(
+    users: np.ndarray, objects: np.ndarray, num_objects: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Unique ``(user, object)`` pairs sorted by user, then object.
+
+    Equal to splitting ``np.unique(users * num_objects + objects)``, but
+    sorts the keys and keeps the first of each run of equal keys, which
+    costs a fraction of numpy's hash-based ``np.unique`` on trace-sized
+    arrays.
+    """
+    keys = np.asarray(users, dtype=np.int64) * np.int64(num_objects) + np.asarray(
+        objects, dtype=np.int64
+    )
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    return keys // num_objects, keys % num_objects
+
+
+def draw_categorical(
+    rows: np.ndarray, row_of_record: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """For each record ``i``, one draw from the categorical ``rows[row_of_record[i]]``.
+
+    Bit-identical to ``rng.choice(N, p=rows[row_of_record[i]])`` run record
+    by record (or per user, over each user's run of records), and consumes
+    ``rng`` the same way.  With replacement and ``p``, ``choice`` searches
+    ``cdf = p.cumsum(); cdf /= cdf[-1]`` with side ``"right"`` for
+    ``random(size)`` draws, and consecutive ``random`` calls consume the
+    stream exactly as one call over their concatenation.  So one
+    ``random(len(row_of_record))`` call, then one ``searchsorted`` per
+    distinct row over the draws of the records that use it, gives the same
+    objects.  Rows get ``choice``'s input checks: a row with a negative or
+    non-finite entry, or summing to 1 ± more than ``sqrt(eps)``, raises
+    ``ValueError``.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        raise ValueError("probabilities are not finite")
+    if (rows < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(rows.sum(axis=1) - 1.0) > _PROB_SUM_ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdfs = rows.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:].copy()
+    draws = rng.random(len(row_of_record))
+    by_row = np.argsort(row_of_record, kind="stable")
+    ends = np.cumsum(np.bincount(row_of_record, minlength=len(rows)))
+    out = np.empty(len(row_of_record), dtype=np.int64)
+    start = 0
+    for row, end in enumerate(ends.tolist()):
+        records = by_row[start:end]
+        out[records] = cdfs[row].searchsorted(draws[records], side="right")
+        start = end
+    return out
 
 
 @dataclasses.dataclass
@@ -69,10 +137,8 @@ class QueryTrace:
         return np.bincount(self.user_ids, minlength=self.num_users)
 
     def unique_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Deduplicated (user, object) interaction pairs."""
-        keys = self.user_ids * np.int64(self.num_objects) + self.object_ids
-        uniq = np.unique(keys)
-        return uniq // self.num_objects, uniq % self.num_objects
+        """Deduplicated (user, object) interaction pairs, sorted by user, then object."""
+        return sorted_unique_pairs(self.user_ids, self.object_ids, self.num_objects)
 
     def subset(self, mask: np.ndarray) -> "QueryTrace":
         """A new trace containing only the records selected by ``mask``."""
@@ -125,23 +191,18 @@ class TraceGenerator:
     def generate(self, seed=0) -> QueryTrace:
         """Generate a full trace.
 
-        Queries are i.i.d. per user given the user's mixture distribution, so
-        we draw all of user ``u``'s objects with one ``rng.choice`` call and
-        then assign uniformly-random timestamps over the simulated year.
+        Queries are i.i.d. per user given the user's mixture distribution:
+        every record's object is drawn by :func:`draw_categorical` from the
+        K deduplicated mixture rows (never an M×N fan-out), bit-identical
+        to one ``rng.choice`` per user.  Uniformly-random timestamps over
+        the simulated year follow.
         """
         rng = ensure_rng(seed)
         counts = self.sample_query_counts(rng)
-        mixtures = self.affinity.user_mixtures(self.catalog, self.population, rng)
+        rows, inverse = self.affinity.unique_user_mixtures(self.catalog, self.population, rng)
         total = int(counts.sum())
         user_ids = np.repeat(np.arange(self.population.num_users, dtype=np.int64), counts)
-        object_ids = np.empty(total, dtype=np.int64)
-        offset = 0
-        for u in range(self.population.num_users):
-            c = int(counts[u])
-            object_ids[offset : offset + c] = rng.choice(
-                self.catalog.num_objects, size=c, p=mixtures[u]
-            )
-            offset += c
+        object_ids = draw_categorical(rows, inverse[user_ids], rng)
         timestamps = np.sort(rng.uniform(0.0, SECONDS_PER_YEAR, size=total))
         # Timestamps are sorted globally; shuffle record order to match, so
         # the trace is time-ordered like a real log.

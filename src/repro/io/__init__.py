@@ -1,4 +1,4 @@
-"""Persistence: save/load traces, interaction datasets, and model weights.
+"""Persistence: save/load model weights and training checkpoints.
 
 Everything serializes to NumPy ``.npz`` archives — no pickle, so files are
 portable, inspectable, and safe to load from untrusted sources.
@@ -12,18 +12,8 @@ from repro.io.checkpoints import (
     save_parameters,
     save_training_checkpoint,
 )
-from repro.io.datasets import (
-    load_interactions,
-    load_trace,
-    save_interactions,
-    save_trace,
-)
 
 __all__ = [
-    "save_trace",
-    "load_trace",
-    "save_interactions",
-    "load_interactions",
     "save_parameters",
     "load_parameters",
     "normalize_checkpoint_path",

@@ -120,22 +120,30 @@ class TestMixtureDistribution:
 
 class TestUserMixtures:
     def test_shape(self, ooi_catalog, ooi_population):
-        m = OOI_AFFINITY.user_mixtures(ooi_catalog, ooi_population, np.random.default_rng(0))
-        assert m.shape == (ooi_population.num_users, ooi_catalog.num_objects)
+        rows, inverse = OOI_AFFINITY.unique_user_mixtures(
+            ooi_catalog, ooi_population, np.random.default_rng(0)
+        )
+        assert rows.shape == (inverse.max() + 1, ooi_catalog.num_objects)
+        assert inverse.shape == (ooi_population.num_users,)
 
     def test_rows_sum_to_one(self, ooi_catalog, ooi_population):
-        m = OOI_AFFINITY.user_mixtures(ooi_catalog, ooi_population, np.random.default_rng(0))
-        np.testing.assert_allclose(m.sum(axis=1), np.ones(ooi_population.num_users), atol=1e-9)
+        rows, _ = OOI_AFFINITY.unique_user_mixtures(
+            ooi_catalog, ooi_population, np.random.default_rng(0)
+        )
+        np.testing.assert_allclose(rows.sum(axis=1), np.ones(len(rows)), atol=1e-9)
 
     def test_shared_focus_shares_rows(self, ooi_catalog, ooi_population):
-        m = OOI_AFFINITY.user_mixtures(ooi_catalog, ooi_population, np.random.default_rng(0))
+        rows, inverse = OOI_AFFINITY.unique_user_mixtures(
+            ooi_catalog, ooi_population, np.random.default_rng(0)
+        )
         keys = (
             ooi_population.user_focus_site * ooi_catalog.num_data_types
             + ooi_population.user_focus_dtype
         )
-        u0 = np.flatnonzero(keys == keys[0])
-        if len(u0) >= 2:
-            np.testing.assert_array_equal(m[u0[0]], m[u0[1]])
+        # One row per distinct (focus site, focus dtype) key, shared by its users.
+        assert len(rows) == len(np.unique(keys))
+        for key in np.unique(keys):
+            assert len(np.unique(inverse[keys == key])) == 1
 
 
 class TestItemDistribution:

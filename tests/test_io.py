@@ -1,59 +1,12 @@
-"""Persistence tests: traces, interactions, model checkpoints."""
+"""Persistence tests: model checkpoints."""
 
 import numpy as np
 import pytest
 
-from repro.io import (
-    load_interactions,
-    load_parameters,
-    load_trace,
-    save_interactions,
-    save_parameters,
-    save_trace,
-)
+from repro.io import load_parameters, save_parameters
 from repro.io.checkpoints import parameter_keys
 from repro.models import BPRMF
 from tests.ckat_reference import float64_ckat
-
-
-class TestTraceIO:
-    def test_roundtrip(self, ooi_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(path, ooi_trace)
-        loaded = load_trace(path)
-        np.testing.assert_array_equal(loaded.user_ids, ooi_trace.user_ids)
-        np.testing.assert_array_equal(loaded.object_ids, ooi_trace.object_ids)
-        np.testing.assert_array_equal(loaded.timestamps, ooi_trace.timestamps)
-        assert loaded.num_users == ooi_trace.num_users
-        assert loaded.num_objects == ooi_trace.num_objects
-
-    def test_wrong_format_rejected(self, ooi_interactions, tmp_path):
-        path = tmp_path / "x.npz"
-        save_interactions(path, ooi_interactions)
-        with pytest.raises(ValueError, match="format"):
-            load_trace(path)
-
-    def test_garbage_file_rejected(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        np.savez(path, foo=np.zeros(3))
-        with pytest.raises(ValueError):
-            load_trace(path)
-
-
-class TestInteractionIO:
-    def test_roundtrip(self, ooi_interactions, tmp_path):
-        path = tmp_path / "inter.npz"
-        save_interactions(path, ooi_interactions)
-        loaded = load_interactions(path)
-        np.testing.assert_array_equal(loaded.user_ids, ooi_interactions.user_ids)
-        np.testing.assert_array_equal(loaded.item_ids, ooi_interactions.item_ids)
-        assert loaded.num_items == ooi_interactions.num_items
-
-    def test_wrong_format_rejected(self, ooi_trace, tmp_path):
-        path = tmp_path / "y.npz"
-        save_trace(path, ooi_trace)
-        with pytest.raises(ValueError, match="format"):
-            load_interactions(path)
 
 
 class TestCheckpointIO:

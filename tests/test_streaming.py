@@ -610,4 +610,5 @@ class TestScalePipelineSmoke:
         assert again["phases"]["trace_stream"]["warm"]
         assert again["num_interactions"] == stats["num_interactions"]
         assert again["metrics"] == stats["metrics"]
-        assert monolithic_lower_bound_bytes(10**6, 3287, 0) > 20 * 2**30
+        # K (rows, N) float64 rows and CDFs, plus five 8-byte arrays per record.
+        assert monolithic_lower_bound_bytes(3, 10, 100) == 2 * 3 * 10 * 8 + 5 * 100 * 8
