@@ -6,9 +6,10 @@ This is the headline number for the cache-blocked kernel work
 TransR phase (10 steps x batch 2048 over the propagation store) plus the
 BPR phase (14 minibatches of 512 with full batch-mode attention and
 propagation) — must run at least **2x faster** with the fused kernels than
-with the per-op oracle chains, *and* land on the same trained parameters.
+with the per-op oracle chains (``tests/kernel_oracle.py``, swapped in by
+``oracle_kernels()``), *and* land on the same trained parameters.
 
-Both backends train from the same seed on the same machine in the same
+Both sides train from the same seed on the same machine in the same
 process; timings are the median of three interleaved repetitions so the
 gate doesn't flap on allocator warm-up or scheduler noise.  The model is
 cast to the float64 test reference (CKAT trains in float32), and parameter
@@ -22,12 +23,16 @@ relative to each table's largest entry.  The ``atol`` covers that
 reassociation floor; ``rtol`` covers BLAS-build portability.
 
 The TransR step gate (``gate_smoke``) times the phase's unit of work
-alone: one margin-loss step at batch 2048, forward, backward and Adam.
+alone: one margin-loss step at batch 2048, forward, backward and Adam.  Its
+oracle side is ``kernel_oracle.transr_margin_loss``, which scores the
+positives and the corruptions with two separate per-op energy chains.
 """
 
+import contextlib
 import statistics
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,10 +41,10 @@ from conftest import BENCH_SEED, update_bench_json, write_result
 
 from repro.autograd import Adam
 from repro.experiments.runner import build_model, default_fit_config
-from repro.kernels import dispatch
 from repro.kg import KnowledgeSources
 from repro.models import CKATConfig
 from tests.ckat_reference import float64_ckat
+from tests.kernel_oracle import oracle_kernels, transr_margin_loss
 
 GATE = 2.0
 REPEATS = 3
@@ -67,7 +72,8 @@ def _train_epoch(ooi_dataset, ckg, graph, backend):
         build_model("CKAT", ooi_dataset, ckg, seed=BENCH_SEED, ckat_config=_CONFIG, graph=graph)
     )
     fit_cfg = default_fit_config("CKAT", epochs=1, seed=BENCH_SEED)
-    with dispatch.kernel_backend(backend):
+    kernels = oracle_kernels() if backend == "oracle" else contextlib.nullcontext()
+    with kernels:
         t0 = time.perf_counter()
         model.fit(ooi_dataset.split.train, fit_cfg)
         elapsed = time.perf_counter() - t0
@@ -165,8 +171,7 @@ def test_fused_epoch_traced_peak(ooi_dataset):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        with dispatch.kernel_backend("numpy"):
-            model.fit(ooi_dataset.split.train, fit_cfg)
+        model.fit(ooi_dataset.split.train, fit_cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -200,15 +205,18 @@ def _transr_step_seconds(model, backend):
     store = model.ckg.propagation_store
     optimizer = Adam(transr.parameters(), lr=1e-3)
     rng = np.random.default_rng(BENCH_SEED)
+    if backend == "oracle":
+        margin_loss = partial(transr_margin_loss, transr)
+    else:
+        margin_loss = transr.margin_loss
     times = []
-    with dispatch.kernel_backend(backend):
-        for _ in range(TRANSR_STEPS):
-            heads, rels, tails = transr.sample_triples(store, TRANSR_BATCH, rng)
-            t0 = time.perf_counter()
-            optimizer.zero_grad()
-            transr.margin_loss(heads, rels, tails, rng).backward()
-            optimizer.step()
-            times.append(time.perf_counter() - t0)
+    for _ in range(TRANSR_STEPS):
+        heads, rels, tails = transr.sample_triples(store, TRANSR_BATCH, rng)
+        t0 = time.perf_counter()
+        optimizer.zero_grad()
+        margin_loss(heads, rels, tails, rng).backward()
+        optimizer.step()
+        times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 

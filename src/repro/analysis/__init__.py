@@ -22,7 +22,6 @@ from repro.analysis.locality import (
     pair_similarity_study,
     query_concentration,
 )
-from repro.analysis.summary import FacilityReport, facility_report
 from repro.analysis.tsne import TSNE, object_feature_matrix, tsne_embed_user_queries
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "TSNE",
     "object_feature_matrix",
     "tsne_embed_user_queries",
-    "FacilityReport",
-    "facility_report",
     "SanitizerError",
     "sanitized",
 ]

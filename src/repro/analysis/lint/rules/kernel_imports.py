@@ -1,16 +1,15 @@
 """RPL010 — fused-kernel access outside the dispatch funnel.
 
 The fused kernels (:mod:`repro.kernels.numpy_backend`) are
-raw-ndarray routines with no tape and no backend selection; the **only**
-sanctioned way for model and evaluation code to reach them is
-:mod:`repro.kernels.dispatch`, which owns the fused-vs-oracle switch
-(``REPRO_KERNELS``) and the Tensor-building wrappers the sanitizer/profiler
-instrument.  A model importing the backend module directly silently skips
-the oracle fallback path and produces tensors the instrumentation never
-sees.  The rule flags any ``repro.kernels`` import other than ``dispatch``
-in the consumer paths; a deliberate exception (a benchmark pitting backends
-against each other, a parity test) lives outside those paths or carries an
-explicit ``# reprolint: disable=RPL010`` stating the justification.
+raw-ndarray routines with no tape; the **only** sanctioned way for model and
+evaluation code to reach them is :mod:`repro.kernels.dispatch`, which owns
+the Tensor-building wrappers the sanitizer/profiler instrument and the test
+oracles swap out.  A model importing the backend module directly produces
+tensors the instrumentation never sees and calls the parity tests cannot
+reroute.  The rule flags any ``repro.kernels`` import other than
+``dispatch`` in the consumer paths; a deliberate exception (a parity test, a
+kernel benchmark) lives outside those paths or carries an explicit
+``# reprolint: disable=RPL010`` stating the justification.
 """
 
 from __future__ import annotations

@@ -15,10 +15,8 @@ is wrapped with a timing shim while a profile is active.  Each wrapper records
 The result is a :class:`ProfileReport` mapping op name → (calls, forward s,
 backward s), with :meth:`ProfileReport.table` rendering the per-op wall-clock
 share the ``repro profile`` CLI command prints.  This is the receipts side of
-the fused-kernel work: run an epoch under the ``oracle`` backend and the
-gather/scatter chain dominates; run it fused and the same time collapses into
-``edge_attention_scores`` / ``weighted_neighbor_sum`` at a fraction of the
-wall-clock.
+the fused-kernel work: an epoch's time sits in ``edge_attention_scores`` /
+``weighted_neighbor_sum`` rather than in a gather/scatter chain.
 
 Instrumentation is installed by patching module attributes and fully removed
 on exit, so an un-profiled run costs nothing.  Profiling composes with the

@@ -19,8 +19,7 @@ Commands
 - ``sanitize-run <model> <dataset>`` — train under the runtime numeric
   sanitizer (NaN/Inf, gradient shape, dtype-upcast detection);
 - ``profile <dataset>``        — op-timer profile of CKAT training epochs,
-  per-op wall-clock share under the fused kernels vs the per-op oracle
-  chains (``--backend`` to pin one backend).
+  per-op wall-clock share under the fused kernels.
 
 Common options: ``--scale small|full``, ``--seed N``, ``--epochs N``, and
 ``--cache-dir DIR`` (artifact store shared by every dataset-loading command;
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_san.add_argument("--epochs", type=int, default=None)
 
     p_prof = sub.add_parser(
-        "profile", help="op-timer profile of CKAT training (fused vs oracle)"
+        "profile", help="op-timer profile of CKAT training"
     )
     p_prof.add_argument("dataset", choices=("ooi", "gage"))
     p_prof.add_argument("--epochs", type=int, default=1)
@@ -252,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'batch' recomputes differentiable attention per step (the "
         "fusion target, default); 'epoch' profiles the frozen-attention "
         "fast path",
-    )
-    p_prof.add_argument(
-        "--backend",
-        choices=("numpy", "oracle"),
-        default=None,
-        help="profile only this kernel backend instead of oracle + fused",
     )
     p_prof.add_argument(
         "--top", type=int, default=12, help="rows of the per-op table to print"
@@ -606,7 +599,6 @@ def _cmd_sanitize_run(args) -> int:
 def _cmd_profile(args) -> int:
     from repro.analysis.profiler import profiled
     from repro.experiments.runner import build_model, default_fit_config
-    from repro.kernels import dispatch
     from repro.models.ckat import CKATConfig
 
     ds = load_dataset(args.dataset, scale=args.scale, seed=args.seed, cache_dir=args.cache_dir)
@@ -614,29 +606,12 @@ def _cmd_profile(args) -> int:
     ckg = ds.build_ckg()
     graph = ds.prepared_graph()
     ckat_cfg = CKATConfig(attention_mode=args.attention_mode)
-    # Oracle first, fused second: before/after in one run.
-    backends = [args.backend] if args.backend is not None else ["oracle", "numpy"]
-    walls = {}
-    for backend in backends:
-        with dispatch.kernel_backend(backend):
-            model = build_model(
-                "CKAT", ds, ckg, seed=args.seed, ckat_config=ckat_cfg, graph=graph
-            )
-            cfg = default_fit_config("CKAT", epochs=args.epochs, seed=args.seed)
-            with profiled() as report:
-                model.fit(ds.split.train, cfg)
-        walls[backend] = report.wall_seconds
-        print(
-            f"\n=== backend={backend} attention_mode={args.attention_mode} "
-            f"epochs={args.epochs} ==="
-        )
-        print(report.table(top=args.top))
-    if len(walls) == 2:
-        oracle_s, fused_s = walls[backends[0]], walls[backends[1]]
-        print(
-            f"\nfused ({backends[1]}) vs oracle: {oracle_s:.3f}s -> {fused_s:.3f}s "
-            f"({oracle_s / fused_s:.2f}x)"
-        )
+    model = build_model("CKAT", ds, ckg, seed=args.seed, ckat_config=ckat_cfg, graph=graph)
+    cfg = default_fit_config("CKAT", epochs=args.epochs, seed=args.seed)
+    with profiled() as report:
+        model.fit(ds.split.train, cfg)
+    print(f"\n=== attention_mode={args.attention_mode} epochs={args.epochs} ===")
+    print(report.table(top=args.top))
     return 0
 
 

@@ -14,7 +14,6 @@ table, so benches can both assert on the shape and print paper-vs-measured.
 from repro.experiments import figures, tables
 from repro.experiments.coldstart import cold_start_report, slice_users_by_history
 from repro.experiments.datasets import BenchmarkDataset, load_dataset
-from repro.experiments.gridsearch import GridSearchResult, grid_search
 from repro.experiments.runner import (
     MODEL_NAMES,
     CellSpec,
@@ -37,8 +36,6 @@ __all__ = [
     "run_single_model",
     "tables",
     "figures",
-    "grid_search",
-    "GridSearchResult",
     "cold_start_report",
     "slice_users_by_history",
 ]

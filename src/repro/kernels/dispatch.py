@@ -2,35 +2,22 @@
 
 Models and evaluators call the fused ops **only** through this module
 (reprolint RPL010 enforces the funnel); the raw-array
-implementations live in :mod:`repro.kernels.numpy_backend`.
-
-Backends
---------
-``numpy``
-    The default: every fused op runs its NumPy/scipy kernel.
-``oracle``
-    Fusion disabled: callers fall back to their original per-op autograd
-    chains, which remain the parity oracle for every fused kernel.  Select
-    it to benchmark against or to bisect a suspected kernel bug out of a run.
-
-Selection: ``REPRO_KERNELS`` environment variable (``numpy`` or ``oracle``;
-unset means ``numpy``) read once at first use, then :func:`set_backend` /
-the :func:`kernel_backend` context manager.
+implementations live in :mod:`repro.kernels.numpy_backend`.  Each fused op
+has one path: its NumPy/scipy kernel.
 
 The differentiable wrappers (:func:`edge_attention_scores`,
 :func:`weighted_neighbor_sum`, :func:`aggregate`, :func:`transr_energy`) build
 ordinary tape nodes, so ``Tensor``, ``backward`` and checkpointing are
-untouched: a fused op is just one fat node where the oracle chain records
-many thin ones.  Gradients for leaf embedding tables are emitted as
-:class:`~repro.autograd.sparse.SparseRowGrad`, matching the oracle's gather
-backward.
+untouched: a fused op is just one fat node where the per-op autograd chain
+it replaced records many thin ones.  Gradients for leaf embedding tables are
+emitted as :class:`~repro.autograd.sparse.SparseRowGrad`, matching that
+chain's gather backward.  Because callers look the wrappers up on this
+module at call time, patching one of them here reroutes every call site.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,14 +27,9 @@ from repro.autograd.tensor import Tensor
 from repro.kernels import numpy_backend
 
 __all__ = [
-    "ENV_VAR",
-    "BACKENDS",
     "TENSOR_OPS",
     "available_backends",
     "get_backend",
-    "set_backend",
-    "kernel_backend",
-    "fused_enabled",
     "edge_attention_scores",
     "transr_energy",
     "weighted_neighbor_sum",
@@ -56,64 +38,20 @@ __all__ = [
     "masked_select",
 ]
 
-ENV_VAR = "REPRO_KERNELS"
-BACKENDS = ("numpy", "oracle")
-
 #: Dispatch ops that return Tensors — instrumented by the numeric sanitizer
 #: and the op-timer profiler exactly like the ``repro.autograd.functional``
 #: public surface.
 TENSOR_OPS = ("edge_attention_scores", "weighted_neighbor_sum", "aggregate", "transr_energy")
 
-_backend: Optional[str] = None
-
 
 def available_backends() -> tuple:
-    """Every backend name; both run wherever NumPy does."""
-    return BACKENDS
-
-
-def _resolve_from_env() -> str:
-    value = os.environ.get(ENV_VAR, "").strip().lower() or "numpy"
-    if value not in BACKENDS:
-        raise ValueError(f"unrecognized {ENV_VAR}={value!r}; expected numpy or oracle")
-    return value
-
-
-def _validate(name: str) -> str:
-    if name not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; expected one of {BACKENDS}")
-    return name
+    """``("numpy",)``, the one kernel backend; kept for the benchmark run record."""
+    return ("numpy",)
 
 
 def get_backend() -> str:
-    """The active backend name, resolving ``REPRO_KERNELS`` on first use."""
-    global _backend
-    if _backend is None:
-        _backend = _resolve_from_env()
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend for subsequent fused-op calls."""
-    global _backend
-    _backend = _validate(name)
-
-
-@contextlib.contextmanager
-def kernel_backend(name: str) -> Iterator[None]:
-    """Temporarily switch backends (benchmarks pit ``oracle`` against fused)."""
-    global _backend
-    prev = _backend
-    set_backend(name)
-    try:
-        yield
-    finally:
-        _backend = prev
-
-
-def fused_enabled() -> bool:
-    """Whether callers should take the fused path (False under ``oracle``)."""
-    return get_backend() != "oracle"
+    """``"numpy"``, the backend every fused op runs; kept for the benchmark run record."""
+    return "numpy"
 
 
 # ----------------------------------------------------------- fused attention
@@ -187,7 +125,7 @@ def transr_energy(
     """Fused TransR plausibility scores ``‖W_r e_h + e_r − W_r e_t‖²`` (Eq. 1).
 
     One tape node for the grouped gather → project → translate → norm chain
-    of :meth:`repro.models.embeddings.TransR.energy`, shape ``(B,)``.  Each
+    behind :meth:`repro.models.embeddings.TransR.energy`, shape ``(B,)``.  Each
     distinct (relation, entity) pair of the batch is projected once, and
     the backward reduces to those run rows before any per-relation GEMM, so
     a positive‖corrupted margin batch pays for its ~2k distinct pairs, not

@@ -3,8 +3,8 @@
 Every function here operates on **raw ndarrays** — no autograd Tensors, no
 tape.  The differentiable wrappers in :mod:`repro.kernels.dispatch` call
 these for both directions of each fused op; each op has exactly this one
-implementation, checked against the per-op autograd chain
-(``REPRO_KERNELS=oracle``).
+implementation, checked against the per-op autograd chain it replaced
+(the drop-ins of ``tests/kernel_oracle.py``).
 
 Run factoring and CSR products
 ------------------------------

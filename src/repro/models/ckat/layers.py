@@ -54,51 +54,11 @@ def compute_edge_attention(
     :func:`repro.autograd.tensor.no_grad` for frozen-attention training.
     """
     if adj.num_edges == 0:
-        # F.concat rejects an empty piece list; a graph with no triples has
-        # an empty (but well-formed) attention vector.
+        # A graph with no triples has an empty (but well-formed) attention
+        # vector; the per-op parity oracle's F.concat would reject it.
         return F.astensor(np.zeros(0, dtype=entity_emb.dtype))
-    if dispatch.fused_enabled():
-        scores_sorted = dispatch.edge_attention_scores(entity_emb, relation_emb, proj, adj)
-    else:
-        scores_sorted = _edge_attention_scores_oracle(entity_emb, relation_emb, proj, adj)
+    scores_sorted = dispatch.edge_attention_scores(entity_emb, relation_emb, proj, adj)
     return F.segment_softmax(scores_sorted, adj.offsets)
-
-
-def _edge_attention_scores_oracle(
-    entity_emb: Tensor,
-    relation_emb: Tensor,
-    proj: Tensor,
-    adj: CSRAdjacency,
-) -> Tensor:
-    """Per-op reference chain for the unnormalized scores (fusion oracle).
-
-    This is the original fine-grained implementation — one autograd node per
-    gather/matmul/tanh/mul/rowsum/concat/scatter step.  It stays as the
-    parity and gradcheck oracle for
-    :func:`repro.kernels.dispatch.edge_attention_scores` and runs when the
-    ``oracle`` backend is selected.
-    """
-    order, bounds = adj.relation_edge_groups()
-    pieces: List[Tensor] = []
-    d = entity_emb.shape[1]
-    for r in range(adj.num_relations):
-        lo, hi = bounds[r], bounds[r + 1]
-        if hi == lo:
-            continue
-        idx = order[lo:hi]
-        Wr = F.reshape(F.take_rows(proj, np.array([r])), (proj.shape[1], d))  # (k, d)
-        e_h = F.take_rows(entity_emb, adj.heads[idx])  # (m, d)
-        e_t = F.take_rows(entity_emb, adj.tails[idx])
-        r_vec = F.reshape(F.take_rows(relation_emb, np.array([r])), (1, proj.shape[1]))
-        proj_h = e_h @ F.transpose(Wr)  # (m, k)
-        proj_t = e_t @ F.transpose(Wr)
-        scores = F.sum(F.mul(proj_t, F.tanh(F.add(proj_h, r_vec))), axis=1)  # (m,)
-        pieces.append(scores)
-    flat = F.concat(pieces, axis=0)
-    # Scatter back from relation order to head-sorted edge order (cached:
-    # concatenating the non-empty relation slices reproduces the full
-    # grouping permutation, so its inverse is the precomputed scatter index).
-    return F.take_rows(flat, adj.relation_scatter_index())
 
 
 def uniform_edge_weights(adj: CSRAdjacency) -> np.ndarray:
@@ -131,13 +91,7 @@ class _Aggregator:
         rng: Optional[np.random.Generator] = None,
     ) -> Tensor:
         """Aggregate, then drop each output entry with probability ``p``."""
-        if dispatch.fused_enabled():
-            return dispatch.aggregate(self_emb, neigh_emb, self.W, self.b, self.mode, p, rng)
-        if self.mode == "concat":
-            joint = F.concat([self_emb, neigh_emb], axis=1)
-        else:
-            joint = F.add(self_emb, neigh_emb)
-        return F.dropout(F.leaky_relu(F.add(joint @ self.W, self.b)), p, rng)
+        return dispatch.aggregate(self_emb, neigh_emb, self.W, self.b, self.mode, p, rng)
 
 
 class ConcatAggregator(_Aggregator):
@@ -205,14 +159,8 @@ class PropagationLayer:
         exact Eq. 4–5 path) or a constant array (frozen attention, uniform
         weights).
         """
-        if dispatch.fused_enabled():
-            # One CSR product: the (E, d_in) weighted-messages temporary is
-            # never materialized.
-            neigh = dispatch.weighted_neighbor_sum(embeddings, edge_weights, adj)
-        else:
-            tails = F.take_rows(embeddings, adj.tails)  # (E, d_in)
-            scale = F.reshape(F.astensor(edge_weights, embeddings), (adj.num_edges, 1))
-            weighted = F.mul(tails, scale)
-            neigh = F.segment_sum(weighted, adj.offsets)  # (Ent, d_in)
+        # One CSR product: the (E, d_in) weighted-messages temporary is
+        # never materialized.
+        neigh = dispatch.weighted_neighbor_sum(embeddings, edge_weights, adj)
         p = self.dropout if training and rng is not None else 0.0
         return self.aggregator(embeddings, neigh, p, rng)

@@ -104,68 +104,25 @@ class TransR:
     def parameters(self) -> List[Parameter]:
         return [self.entity_emb, self.relation_emb, self.proj]
 
-    def project(self, rels: np.ndarray, entities: np.ndarray) -> Tensor:
-        """``W_r e`` for parallel arrays of relation and entity ids, (B, k).
-
-        Triples are grouped by relation so each group shares one (d → k)
-        matmul — materializing a per-triple (B, k, d) stack of projection
-        matrices would copy megabytes per batch for nothing.
-        """
-        rels = np.asarray(rels, dtype=np.int64)
-        entities = np.asarray(entities, dtype=np.int64)
-        order = np.argsort(rels, kind="stable")
-        sorted_rels = rels[order]
-        # Group boundaries of equal relations in the sorted batch.
-        starts = np.flatnonzero(np.r_[True, sorted_rels[1:] != sorted_rels[:-1]])
-        bounds = np.r_[starts, len(sorted_rels)]
-        pieces = []
-        for gi in range(len(starts)):
-            lo, hi = bounds[gi], bounds[gi + 1]
-            r = int(sorted_rels[lo])
-            idx = order[lo:hi]
-            e = F.take_rows(self.entity_emb, entities[idx])  # (m, d)
-            Wr = F.reshape(F.take_rows(self.proj, np.array([r])), (self.relation_dim, self.entity_dim))
-            pieces.append(e @ F.transpose(Wr))  # (m, k)
-        flat = F.concat(pieces, axis=0)
-        inverse = np.empty(len(rels), dtype=np.int64)
-        inverse[order] = np.arange(len(rels), dtype=np.int64)
-        return F.take_rows(flat, inverse)
-
     def energy(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> Tensor:
         """Plausibility score f_r(h, r, t) = ‖W_r e_h + e_r − W_r e_t‖² (Eq. 1).
 
         Lower is more plausible.  Returns shape (B,).
         """
-        if dispatch.fused_enabled():
-            return dispatch.transr_energy(
-                self.entity_emb, self.relation_emb, self.proj, heads, rels, tails
-            )
-        return self._energy_oracle(heads, rels, tails)
-
-    def _energy_oracle(
-        self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray
-    ) -> Tensor:
-        """Per-op chain for :meth:`energy` — the fused kernel's parity oracle."""
-        ph = self.project(rels, heads)
-        pt = self.project(rels, tails)
-        r = F.take_rows(self.relation_emb, rels)
-        diff = F.sub(F.add(ph, r), pt)
-        return F.sum(F.mul(diff, diff), axis=1)
+        return dispatch.transr_energy(
+            self.entity_emb, self.relation_emb, self.proj, heads, rels, tails
+        )
 
     def margin_loss(
         self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray, rng: np.random.Generator
     ) -> Tensor:
         """Eq. 2: hinge over corrupted triples, mean-reduced.
 
-        The fused path scores the positive‖corrupted batch in one
+        The positive‖corrupted batch is scored in one
         :func:`~repro.kernels.dispatch.transr_energy` call, so a pair shared
         by both halves is projected once.
         """
         ch, ct = corrupt_triples(heads, tails, self.num_entities, rng)
-        if not dispatch.fused_enabled():
-            pos = self._energy_oracle(heads, rels, tails)
-            neg = self._energy_oracle(ch, rels, ct)
-            return F.margin_ranking_loss(pos, neg, self.margin)
         n = len(heads)
         energy = dispatch.transr_energy(
             self.entity_emb, self.relation_emb, self.proj,

@@ -2,8 +2,9 @@
 
 CKAT trains in float32 (``PARAM_DTYPE`` in :mod:`repro.models.ckat.model`).
 Tests and benchmarks that assert float64-precision identities on a CKAT —
-fused == oracle parity, attention rows summing to 1 at 1e-9 — build the
-model, then cast it to float64 here.
+fused == oracle parity against the drop-ins of ``tests/kernel_oracle.py``,
+attention rows summing to 1 at 1e-9 — build the model, then cast it to
+float64 here.
 """
 
 import numpy as np

@@ -209,22 +209,3 @@ class TestUserQueryEmbedding:
             ooi_trace, ooi_catalog, top, max_objects_per_user=10, n_iter=60, seed=0
         )
         assert -1.0 <= emb.user_separability() <= 1.0
-
-
-class TestFacilityReport:
-    def test_report_structure(self, ooi_trace, ooi_catalog, ooi_population):
-        from repro.analysis import facility_report
-
-        report = facility_report(ooi_trace, ooi_catalog, ooi_population, num_pairs=500, seed=0)
-        assert report.facility == ooi_catalog.name
-        assert report.num_records == len(ooi_trace)
-        assert report.pair_study is not None
-        text = report.render()
-        assert "trace report" in text and "Fig 5" in text
-
-    def test_report_without_population(self, ooi_trace, ooi_catalog):
-        from repro.analysis import facility_report
-
-        report = facility_report(ooi_trace, ooi_catalog)
-        assert report.pair_study is None
-        assert "Fig 5" not in report.render()

@@ -36,12 +36,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_profile_backend_choices(self):
-        for backend in ("numpy", "oracle"):
-            args = build_parser().parse_args(["profile", "ooi", "--backend", backend])
-            assert args.backend == backend
-
-    @pytest.mark.parametrize("backend", ["numba", "auto"])
+    @pytest.mark.parametrize("backend", ["numba", "auto", "numpy", "oracle"])
     def test_profile_rejects_retired_backend(self, backend):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "ooi", "--backend", backend])
@@ -75,6 +70,11 @@ class TestCommands:
         assert main(["recommend", "ooi", "0", "--epochs", "2", "--k", "3"]) == 0
         out = capsys.readouterr().out
         assert "top-3 data objects" in out
+
+    def test_profile_runs(self, capsys):
+        assert main(["profile", "ooi", "--epochs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "edge_attention_scores" in out
 
     def test_recommend_bad_user(self, capsys):
         assert main(["recommend", "ooi", "99999", "--epochs", "1"]) == 2

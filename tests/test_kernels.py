@@ -1,13 +1,15 @@
 """Fused cache-blocked kernels: dispatch, gradcheck, and parity oracles.
 
 Every fused op in :mod:`repro.kernels.dispatch` has a per-op chain as its
-parity oracle (``REPRO_KERNELS=oracle``); these tests pin the contract from
-both sides — analytic gradients against finite differences, and fused
-forward/backward against the oracle chain on the shapes that historically
-break segment kernels (zero edges, a single relation, repeated endpoints,
-empty batches).
+parity oracle, a drop-in in ``tests/kernel_oracle.py``; these tests pin the
+contract from both sides — analytic gradients against finite differences,
+and fused forward/backward against the oracle chain on the shapes that
+historically break segment kernels (zero edges, a single relation, repeated
+endpoints, empty batches).
 """
 
+import contextlib
+import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -23,18 +25,16 @@ from repro.autograd.sparse import SparseRowGrad, segment_sum_rows
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import RankingEvaluator
 from repro.eval.metrics import ndcg_at_k, recall_at_k
-from repro.kernels import dispatch
+from repro.kernels import dispatch, numpy_backend
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.triples import TripleStore
 from repro.models import CKAT, CKATConfig
 from repro.models.base import FitConfig
-from repro.models.ckat.layers import (
-    PropagationLayer,
-    _edge_attention_scores_oracle,
-    compute_edge_attention,
-)
+from repro.models.ckat.layers import PropagationLayer, compute_edge_attention
 from repro.models.embeddings import TransR
+from tests import kernel_oracle
 from tests.ckat_reference import float64_ckat
+from tests.kernel_oracle import oracle_kernels
 from tests.ranking_oracle import assert_matches_oracle, oracle_rank, oracle_topk
 
 
@@ -76,6 +76,11 @@ def _small_transr(small_params):
     return transr
 
 
+def _kernels(backend):
+    """The fused ops as they ship, or (``"oracle"``) their per-op drop-ins."""
+    return oracle_kernels() if backend == "oracle" else contextlib.nullcontext()
+
+
 def _dense(grad):
     if grad is None:
         return None
@@ -83,36 +88,54 @@ def _dense(grad):
 
 
 # ---------------------------------------------------------------- dispatch
-class TestBackendDispatch:
-    def test_available_backends_without_numba(self):
-        assert dispatch.available_backends() == ("numpy", "oracle")
+def test_run_record_backend_constants():
+    """The one backend, as ``perfbench/run.py`` records it in a run's conditions."""
+    assert dispatch.available_backends() == ("numpy",)
+    assert dispatch.get_backend() == "numpy"
 
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "_backend", None)
-        monkeypatch.delenv(dispatch.ENV_VAR, raising=False)
-        assert dispatch.get_backend() == "numpy"
-        for value in ("numpy", "oracle"):
-            monkeypatch.setattr(dispatch, "_backend", None)
-            monkeypatch.setenv(dispatch.ENV_VAR, value)
-            assert dispatch.get_backend() == value
 
-    @pytest.mark.parametrize("value", ["auto", "off", "numba", "bogus"])
-    def test_unrecognized_env_value_raises(self, monkeypatch, value):
-        monkeypatch.setattr(dispatch, "_backend", None)
-        monkeypatch.setenv(dispatch.ENV_VAR, value)
-        with pytest.raises(ValueError, match="unrecognized"):
-            dispatch.get_backend()
+@pytest.mark.parametrize("name", dispatch.TENSOR_OPS)
+def test_every_fused_op_has_an_oracle_drop_in(name):
+    """A fused op with no per-op oracle of the same signature fails here."""
+    assert inspect.signature(getattr(kernel_oracle, name)) == inspect.signature(
+        getattr(dispatch, name)
+    )
 
-    def test_kernel_backend_restores(self):
-        before = dispatch.get_backend()
-        with dispatch.kernel_backend("oracle"):
-            assert dispatch.get_backend() == "oracle"
-            assert not dispatch.fused_enabled()
-        assert dispatch.get_backend() == before
 
-    def test_numba_request_fails_loudly_when_absent(self):
-        with pytest.raises(ValueError, match="numba"):
-            dispatch.set_backend("numba")
+class _FusedKernelCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("aggregator", ["concat", "sum"])
+def test_oracle_kernels_reach_every_call_site(ooi_split, ooi_ckg_best, monkeypatch, aggregator):
+    """Under ``oracle_kernels()`` a CKAT fit never enters a fused kernel.
+
+    Every entry point of the backend raises while patched, so a call site
+    that bypassed the swap would fail the oracle fit; the same fit outside
+    the swap must fail, or the patch proves nothing.  The fit covers both
+    phases: TransR steps, then two BPR batches with batch attention and
+    dropout.
+    """
+    train = ooi_split.train
+    cfg = CKATConfig(
+        dim=8, relation_dim=8, layer_dims=(8, 4), dropout=0.3,
+        attention_mode="batch", aggregator=aggregator,
+    )
+    fit_cfg = FitConfig(epochs=1, batch_size=(len(train) + 1) // 2, seed=3)
+
+    def fit():
+        model = CKAT(train.num_users, train.num_items, ooi_ckg_best, cfg, seed=3)
+        model.fit(train, fit_cfg)
+
+    def fused_kernel(*args, **kwargs):
+        raise _FusedKernelCalled
+
+    for name in numpy_backend.__all__:
+        monkeypatch.setattr(numpy_backend, name, fused_kernel)
+    with oracle_kernels():
+        fit()
+    with pytest.raises(_FusedKernelCalled):
+        fit()
 
 
 # ---------------------------------------------------------------- gradcheck
@@ -120,39 +143,36 @@ class TestGradcheck:
     def test_edge_attention_scores(self, small_adj, small_params):
         ent, rel, proj = small_params
         probe = Tensor(np.linspace(0.5, 1.5, small_adj.num_edges))
-        with dispatch.kernel_backend("numpy"):
-            assert gradcheck(
-                lambda: F.sum(
-                    F.mul(
-                        dispatch.edge_attention_scores(ent, rel, proj, small_adj),
-                        probe,
-                    )
-                ),
-                [ent, rel, proj],
-            )
+        assert gradcheck(
+            lambda: F.sum(
+                F.mul(
+                    dispatch.edge_attention_scores(ent, rel, proj, small_adj),
+                    probe,
+                )
+            ),
+            [ent, rel, proj],
+        )
 
     def test_weighted_neighbor_sum_tensor_weights(self, small_adj):
         rng = np.random.default_rng(6)
         emb = Parameter(rng.standard_normal((6, 4)))
         w = Parameter(rng.standard_normal(small_adj.num_edges))
         probe = Tensor(np.linspace(-1.0, 1.0, 24).reshape(6, 4))
-        with dispatch.kernel_backend("numpy"):
-            assert gradcheck(
-                lambda: F.sum(
-                    F.mul(dispatch.weighted_neighbor_sum(emb, w, small_adj), probe)
-                ),
-                [emb, w],
-            )
+        assert gradcheck(
+            lambda: F.sum(
+                F.mul(dispatch.weighted_neighbor_sum(emb, w, small_adj), probe)
+            ),
+            [emb, w],
+        )
 
     def test_weighted_neighbor_sum_frozen_weights(self, small_adj):
         rng = np.random.default_rng(7)
         emb = Parameter(rng.standard_normal((6, 4)))
         w = rng.standard_normal(small_adj.num_edges)  # constant: frozen path
-        with dispatch.kernel_backend("numpy"):
-            assert gradcheck(
-                lambda: F.sum(dispatch.weighted_neighbor_sum(emb, w, small_adj)),
-                [emb],
-            )
+        assert gradcheck(
+            lambda: F.sum(dispatch.weighted_neighbor_sum(emb, w, small_adj)),
+            [emb],
+        )
 
     @pytest.mark.parametrize("mode", ["concat", "sum"])
     @pytest.mark.parametrize("p", [0.0, 0.4])
@@ -163,30 +183,28 @@ class TestGradcheck:
         w = Parameter(rng.standard_normal((6 if mode == "concat" else 3, 4)))
         b = Parameter(rng.standard_normal(4))
         probe = Tensor(rng.standard_normal((5, 4)))
-        with dispatch.kernel_backend("numpy"):
-            # A fresh generator per evaluation keeps the dropout mask fixed.
-            assert gradcheck(
-                lambda: F.sum(
-                    F.mul(
-                        dispatch.aggregate(x, n, w, b, mode, p, np.random.default_rng(3)),
-                        probe,
-                    )
-                ),
-                [x, n, w, b],
-            )
+        # A fresh generator per evaluation keeps the dropout mask fixed.
+        assert gradcheck(
+            lambda: F.sum(
+                F.mul(
+                    dispatch.aggregate(x, n, w, b, mode, p, np.random.default_rng(3)),
+                    probe,
+                )
+            ),
+            [x, n, w, b],
+        )
 
     def test_transr_energy(self, small_params):
         ent, rel, proj = small_params
         heads = np.array([0, 3, 1, 4, 2], dtype=np.int64)
         rels = np.array([2, 0, 1, 0, 2], dtype=np.int64)
         tails = np.array([1, 4, 0, 2, 5], dtype=np.int64)
-        with dispatch.kernel_backend("numpy"):
-            assert gradcheck(
-                lambda: F.sum(
-                    dispatch.transr_energy(ent, rel, proj, heads, rels, tails)
-                ),
-                [ent, rel, proj],
-            )
+        assert gradcheck(
+            lambda: F.sum(
+                dispatch.transr_energy(ent, rel, proj, heads, rels, tails)
+            ),
+            [ent, rel, proj],
+        )
 
 
 # ------------------------------------------------------------------- parity
@@ -195,7 +213,7 @@ class TestAttentionParity:
         ent, rel, proj = params
         for p in params:
             p.grad = None
-        with dispatch.kernel_backend(backend):
+        with _kernels(backend):
             scores = compute_edge_attention(ent, rel, proj, adj)
             scores.backward(upstream)
         return scores.data.copy(), [_dense(p.grad) for p in params]
@@ -229,10 +247,9 @@ class TestAttentionParity:
             store.relations.add(name)
         adj = CSRAdjacency(store)
         assert adj.num_edges == 0
-        with dispatch.kernel_backend("numpy"):
-            scores = dispatch.edge_attention_scores(ent, rel, proj, adj)
-            assert scores.data.shape == (0,)
-            F.sum(scores).backward()
+        scores = dispatch.edge_attention_scores(ent, rel, proj, adj)
+        assert scores.data.shape == (0,)
+        F.sum(scores).backward()
         for p in (ent, rel, proj):
             g = _dense(p.grad)
             assert g is None or not np.any(g)
@@ -277,15 +294,14 @@ class TestAttentionParity:
                 )
             return results
 
-        with dispatch.kernel_backend("numpy"):
-            serial = run(None)
-            previous = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    threaded = list(pool.map(run, range(4), timeout=300))
-            finally:
-                sys.setswitchinterval(previous)
+        serial = run(None)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, range(4), timeout=300))
+        finally:
+            sys.setswitchinterval(previous)
         for results in threaded:
             for got, ref in zip(results, serial):
                 for a, b in zip(got, ref):
@@ -303,7 +319,7 @@ class TestTransREnergyParity:
         for backend in ("oracle", "numpy"):
             for p in small_params:
                 p.grad = None
-            with dispatch.kernel_backend(backend):
+            with _kernels(backend):
                 energy = transr.energy(heads, rels, tails)
                 F.sum(energy).backward()
             results[backend] = (
@@ -326,7 +342,7 @@ class TestTransREnergyParity:
         for backend in ("oracle", "numpy"):
             for p in small_params:
                 p.grad = None
-            with dispatch.kernel_backend(backend):
+            with _kernels(backend):
                 F.sum(transr.energy(heads, rels, tails)).backward()
             rows[backend] = {}
             for name, p in zip(("ent", "rel", "proj"), small_params):
@@ -354,19 +370,8 @@ class TestTransREnergyParity:
     def test_empty_batch(self, small_params):
         ent, rel, proj = small_params
         empty = np.zeros(0, dtype=np.int64)
-        with dispatch.kernel_backend("numpy"):
-            energy = dispatch.transr_energy(ent, rel, proj, empty, empty, empty)
+        energy = dispatch.transr_energy(ent, rel, proj, empty, empty, empty)
         assert energy.data.shape == (0,)
-
-
-def _oracle_neighbor_sum(emb, weights, adj):
-    """The per-op chain ``PropagationLayer`` runs under ``oracle``."""
-    tails = F.take_rows(emb, adj.tails)
-    if isinstance(weights, Tensor):
-        scale = F.reshape(weights, (adj.num_edges, 1))
-    else:
-        scale = F.astensor(np.asarray(weights)[:, None])
-    return F.segment_sum(F.mul(tails, scale), adj.offsets)
 
 
 @settings(max_examples=25, deadline=None)
@@ -406,7 +411,7 @@ def test_weighted_neighbor_sum_matches_oracle_property(
         gw = _dense(weights.grad) if tensor_weights else np.zeros(0)
         return out.data.copy(), _dense(emb.grad), gw
 
-    oracle = run(_oracle_neighbor_sum)
+    oracle = run(kernel_oracle.weighted_neighbor_sum)
     fused = run(dispatch.weighted_neighbor_sum)
     for got, ref in zip(fused, oracle):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
@@ -456,7 +461,7 @@ def test_edge_attention_scores_matches_oracle_property(
         scores.backward(upstream)
         return [scores.data.copy()] + [_dense(p.grad) for p in params]
 
-    oracle = run(_edge_attention_scores_oracle)
+    oracle = run(kernel_oracle.edge_attention_scores)
     fused = run(dispatch.edge_attention_scores)
     for got, ref in zip(fused, oracle):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
@@ -508,7 +513,7 @@ def test_aggregate_matches_oracle_property(
         for p in params:
             p.grad = None
         draws = np.random.default_rng(seed)
-        with dispatch.kernel_backend(backend):
+        with _kernels(backend):
             out = layer.aggregator(emb, neigh, layer.dropout, draws)
             if normalize:
                 out = F.l2_normalize(out, axis=1)
@@ -525,9 +530,8 @@ def test_aggregate_dropout_mask_is_the_generators_draw():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(0.5, 1.0, (6, 3)))
     w, b = Parameter(rng.uniform(0.5, 1.0, (6, 2))), Parameter(np.ones(2))
-    with dispatch.kernel_backend("numpy"):
-        kept = dispatch.aggregate(x, x, w, b, "concat", 0.3, np.random.default_rng(9))
-        full = dispatch.aggregate(x, x, w, b, "concat")
+    kept = dispatch.aggregate(x, x, w, b, "concat", 0.3, np.random.default_rng(9))
+    full = dispatch.aggregate(x, x, w, b, "concat")
     keep = np.random.default_rng(9).random((6, 2)) >= 0.3
     np.testing.assert_array_equal(kept.data, np.where(keep, full.data * (1 / 0.7), 0.0))
 
@@ -583,9 +587,8 @@ def test_transr_energy_matches_oracle_property(
         scores.backward(upstream)
         return [scores.data.copy()] + [_dense(p.grad) for p in params]
 
-    with dispatch.kernel_backend("numpy"):
-        fused = run(transr.energy)
-    oracle = run(transr._energy_oracle)
+    fused = run(transr.energy)
+    oracle = run(partial(kernel_oracle.transr_energy, *params))
     for got, ref in zip(fused, oracle):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
 
@@ -599,7 +602,8 @@ def test_transr_energy_matches_oracle_property(
     hinges=st.sampled_from(["mixed", "active", "inactive"]),
 )
 def test_margin_loss_matches_oracle_property(seed, num_entities, num_relations, batch, hinges):
-    """Run-factored margin loss == the oracle's two per-op energy chains.
+    """Run-factored margin loss == ``kernel_oracle.transr_margin_loss``, two
+    per-op energy chains.
 
     Few entities repeat (relation, entity) pairs across heads, tails and the
     corrupted half; about a fifth of the triples are self-loops (one entity
@@ -620,12 +624,15 @@ def test_margin_loss_matches_oracle_property(seed, num_entities, num_relations, 
     tails[loops] = heads[loops]
     params = transr.parameters()
     results = {}
-    for backend in ("numpy", "oracle"):
+    losses = {
+        "numpy": transr.margin_loss,
+        "oracle": partial(kernel_oracle.transr_margin_loss, transr),
+    }
+    for backend, margin_loss in losses.items():
         for p in params:
             p.grad = None
-        with dispatch.kernel_backend(backend):
-            loss = transr.margin_loss(heads, rels, tails, np.random.default_rng(seed))
-            loss.backward()
+        loss = margin_loss(heads, rels, tails, np.random.default_rng(seed))
+        loss.backward()
         results[backend] = (loss.item(), [p.grad for p in params])
     (loss, grads), (loss_ref, grads_ref) = results["numpy"], results["oracle"]
     np.testing.assert_allclose(loss, loss_ref, rtol=1e-12)
@@ -649,8 +656,7 @@ def test_margin_loss_scores_both_halves_in_one_call(monkeypatch):
 
     monkeypatch.setattr(dispatch, "transr_energy", counted)
     heads, rels, tails = np.array([0, 1, 2]), np.array([0, 2, 2]), np.array([3, 4, 5])
-    with dispatch.kernel_backend("numpy"):
-        transr.margin_loss(heads, rels, tails, np.random.default_rng(0))
+    transr.margin_loss(heads, rels, tails, np.random.default_rng(0))
     assert calls == [6]
 
 
@@ -661,17 +667,6 @@ def test_margin_loss_scores_both_halves_in_one_call(monkeypatch):
 #: property below came within 5.5 eps.
 F32_ULPS = 16
 F32_TOL = F32_ULPS * float(np.finfo(np.float32).eps)
-
-
-def _transr_energy_oracle(ent, rel, proj, heads, rels, tails):
-    transr = TransR(ent.shape[0], rel.shape[0], ent.shape[1], rel.shape[1])
-    transr.entity_emb, transr.relation_emb, transr.proj = ent, rel, proj
-    return transr._energy_oracle(heads, rels, tails)
-
-
-def _aggregate_oracle(x, n, w, b, mode, p, rng):
-    joint = F.concat([x, n], axis=1) if mode == "concat" else F.add(x, n)
-    return F.dropout(F.leaky_relu(F.add(joint @ w, b)), p, rng)
 
 
 @settings(max_examples=60, deadline=None)
@@ -712,12 +707,12 @@ def test_fused_float32_matches_float64_oracle_property(
     )
     if kernel == "attention":
         fused = partial(dispatch.edge_attention_scores, adj=adj)
-        oracle = partial(_edge_attention_scores_oracle, adj=adj)
+        oracle = partial(kernel_oracle.edge_attention_scores, adj=adj)
         out_shape = (adj.num_edges,)
     elif kernel == "propagation":
         tables = (rng.standard_normal((num_entities, 3)), rng.standard_normal(adj.num_edges))
         fused = partial(dispatch.weighted_neighbor_sum, adj=adj)
-        oracle = partial(_oracle_neighbor_sum, adj=adj)
+        oracle = partial(kernel_oracle.weighted_neighbor_sum, adj=adj)
         out_shape = (num_entities, 3)
     elif kernel == "aggregate":
         # Both sides draw the same dropout masks from their own generator.
@@ -729,12 +724,12 @@ def test_fused_float32_matches_float64_oracle_property(
             rng.standard_normal(2),
         )
         fused = partial(dispatch.aggregate, mode=mode, p=p, rng=np.random.default_rng(seed))
-        oracle = partial(_aggregate_oracle, mode=mode, p=p, rng=np.random.default_rng(seed))
+        oracle = partial(kernel_oracle.aggregate, mode=mode, p=p, rng=np.random.default_rng(seed))
         out_shape = (num_entities, 2)
     else:
         triples = {"heads": heads, "rels": rels, "tails": tails}
         fused = partial(dispatch.transr_energy, **triples)
-        oracle = partial(_transr_energy_oracle, **triples)
+        oracle = partial(kernel_oracle.transr_energy, **triples)
         out_shape = (len(heads),)
     tables = [t.astype(np.float32) for t in tables]
     upstream = rng.standard_normal(out_shape).astype(np.float32)
@@ -745,8 +740,7 @@ def test_fused_float32_matches_float64_oracle_property(
         out.backward(upstream.astype(dtype))
         return [out.data] + [_dense(p.grad) for p in params]
 
-    with dispatch.kernel_backend("numpy"):
-        got = run(fused, np.float32)
+    got = run(fused, np.float32)
     ref = run(oracle, np.float64)
     for g, r in zip(got, ref):
         assert g.dtype == np.float32
@@ -790,7 +784,7 @@ class TestTrainingParity:
                     seed=3,
                 )
             )
-            with dispatch.kernel_backend(backend):
+            with _kernels(backend):
                 model.fit(ooi_split.train, fit_cfg)
             tables[backend] = {
                 "entity": model.transr.entity_emb.data.copy(),
@@ -1017,8 +1011,7 @@ class TestConstantWeightNeighborSum:
         rng = np.random.default_rng(31)
         w = rng.standard_normal(small_adj.num_edges)
         x = Parameter(rng.standard_normal((6, 4)))
-        with dispatch.kernel_backend("numpy"):
-            out = dispatch.weighted_neighbor_sum(x, w, small_adj)
+        out = dispatch.weighted_neighbor_sum(x, w, small_adj)
         dense = self._dense_adjacency(small_adj, w)
         np.testing.assert_allclose(out.data, dense @ x.data, rtol=1e-12)
 
@@ -1027,9 +1020,8 @@ class TestConstantWeightNeighborSum:
         w = rng.standard_normal(small_adj.num_edges)
         x = Parameter(rng.standard_normal((6, 3)))
         c = rng.standard_normal((6, 3))
-        with dispatch.kernel_backend("numpy"):
-            out = dispatch.weighted_neighbor_sum(x, w, small_adj)
-            F.sum(F.mul(out, Tensor(c))).backward()
+        out = dispatch.weighted_neighbor_sum(x, w, small_adj)
+        F.sum(F.mul(out, Tensor(c))).backward()
         dense = self._dense_adjacency(small_adj, w)
         np.testing.assert_allclose(_dense(x.grad), dense.T @ c, rtol=1e-12, atol=1e-14)
 
@@ -1081,7 +1073,7 @@ class TestSegmentKernels:
 class TestInstrumentation:
     def test_profiler_times_fused_ops(self, small_adj, small_params):
         ent, rel, proj = small_params
-        with dispatch.kernel_backend("numpy"), profiler.profiled() as report:
+        with profiler.profiled() as report:
             scores = dispatch.edge_attention_scores(ent, rel, proj, small_adj)
             F.sum(scores).backward()
         stats = {s.name for s in report.sorted_stats()}
@@ -1091,13 +1083,13 @@ class TestInstrumentation:
         rng = np.random.default_rng(2)
         x = Parameter(rng.standard_normal((4, 3)))
         w, b = Parameter(rng.standard_normal((6, 2))), Parameter(np.zeros(2))
-        with dispatch.kernel_backend("numpy"), profiler.profiled() as report:
+        with profiler.profiled() as report:
             F.sum(dispatch.aggregate(x, x, w, b, "concat")).backward()
         assert "aggregate" in {s.name for s in report.sorted_stats()}
         values = x.data.copy()
         values[0, 0] = np.nan
         bad = Parameter(values)
-        with dispatch.kernel_backend("numpy"), sanitizer.sanitized():
+        with sanitizer.sanitized():
             with pytest.raises(sanitizer.SanitizerError, match="aggregate"):
                 dispatch.aggregate(bad, x, w, b, "concat")
 
@@ -1105,6 +1097,6 @@ class TestInstrumentation:
         _, rel, proj = small_params
         bad = Parameter(small_params[0].data.copy())
         bad.data[0, 0] = np.nan
-        with dispatch.kernel_backend("numpy"), sanitizer.sanitized():
+        with sanitizer.sanitized():
             with pytest.raises(sanitizer.SanitizerError):
                 dispatch.edge_attention_scores(bad, rel, proj, small_adj)
