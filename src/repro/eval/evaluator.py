@@ -9,8 +9,8 @@ then accumulates recall/ndcg/precision/hit vectorized across the batch.
 The hot path is loop-free (DESIGN.md §6):
 
 - train/test interactions are indexed as CSR (``indptr``/``indices``) once at
-  construction, and ``masked_select`` masks a batch's training positives
-  straight from that CSR;
+  construction; per batch, ``mask_pairs`` turns the batch's training rows
+  into (row, item) cells and ``masked_select`` masks them in one assignment;
 - hit flags come from a single ``searchsorted`` of the batch's top-K
   ``user * num_items + item`` keys against the globally sorted test keys —
   no per-row ``np.isin``;
@@ -262,9 +262,10 @@ class RankingEvaluator:
             # 1.7x slower ``evaluate`` on the 2k-user problem of
             # ``benchmarks/test_bench_eval.py`` (2-vCPU x86 VM, one BLAS thread).
             held = raw
-            return dispatch.masked_select(
-                neg_scores, self.k, self._train_indptr, self._train_indices, batch
+            mask_rows, mask_cols = dispatch.mask_pairs(
+                self._train_indptr, self._train_indices, batch
             )
+            return dispatch.masked_select(neg_scores, self.k, mask_rows, mask_cols)[0]
 
         return self._rank_batches(users, rank_batch)
 

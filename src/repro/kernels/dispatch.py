@@ -17,7 +17,7 @@ module at call time, patching one of them here reroutes every call site.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "weighted_neighbor_sum",
     "aggregate",
     "masked_topk",
+    "mask_pairs",
     "masked_select",
 ]
 
@@ -254,10 +255,11 @@ def masked_topk(
     """Fused score → negate → train-mask → top-k for one evaluation batch.
 
     Always NumPy: the product is one BLAS call into the caller's reusable
-    buffer, which no jitted loop improves on.  Ranking (including tie
-    behavior) is :func:`masked_select`'s over the negated product.  ``valid_out``
-    receives per-row real-candidate counts (see the backend docstring) so
-    serving callers can truncate masked filler from short rows.
+    buffer, which no jitted loop improves on.  The batch's training rows
+    become mask cells through :func:`mask_pairs`, once per batch, and the
+    ranking (including tie behavior) is :func:`masked_select`'s over the
+    negated product; the ids come back.  ``valid_out`` receives per-row
+    real-candidate counts (see the backend docstring).
     """
     return numpy_backend.masked_topk(
         user_vecs,
@@ -271,22 +273,35 @@ def masked_topk(
     )
 
 
+def mask_pairs(
+    indptr: np.ndarray, indices: np.ndarray, batch: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` mask cells for block row ``i`` = CSR row ``batch[i]``.
+
+    The global-CSR form of the mask :func:`masked_select` takes; the
+    evaluator calls it once per user batch.
+    """
+    return numpy_backend.mask_pairs(indptr, indices, batch)
+
+
 def masked_select(
     neg_buf: np.ndarray,
     k: int,
-    train_indptr: np.ndarray,
-    train_indices: np.ndarray,
-    batch: np.ndarray,
+    mask_rows: Union[np.ndarray, int],
+    mask_cols: np.ndarray,
     valid_out: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """The train-mask → top-k half of :func:`masked_topk`, over scores the
-    caller already wrote, negated, into ``neg_buf`` (masked in place).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The mask → top-k half of :func:`masked_topk`, over scores the caller
+    already wrote, negated, into ``neg_buf``.
 
     The one selection every top-k in the package runs: the evaluator,
-    ``Recommender.recommend`` and serving.  Serving fills each row with its
-    own GEMV so a row's bits cannot depend on its batch mates, then selects
-    the whole block in one call.
+    ``Recommender.recommend`` and serving.  The cells
+    ``neg_buf[mask_rows, mask_cols]`` are set to ``+inf`` in place; returns
+    ``(ids, values)``, the selected column ids and their negated scores,
+    best first.  Serving fills each row with its own GEMV so a row's bits
+    cannot depend on its batch mates, then selects the whole block in one
+    call.
     """
     return numpy_backend.masked_select(
-        neg_buf, k, train_indptr, train_indices, batch, valid_out=valid_out
+        neg_buf, k, mask_rows, mask_cols, valid_out=valid_out
     )

@@ -43,7 +43,7 @@ only selects (serving) never loads scipy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +60,7 @@ __all__ = [
     "gather_dot",
     "aggregate_forward",
     "aggregate_backward",
+    "mask_pairs",
     "masked_topk",
     "masked_select",
 ]
@@ -419,6 +420,27 @@ def aggregate_backward(
 
 
 # ---------------------------------------------------------- fused evaluation
+def mask_pairs(
+    indptr: np.ndarray, indices: np.ndarray, batch: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(rows, cols)`` cells a batch masks, from a global CSR.
+
+    Row ``i`` of the block is CSR row ``batch[i]`` of ``indptr``/``indices``;
+    each of its entries becomes the pair ``(i, indices[j])``, in CSR order.
+    This is the input :func:`masked_select` takes.
+    """
+    deg = indptr[batch + 1] - indptr[batch]
+    total = int(deg.sum())
+    if not total:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    rows = np.repeat(np.arange(len(batch), dtype=np.int64), deg)
+    run_starts = np.zeros(len(batch), dtype=np.int64)
+    np.cumsum(deg[:-1], out=run_starts[1:])
+    flat = np.repeat(indptr[batch] - run_starts, deg) + np.arange(total, dtype=np.int64)
+    return rows, indices[flat]
+
+
 def masked_topk(
     user_vecs: np.ndarray,
     item_vecs: np.ndarray,
@@ -433,9 +455,10 @@ def masked_topk(
 
     Writes ``-(user_vecs @ item_vecsᵀ)`` straight into the caller's reusable
     ``neg_buf`` rows (negating the small ``(B, dim)`` factor once instead of
-    copy-negating the ``(B, N)`` score matrix), masks each user's training
-    positives and selects through :func:`masked_select`, so its ranking is
-    exactly that of ``masked_select`` over the negated product.
+    copy-negating the ``(B, N)`` score matrix), turns the batch's rows of the
+    training CSR into cells with :func:`mask_pairs` and selects through
+    :func:`masked_select`, so its ranking is exactly that of
+    ``masked_select`` over the negated product.  Returns the ids.
 
     When ``k`` exceeds a row's unmasked-candidate count the selection
     necessarily includes masked (``+inf``) columns; the stable sort pushes
@@ -457,51 +480,49 @@ def masked_topk(
         # product at factor precision and widen on the copy-negate — the
         # sequence the evaluator applies to a float32 score function.
         np.multiply(user_vecs @ item_vecs.T, -1.0, out=buf)
-    return masked_select(buf, k, train_indptr, train_indices, batch, valid_out)
+    mask_rows, mask_cols = mask_pairs(train_indptr, train_indices, batch)
+    return masked_select(buf, k, mask_rows, mask_cols, valid_out)[0]
 
 
 def masked_select(
     neg_buf: np.ndarray,
     k: int,
-    train_indptr: np.ndarray,
-    train_indices: np.ndarray,
-    batch: np.ndarray,
+    mask_rows: Union[np.ndarray, int],
+    mask_cols: np.ndarray,
     valid_out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Train-mask → top-k over a block of already-negated scores.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mask → top-k over a block of already-negated scores.
 
     The one mask-and-select in the package: the evaluator (directly and as
     the selection half of :func:`masked_topk`), the serving index and
     ``Recommender.recommend`` all rank through it, and the tests hold it to
     a brute-force full stable sort (``tests/ranking_oracle.py``).  Callers
-    fill the ``(len(batch), num_items)`` block ``neg_buf`` themselves: row ``i``
-    masks the CSR row ``batch[i]`` of ``train_indptr``/``train_indices`` to
-    ``+inf`` in place, then the ``k`` smallest entries are selected, best
-    first and stable under ties.  Every step works row by row, so a row's
-    result depends on that row's scores and exclusions alone.  ``valid_out``
-    is filled as in :func:`masked_topk`.
+    fill the ``(rows, num_items)`` block ``neg_buf`` themselves and name the
+    cells to mask as index pairs: ``neg_buf[mask_rows, mask_cols]`` is set to
+    ``+inf`` in place (one fancy assignment, so repeated pairs are harmless
+    and any broadcastable pair works, e.g. row ``0`` with a column array).
+    Then the ``k`` smallest entries of each row are selected, best first and
+    stable under ties.  Every step works row by row, so a row's result
+    depends on that row's scores and masked cells alone.
+
+    Returns ``(ids, values)``: ``(rows, k)`` column ids and the negated
+    scores at them, both in selection order, so callers need no second
+    gather.  ``valid_out`` is filled as in :func:`masked_topk`.
     """
     rows, n_items = neg_buf.shape
     if not 0 < k <= n_items:
         raise ValueError(f"k must be in [1, {n_items}] (num_items), got {k}")
-    deg = train_indptr[batch + 1] - train_indptr[batch]
-    total = int(deg.sum())
-    if total:
-        row_ids = np.repeat(np.arange(rows, dtype=np.int64), deg)
-        run_starts = np.zeros(rows, dtype=np.int64)
-        np.cumsum(deg[:-1], out=run_starts[1:])
-        flat = np.repeat(train_indptr[batch] - run_starts, deg) + np.arange(
-            total, dtype=np.int64
-        )
-        neg_buf[row_ids, train_indices[flat]] = np.inf
-    top = np.argpartition(neg_buf, k - 1, axis=1)[:, :k]
+    neg_buf[mask_rows, mask_cols] = np.inf
+    top = neg_buf.argpartition(k - 1, axis=1)[:, :k]
     row_idx = np.arange(rows, dtype=np.int64)[:, None]
-    order = np.argsort(neg_buf[row_idx, top], axis=1, kind="stable")
-    result = top[row_idx, order]
+    values = neg_buf[row_idx, top]
+    order = values.argsort(axis=1, kind="stable")
+    ids = top[row_idx, order]
+    values = values[row_idx, order]
     if valid_out is not None:
         if valid_out.shape[0] < rows:
             raise ValueError(
                 f"valid_out has {valid_out.shape[0]} rows, batch has {rows}"
             )
-        np.sum(neg_buf[row_idx, result] < np.inf, axis=1, out=valid_out[:rows])
-    return result
+        (values < np.inf).sum(axis=1, out=valid_out[:rows])
+    return ids, values

@@ -242,12 +242,7 @@ class Recommender:
             )
         neg = np.negative(self.score_users(np.array([user])), dtype=np.float64)
         valid = np.empty(1, dtype=np.int64)
-        top = dispatch.masked_select(
-            neg,
-            min(k, self.num_items),
-            np.array([0, exclude.size], dtype=np.int64),
-            exclude,
-            np.zeros(1, dtype=np.int64),
-            valid_out=valid,
+        top, _ = dispatch.masked_select(
+            neg, min(k, self.num_items), 0, exclude, valid_out=valid
         )
         return top[0, : valid[0]]

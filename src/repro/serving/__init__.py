@@ -6,7 +6,7 @@ a :class:`~repro.serving.index.ScoreIndex` — two dense factor matrices plus
 the train-exclusion CSR, persisted content-addressed through the artifact
 store — and requests flow:
 
-    HTTP (server) → micro-batch queue → RecommendService → per-row GEMV + masked_select
+    HTTP (server) → pending list, one flush per loop pass → RecommendService → per-row GEMV + masked_select
 
 New users without training history enter through the fold-in path
 (:mod:`repro.serving.foldin`): mean-of-item-vectors warm start refined by a

@@ -189,17 +189,18 @@ class ScoreIndex:
         self,
         vecs: np.ndarray,
         k: int,
-        exclude_indptr: np.ndarray,
-        exclude_indices: np.ndarray,
+        mask_rows: np.ndarray,
+        mask_cols: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rank arbitrary ``(B, d)`` user vectors against the frozen items.
 
-        ``exclude_indptr``/``exclude_indices`` is a per-row CSR of item ids
-        to mask (+inf) before selection — training positives for known users,
-        observed interactions for fold-in users.  Returns ``(ids, scores,
-        valid)``: ``(B, k)`` item ids best-first, their scores, and per-row
-        counts of *real* (unmasked) candidates; entries past ``valid[i]`` are
-        masked filler carrying ``-inf`` scores.
+        ``mask_rows``/``mask_cols`` are parallel index arrays of the
+        ``(row, item)`` cells to mask (+inf) before selection — training
+        positives for known users, observed interactions for fold-in users;
+        repeated pairs are harmless.  Returns ``(ids, scores, valid)``:
+        ``(B, k)`` item ids best-first, their scores, and per-row counts of
+        *real* (unmasked) candidates; entries past ``valid[i]`` are masked
+        filler carrying ``-inf`` scores.
 
         Bit-identity contract: each row is scored by its own GEMV into a
         per-call buffer, and masking and selection work row by row, so a
@@ -207,30 +208,21 @@ class ScoreIndex:
         in — the property the micro-batching front end relies on.
         """
         vecs = np.ascontiguousarray(vecs, dtype=np.float64)
-        exclude_indptr = np.asarray(exclude_indptr, dtype=np.int64)
-        exclude_indices = np.asarray(exclude_indices, dtype=np.int64)
         rows = vecs.shape[0]
-        if not 0 < k <= self.num_items:
-            raise ValueError(f"k must be in [1, {self.num_items}], got {k}")
-        if exclude_indptr.shape != (rows + 1,):
-            raise ValueError(
-                f"exclude_indptr must have rows+1 = {rows + 1} entries, "
-                f"got {exclude_indptr.shape}"
-            )
-        neg = np.empty((rows, self.num_items), dtype=np.float64)
+        item_vecs = self.item_vecs
+        num_items = item_vecs.shape[0]
+        if not 0 < k <= num_items:
+            raise ValueError(f"k must be in [1, {num_items}], got {k}")
+        neg = np.empty((rows, num_items), dtype=np.float64)
         neg_vecs = -vecs  # exact, so each row holds -(item_vecs @ v) bitwise
         for r in range(rows):
-            np.matmul(self.item_vecs, neg_vecs[r], out=neg[r])
+            np.matmul(item_vecs, neg_vecs[r], out=neg[r])
         valid = np.empty(rows, dtype=np.int64)
-        row_idx = np.arange(rows, dtype=np.int64)
-        ids = dispatch.masked_select(
-            neg, k, exclude_indptr, exclude_indices, row_idx, valid_out=valid
-        )
+        ids, neg_top = dispatch.masked_select(neg, k, mask_rows, mask_cols, valid_out=valid)
         # Masked columns hold +inf in the negated block; negating recovers
         # true scores with -inf flagging filler entries past each row's
         # valid count.
-        scores = -neg[row_idx[:, None], ids]
-        return ids, scores, valid
+        return ids, -neg_top, valid
 
     def topk_users(self, users: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Top-``k`` for known users, training positives excluded.
@@ -242,10 +234,7 @@ class ScoreIndex:
         users = np.asarray(users, dtype=np.int64)
         if users.size and (users.min() < 0 or users.max() >= self.num_users):
             raise ValueError(f"user ids outside [0, {self.num_users})")
-        deg = self.train_indptr[users + 1] - self.train_indptr[users]
-        indptr = np.zeros(users.size + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.concatenate(
-            [self.seen_items(int(u)) for u in users]
-        ) if users.size else np.empty(0, dtype=np.int64)
-        return self.topk_vectors(self.user_vecs[users], k, indptr, indices)
+        mask_rows, mask_cols = dispatch.mask_pairs(
+            self.train_indptr, self.train_indices, users
+        )
+        return self.topk_vectors(self.user_vecs[users], k, mask_rows, mask_cols)

@@ -13,8 +13,11 @@ bit-identical to single-request scoring.
 Known users resolve their vector through an LRU cache (copying the row out
 of the memory-mapped index once), and their training positives are masked.
 Fold-in users carry a private vector from :class:`FoldInEngine` and mask the
-interactions they folded in on.  Every response row is truncated to its
-real-candidate count and asserted finite — a masked id can never escape.
+interactions they folded in on.  A group's exclusions go to the selection as
+(row, item) pairs, built with one ``repeat`` and one ``concatenate``
+whatever the group's size.  Every response row is truncated to its
+real-candidate count, and the group's kept scores are asserted finite in
+one check — a masked id can never escape.
 """
 
 from __future__ import annotations
@@ -92,21 +95,24 @@ class RecommendService:
         return handle
 
     # ------------------------------------------------------------- resolution
-    def _user_vector(self, user: int) -> np.ndarray:
-        cached = self.user_cache.get(user)
-        if cached is not None:
-            return cached
-        vector = np.array(self.index.user_vecs[user], dtype=np.float64)
-        self.user_cache.put(user, vector)
-        return vector
-
     def _resolve(self, request: dict) -> Tuple[np.ndarray, np.ndarray]:
-        """(vector, exclusion item ids) for one validated request."""
-        if request.get("user") is not None:
-            user = int(request["user"])
-            return self._user_vector(user), self.index.seen_items(user)
-        vector, observed = self._foldin_users[str(request["handle"])]
-        return vector, observed
+        """(vector, exclusion item ids) for one validated request.
+
+        A known user's pair is cached: the vector copied out of the
+        memory-mapped index once, with its training-CSR row beside it.
+        """
+        user = request.get("user")
+        if user is None:
+            return self._foldin_users[str(request["handle"])]
+        user = int(user)
+        cached = self.user_cache.get(user)
+        if cached is None:
+            cached = (
+                np.array(self.index.user_vecs[user], dtype=np.float64),
+                self.index.seen_items(user),
+            )
+            self.user_cache.put(user, cached)
+        return cached
 
     # ---------------------------------------------------------------- scoring
     def recommend_many(self, requests: List[dict]) -> List[dict]:
@@ -119,40 +125,36 @@ class RecommendService:
             self.validate_request(request)
         responses: List[Optional[dict]] = [None] * len(requests)
         by_k: Dict[int, List[int]] = {}
+        num_items = self.index.num_items
         for i, request in enumerate(requests):
-            k = min(int(request["k"]), self.index.num_items)
-            by_k.setdefault(k, []).append(i)
+            by_k.setdefault(min(int(request["k"]), num_items), []).append(i)
         for k, members in by_k.items():
             vecs = np.empty((len(members), self.index.dim), dtype=np.float64)
             excludes = []
             for row, i in enumerate(members):
-                vector, seen = self._resolve(requests[i])
-                vecs[row] = vector
-                excludes.append(np.asarray(seen, dtype=np.int64))
-            indptr = np.zeros(len(members) + 1, dtype=np.int64)
-            np.cumsum([e.size for e in excludes], out=indptr[1:])
-            indices = (
-                np.concatenate(excludes) if indptr[-1] else np.empty(0, dtype=np.int64)
+                vecs[row], seen = self._resolve(requests[i])
+                excludes.append(seen)
+            mask_rows = np.arange(len(members), dtype=np.int64).repeat(
+                [e.size for e in excludes]
             )
-            ids, scores, valid = self.index.topk_vectors(vecs, k, indptr, indices)
+            ids, scores, valid = self.index.topk_vectors(
+                vecs, k, mask_rows, np.concatenate(excludes)
+            )
             self.kernel_calls += 1
-            for row, i in enumerate(members):
-                n = int(valid[row])
-                row_scores = scores[row, :n]
-                if not np.isfinite(row_scores).all():
-                    raise AssertionError(
-                        "masked (-inf) candidate survived into a response row — "
-                        "valid-count truncation contract violated"
-                    )
-                response = {
-                    "k": k,
-                    "items": ids[row, :n].tolist(),
-                    "scores": row_scores.tolist(),
-                }
-                if requests[i].get("user") is not None:
-                    response["user"] = int(requests[i]["user"])
+            if not np.isfinite(scores[np.arange(k) < valid[:, None]]).all():
+                raise AssertionError(
+                    "masked (-inf) candidate survived into a response row — "
+                    "valid-count truncation contract violated"
+                )
+            for i, n, row_ids, row_scores in zip(
+                members, valid.tolist(), ids.tolist(), scores.tolist()
+            ):
+                response = {"k": k, "items": row_ids[:n], "scores": row_scores[:n]}
+                request = requests[i]
+                if request.get("user") is not None:
+                    response["user"] = int(request["user"])
                 else:
-                    response["handle"] = str(requests[i]["handle"])
+                    response["handle"] = str(request["handle"])
                 responses[i] = response
         self.requests_served += len(requests)
         self.batches += 1

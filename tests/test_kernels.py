@@ -931,6 +931,27 @@ class TestMaskedTopkValidCounts:
             )
 
 
+def _mask_cells(rng, rows, num_items):
+    """Random (row, item) mask cells for a ``(rows, num_items)`` block.
+
+    Pairs repeat (a share is drawn twice, and random draws collide), one row
+    is masked in full and one row is left empty, each about half the time,
+    and the pair order is shuffled.
+    """
+    n = int(rng.integers(0, 3 * num_items))
+    cells = np.c_[rng.integers(0, rows, n), rng.integers(0, num_items, n)]
+    if rng.random() < 0.5:  # one row has every item masked
+        full = rng.integers(0, rows)
+        cells = np.r_[cells, np.c_[np.full(num_items, full), np.arange(num_items)]]
+    if rows > 1 and rng.random() < 0.5:  # one row masks nothing
+        empty = rng.integers(0, rows)
+        cells = cells[cells[:, 0] != empty]
+    if len(cells):
+        cells = np.r_[cells, cells[rng.integers(0, len(cells), len(cells) // 2 + 1)]]
+    cells = cells[rng.permutation(len(cells))]
+    return cells[:, 0], cells[:, 1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -940,41 +961,53 @@ class TestMaskedTopkValidCounts:
     data=st.data(),
 )
 def test_masked_select_invariants_property(seed, num_users, num_items, rows, data):
-    """Selection over negated blocks with forced ties and random exclusions.
+    """Selection over negated blocks with forced ties and random mask cells.
 
     Block values come from a five-value set, so most rows hold tied
-    cohorts; one user (when drawn) masks every item.  The ids must match the
-    brute-force oracle (tie cohorts as sets), the block must be masked in
-    place exactly as the oracle masks it, the valid prefix must be finite,
-    ascending in negated score and free of masked ids, filler must be
-    masked, and ``valid == min(k, unmasked count)``.  ``masked_topk`` must equal
-    ``masked_select`` over ``-(U @ Vᵀ)`` bit for bit.
+    cohorts; the mask cells repeat, and include empty and fully masked rows
+    (:func:`_mask_cells`).  The ids must match the brute-force oracle (tie
+    cohorts as sets), the block must be masked in place exactly as the
+    oracle masks it, the returned values must be the block at the ids, the
+    valid prefix must be finite, ascending and free of masked ids, filler
+    must be masked, and ``valid == min(k, unmasked count)``.  On the CSR
+    side, ``mask_pairs`` must list each batch row's training items in CSR
+    order, and ``masked_topk`` must equal ``masked_select`` over
+    ``-(U @ Vᵀ)`` and those pairs bit for bit.
     """
     k = data.draw(st.integers(1, num_items), label="k")
     rng = np.random.default_rng(seed)
+    block = rng.choice([-1.5, -0.5, 0.0, 0.5, 2.0], (rows, num_items))
+    mask_rows, mask_cols = _mask_cells(rng, rows, num_items)
+
+    neg = block.copy()
+    valid = np.empty(rows, dtype=np.int64)
+    ids, values = dispatch.masked_select(neg, k, mask_rows, mask_cols, valid_out=valid)
+    exclusions = [mask_cols[mask_rows == r] for r in range(rows)]
+    assert_matches_oracle(ids, block, exclusions)
+    np.testing.assert_array_equal(neg, oracle_rank(block, exclusions)[0], strict=True)
+    np.testing.assert_array_equal(values, np.take_along_axis(neg, ids, 1), strict=True)
+    for r, excluded in enumerate(exclusions):
+        masked = set(excluded.tolist())
+        assert valid[r] == min(k, num_items - len(masked))
+        prefix = values[r, : valid[r]]
+        assert np.isfinite(prefix).all() and (np.diff(prefix) >= 0).all()
+        assert not masked & set(ids[r, : valid[r]].tolist())
+        assert (values[r, valid[r] :] == np.inf).all()
+
+    # The global-CSR form: a training set in which one user (when drawn)
+    # has every item.
     pairs = rng.integers(0, [num_users, num_items], (rng.integers(0, 3 * num_items), 2))
-    full = rng.integers(0, num_users)
-    if rng.random() < 0.5:  # one user has every item masked
+    if rng.random() < 0.5:
+        full = rng.integers(0, num_users)
         pairs = np.r_[pairs, np.c_[np.full(num_items, full), np.arange(num_items)]]
     train = InteractionDataset(pairs[:, 0], pairs[:, 1], num_users, num_items)
     indptr, indices = train.user_offsets, train.item_ids
     batch = rng.integers(0, num_users, rows)
-    block = rng.choice([-1.5, -0.5, 0.0, 0.5, 2.0], (rows, num_items))
-
-    neg = block.copy()
-    valid = np.empty(rows, dtype=np.int64)
-    ids = dispatch.masked_select(neg, k, indptr, indices, batch, valid_out=valid)
-    exclusions = [train.items_of_user(int(user)) for user in batch]
-    assert_matches_oracle(ids, block, exclusions)
-    np.testing.assert_array_equal(neg, oracle_rank(block, exclusions)[0], strict=True)
+    pair_rows, pair_cols = dispatch.mask_pairs(indptr, indices, batch)
     for r, user in enumerate(batch):
-        masked = set(indices[indptr[user] : indptr[user + 1]].tolist())
-        assert valid[r] == min(k, num_items - len(masked))
-        prefix = neg[r, ids[r, : valid[r]]]
-        assert np.isfinite(prefix).all() and (np.diff(prefix) >= 0).all()
-        assert not masked & set(ids[r, : valid[r]].tolist())
-        assert (neg[r, ids[r, valid[r] :]] == np.inf).all()
-
+        np.testing.assert_array_equal(
+            pair_cols[pair_rows == r], indices[indptr[user] : indptr[user + 1]]
+        )
     # Integer-valued factors force exact ties in the products; Gaussian ones
     # exercise rounding.
     if data.draw(st.booleans(), label="tied factors"):
@@ -990,8 +1023,8 @@ def test_masked_select_invariants_property(seed, num_users, num_items, rows, dat
     )
     split_neg = -(u @ v.T)
     split_valid = np.empty(rows, dtype=np.int64)
-    split = dispatch.masked_select(
-        split_neg, k, indptr, indices, batch, valid_out=split_valid
+    split, _ = dispatch.masked_select(
+        split_neg, k, pair_rows, pair_cols, valid_out=split_valid
     )
     np.testing.assert_array_equal(fused, split, strict=True)
     np.testing.assert_array_equal(fused_neg, split_neg, strict=True)

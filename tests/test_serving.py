@@ -130,8 +130,7 @@ class TestScoreIndex:
             )
             vecs = filler.copy()
             vecs[position] = probe
-            indptr = np.zeros(9, dtype=np.int64)
-            _, scores, _ = index.topk_vectors(vecs, 5, indptr, empty)
+            _, scores, _ = index.topk_vectors(vecs, 5, empty, empty)
             return scores[position]
 
         base = score_at(0, filler_seed=11)
@@ -171,9 +170,9 @@ class TestScoreIndex:
     def test_zero_candidate_row_yields_empty(self, index):
         """A fold-in user who observed every item has nothing to recommend."""
         vecs = np.ones((1, index.dim))
-        indptr = np.array([0, index.num_items], dtype=np.int64)
-        indices = np.arange(index.num_items, dtype=np.int64)
-        ids, scores, valid = index.topk_vectors(vecs, 5, indptr, indices)
+        rows = np.zeros(index.num_items, dtype=np.int64)
+        cols = np.arange(index.num_items, dtype=np.int64)
+        ids, scores, valid = index.topk_vectors(vecs, 5, rows, cols)
         assert valid[0] == 0
         assert (scores[0] == -np.inf).all()
 
@@ -531,13 +530,12 @@ def test_topk_vectors_batched_equals_single_property(seed, num_items, batch, dat
     picks = rng.integers(0, len(pool), batch)
     vecs = np.stack([pool[p][0] for p in picks])
     excludes = [pool[p][1] for p in picks]
-    indptr = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum([e.size for e in excludes], out=indptr[1:])
-    ids, scores, valid = index.topk_vectors(vecs, k, indptr, np.concatenate(excludes))
+    rows = np.repeat(np.arange(batch), [e.size for e in excludes])
+    ids, scores, valid = index.topk_vectors(vecs, k, rows, np.concatenate(excludes))
     for row, p in enumerate(picks):
         vec, exclude = pool[p]
         one_ids, one_scores, one_valid = index.topk_vectors(
-            vec[None], k, np.array([0, exclude.size]), exclude
+            vec[None], k, np.zeros(exclude.size, dtype=np.int64), exclude
         )
         np.testing.assert_array_equal(ids[row], one_ids[0], strict=True)
         assert scores[row].tobytes() == one_scores[0].tobytes()

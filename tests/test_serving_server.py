@@ -52,6 +52,22 @@ def run_with_server(index, scenario, **server_kw):
     return asyncio.run(main())
 
 
+async def read_response(reader):
+    """``(status, JSON body)`` of one response read off a raw connection."""
+    status_line = await reader.readline()
+    status = int(status_line.split(b" ", 2)[1])
+    length = 0
+    while (line := await reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return status, json.loads(await reader.readexactly(length))
+
+
+def get_request(target):
+    return f"GET {target} HTTP/1.1\r\nHost: test\r\n\r\n".encode("ascii")
+
+
 class TestHttpRoutes:
     def test_healthz_stats_and_recommend(self, index):
         async def scenario(client, server):
@@ -159,6 +175,76 @@ class TestHttpRoutes:
             assert run_with_server(index, scenario)
         assert not caplog.records
 
+    def test_over_long_head_answers_400(self, index, caplog):
+        """A request line or header past the 64 KiB head cap gets a 400 and
+        a close, whether the head is still open or already complete; the
+        server keeps serving new connections."""
+
+        async def scenario(client, server):
+            long = b"a" * 70_000
+            cases = [
+                b"GET /" + long,  # request line, no newline yet
+                b"GET /healthz HTTP/1.1\r\nX-Long: " + long,  # open header
+                b"GET /healthz HTTP/1.1\r\nX-Long: " + long + b"\r\n\r\n",
+            ]
+            for raw_request in cases:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(raw_request)
+                await writer.drain()
+                raw = await reader.read()  # the server closes after answering
+                writer.close()
+                await writer.wait_closed()
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), raw[:80]
+                assert json.loads(body) == {"error": "request head too large"}
+            status, _ = await client.get("/healthz")
+            assert status == 200
+            return True
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            assert run_with_server(index, scenario)
+        assert not caplog.records
+
+    def test_handler_fault_answers_500(self, index, caplog):
+        """A route or a batch that raises something other than a client
+        error answers 500 with the exception, logs its traceback, and the
+        connection keeps serving."""
+
+        async def scenario(client, server):
+            def broken(*args):
+                raise RuntimeError("store offline")
+
+            server.service.fold_in = broken
+            server.service.recommend_many = broken
+            for answer in (client.fold_in([1, 2]), client.recommend(user=0, k=3)):
+                status, body = await answer
+                assert (status, body) == (500, {"error": "RuntimeError: store offline"})
+            status, _ = await client.get("/healthz")
+            assert status == 200
+            return True
+
+        with caplog.at_level("ERROR", logger="repro.serving.server"):
+            assert run_with_server(index, scenario)
+        assert [r.exc_info[0] for r in caplog.records] == [RuntimeError, RuntimeError]
+
+    def test_pipelined_requests_answer_in_order(self, index):
+        """Two requests in one write come back in order on one connection."""
+
+        async def scenario(client, server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(get_request("/recommend?user=3&k=5") + get_request("/healthz"))
+            await writer.drain()
+            first = await read_response(reader)
+            second = await read_response(reader)
+            writer.close()
+            await writer.wait_closed()
+            expect = server.service.recommend_one({"user": 3, "k": 5})
+            assert first == (200, expect)
+            assert second == (200, {"ok": True})
+            return True
+
+        assert run_with_server(index, scenario)
+
     def test_keep_alive_many_requests_one_connection(self, index):
         async def scenario(client, server):
             for i in range(20):
@@ -232,6 +318,59 @@ class TestMicroBatching:
 
         stats = asyncio.run(main())
         assert stats["max_batch"] <= 3
+
+
+    def test_client_gone_mid_batch(self, index, caplog):
+        """A client that closes while its /recommend is pending in a batch
+        does not change the other members' answers, and the server keeps
+        serving without logging an error."""
+
+        async def main():
+            service = RecommendService(index)
+            server = RecommendServer(service, port=0, max_batch=32)
+            host, port = await server.start()
+            conns = [await asyncio.open_connection(host, port) for _ in range(5)]
+            try:
+                for reader, writer in conns:  # every connection is accepted
+                    writer.write(get_request("/healthz"))
+                    assert await read_response(reader) == (200, {"ok": True})
+                # All five requests reach the server before it runs again,
+                # so they join one flush; the first client is gone by then.
+                for user, (_, writer) in enumerate(conns):
+                    writer.write(get_request(f"/recommend?user={user}&k=5"))
+                conns[0][1].close()
+                answers = [await read_response(reader) for reader, _ in conns[1:]]
+                for _, writer in conns[1:]:
+                    writer.close()
+                async with ServingClient(host, port) as client:
+                    after = await client.recommend(user=7, k=5)
+            finally:
+                await server.stop()
+            return service, answers, after
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            service, answers, after = asyncio.run(main())
+        assert not caplog.records
+        assert service.stats()["max_batch"] >= 4
+        fresh = RecommendService(index)
+        for user, answer in enumerate(answers, start=1):
+            assert answer == (200, fresh.recommend_one({"user": user, "k": 5}))
+        assert after == (200, fresh.recommend_one({"user": 7, "k": 5}))
+
+    def test_stop_closes_idle_keep_alive_connection(self, index):
+        """``stop()`` returns promptly with an idle keep-alive client still
+        connected, and that client sees the connection close."""
+
+        async def main():
+            server = RecommendServer(RecommendService(index), port=0)
+            host, port = await server.start()
+            async with ServingClient(host, port) as client:
+                status, _ = await client.get("/healthz")
+                assert status == 200
+                await asyncio.wait_for(server.stop(), timeout=5)
+                return await asyncio.wait_for(client._reader.read(), timeout=5)
+
+        assert asyncio.run(main()) == b""
 
 
 class TestTelemetry:
