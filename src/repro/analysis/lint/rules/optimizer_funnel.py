@@ -12,8 +12,8 @@ row decay depends on, mutate shared mmap'd tables outside the
 round-reconciliation protocol, and break checkpoint resume (the rogue
 optimizer's slots are never gathered into the training checkpoint).
 
-The rule therefore flags, in model paths: (a) importing optimizer classes
-from :mod:`repro.autograd`; (b) attribute calls of ``step`` / ``zero_grad``
+The rule therefore flags, in model paths: (a) importing the optimizer
+classes or the bare ``adam_update`` step from :mod:`repro.autograd`; (b) attribute calls of ``step`` / ``zero_grad``
 on names that look like optimizers.  The engine, tests and benchmarks live
 outside the gated paths; a deliberate exception carries
 ``# reprolint: disable=RPL015`` with a justification.
@@ -31,7 +31,7 @@ from repro.analysis.lint.rules.base import Rule
 __all__ = ["OptimizerFunnelRule"]
 
 _OPTIMIZER_MODULES = ("repro.autograd", "repro.autograd.optim")
-_OPTIMIZER_NAMES = frozenset({"Optimizer", "Adam", "SGD", "AdaGrad"})
+_OPTIMIZER_NAMES = frozenset({"Optimizer", "Adam", "adam_update"})
 _DRIVE_METHODS = frozenset({"step", "zero_grad"})
 
 

@@ -12,8 +12,8 @@ This subpackage is the numerical substrate for every recommendation model in
   (:class:`~repro.autograd.sparse.SparseRowGrad`) that embedding gathers emit
   for leaf parameters, keeping backward and optimizer work O(batch · dim)
   instead of O(table · dim);
-- :mod:`~repro.autograd.optim` — SGD / Adam / AdaGrad optimizers with
-  sparse scatter-updates (lazy per-row moment decay for Adam);
+- :mod:`~repro.autograd.optim` — the Adam optimizer, with sparse
+  scatter-updates (lazy per-row moment decay);
 - :mod:`~repro.autograd.init` — Xavier and scaled-normal initializers.
 
 The engine is deliberately small: dense float64/float32 arrays, define-by-run
@@ -25,7 +25,7 @@ models in seconds to minutes on one core, which is all the reproduction needs.
 from repro.autograd import functional
 from repro.autograd.gradcheck import GradcheckError, gradcheck, numerical_gradient
 from repro.autograd.init import xavier_uniform, xavier_normal, normal_init
-from repro.autograd.optim import SGD, Adam, AdaGrad, Optimizer
+from repro.autograd.optim import Adam, Optimizer
 from repro.autograd.sparse import SparseRowGrad, dense_grads, sparse_grads_enabled
 from repro.autograd.tensor import Tensor, Parameter, no_grad, is_grad_enabled
 
@@ -39,9 +39,7 @@ __all__ = [
     "is_grad_enabled",
     "functional",
     "Optimizer",
-    "SGD",
     "Adam",
-    "AdaGrad",
     "xavier_uniform",
     "xavier_normal",
     "normal_init",

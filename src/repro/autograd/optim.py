@@ -1,9 +1,11 @@
 """First-order optimizers for the autodiff engine.
 
-All models in the paper are trained with Adam (Section VI-D); SGD and AdaGrad
-are provided for ablations and tests.  Optimizers operate on the ``.grad``
-buffers that :meth:`repro.autograd.tensor.Tensor.backward` fills in and update
-``.data`` in place (guides: in-place ops avoid large temporaries).
+All models in the paper are trained with Adam (Section VI-D), the one
+optimizer here.  Optimizers operate on the ``.grad`` buffers that
+:meth:`repro.autograd.tensor.Tensor.backward` fills in and update ``.data`` in
+place (guides: in-place ops avoid large temporaries).  Adam's dense
+arithmetic is the free function :func:`adam_update`, which serving's fold-in
+also steps a plain user vector with.
 
 Sparse row gradients
 --------------------
@@ -12,9 +14,9 @@ parameters, and :meth:`Optimizer.step` dispatches on the gradient type: a
 parameter with a sparse grad is coalesced once and handed to the subclass's
 ``_update_sparse`` (scatter-update over the touched rows only), while dense
 grads take the unchanged ``_update`` path — bit-for-bit the pre-sparse
-behavior.  Configurations whose update couples untouched rows (SGD momentum,
-any weight decay) fall back to densifying the grad, so sparse mode never
-changes semantics, only cost.
+behavior.  Configurations whose update couples untouched rows (weight decay)
+fall back to densifying the grad, so sparse mode never changes semantics,
+only cost.
 
 Adam is the subtle case: its moments decay every step even for rows that
 received no gradient.  The sparse path is *lazy* — it records the step at
@@ -28,7 +30,7 @@ decaying first moment.  See DESIGN.md for the full semantics note.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,42 +41,48 @@ _STATE_VERSION = 1
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
-    "AdaGrad",
-    "clip_grad_norm",
+    "adam_update",
     "assemble_row_sharded_state",
 ]
 
 
-def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+def adam_update(
+    data: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
+    lr: float,
+    scratch: Sequence[np.ndarray],
+    betas: Tuple[float, float] = (0.9, 0.999),
+    eps: float = 1e-8,
+) -> None:
+    """One dense Adam step at step number ``t``, all in place.
 
-    Returns the pre-clipping norm.  Parameters with ``grad is None`` are
-    skipped.  Sparse grads are coalesced first — summing squares of
-    uncoalesced duplicates would overcount ((v1+v2)² ≠ v1²+v2²).
+    Updates the moments ``m``/``v`` with ``grad`` and subtracts
+    ``lr·m̂ / (√v̂ + ε)`` from ``data``.  ``scratch`` is two arrays shaped and
+    typed like ``data``; their contents are overwritten, so a caller that
+    steps repeatedly allocates them once.  The operations are those of the
+    textbook expressions, in the same order — ``(lr·m̂)/(…)``, and bias
+    corrections ``1 − β**t`` as Python floats — so the result is the same
+    bits as evaluating them with temporaries.
     """
-    total = 0.0
-    for p in params:
-        if p.grad is None:
-            continue
-        if isinstance(p.grad, SparseRowGrad):
-            p.grad = p.grad.coalesce()
-            vals = p.grad.values
-            total += float((vals * vals).sum())
-        else:
-            total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm > 0:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            if p.grad is None:
-                continue
-            if isinstance(p.grad, SparseRowGrad):
-                p.grad.scale_(scale)
-            else:
-                p.grad *= scale
-    return norm
+    b1, b2 = betas
+    first, second = scratch
+    m *= b1
+    m += np.multiply(grad, 1 - b1, out=first)
+    v *= b2
+    np.multiply(grad, grad, out=first)
+    first *= 1 - b2
+    v += first
+    np.divide(v, 1 - b2**t, out=first)
+    np.sqrt(first, out=first)
+    first += eps
+    np.divide(m, 1 - b1**t, out=second)
+    second *= lr
+    second /= first
+    data -= second  # reprolint: disable=RPL007
 
 
 class Optimizer:
@@ -197,53 +205,6 @@ class Optimizer:
         self.step_count = int(state["step_count"])
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def _update(self, p: Parameter) -> None:
-        g = p.grad
-        if self.weight_decay:
-            g = g + self.weight_decay * p.data
-        if self.momentum:
-            v = self._velocity.get(id(p))
-            if v is None:
-                v = np.zeros_like(p.data)
-                self._velocity[id(p)] = v
-            v *= self.momentum
-            v += g
-            g = v
-        p.data -= self.lr * g  # reprolint: disable=RPL007
-
-    def _supports_sparse(self) -> bool:
-        # Momentum and weight decay touch every row every step; densify.
-        return self.momentum == 0.0 and self.weight_decay == 0.0
-
-    def _update_sparse(self, p: Parameter, grad: SparseRowGrad) -> None:
-        # Same arithmetic as the dense update on the touched rows; untouched
-        # rows would see ``p -= lr * 0.0``, which is exactly a no-op.
-        p.data[grad.indices] -= self.lr * grad.values  # reprolint: disable=RPL007
-
-    def state_size(self) -> int:
-        return sum(v.size for v in self._velocity.values())
-
-    def _slots(self) -> Dict[str, Dict[int, np.ndarray]]:
-        return {"velocity": self._velocity}
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2014) — the paper's optimizer for every model.
 
@@ -301,8 +262,8 @@ class Adam(Optimizer):
         m, v = self._moments(p)
         last = self._last.get(id(p))
         if last is not None:
-            # Catch up lazily-deferred decay so the standard ``m *= b1``
-            # below lands every row on beta**(t - last) total decay.
+            # Catch up lazily-deferred decay so adam_update's ``m *= b1``
+            # lands every row on beta**(t - last) total decay.
             lag = (self.step_count - 1) - last
             if lag.any():
                 expand = (-1,) + (1,) * (p.data.ndim - 1)
@@ -310,14 +271,8 @@ class Adam(Optimizer):
                 m *= (b1**lag).reshape(expand)
                 v *= (b2**lag).reshape(expand)
             last[:] = self.step_count
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * (g * g)
-        t = self.step_count
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)  # reprolint: disable=RPL007
+        scratch = (np.empty_like(p.data), np.empty_like(p.data))
+        adam_update(p.data, g, m, v, self.step_count, self.lr, scratch, self.betas, self.eps)
 
     def _supports_sparse(self) -> bool:
         # Decoupled weight decay would have to touch every row; densify.
@@ -489,52 +444,3 @@ def assemble_row_sharded_state(
     slots.setdefault("v", {})[param_index] = v
     state.setdefault("row_steps", {})[param_index] = [int(s) for s in last]
     return state
-
-
-class AdaGrad(Optimizer):
-    """AdaGrad with per-coordinate accumulated squared gradients."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 0.05,
-        eps: float = 1e-10,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._acc: Dict[int, np.ndarray] = {}
-
-    def _update(self, p: Parameter) -> None:
-        g = p.grad
-        if self.weight_decay:
-            g = g + self.weight_decay * p.data
-        acc = self._acc.get(id(p))
-        if acc is None:
-            acc = np.zeros_like(p.data)
-            self._acc[id(p)] = acc
-        acc += g * g
-        p.data -= self.lr * g / (np.sqrt(acc) + self.eps)  # reprolint: disable=RPL007
-
-    def _supports_sparse(self) -> bool:
-        return self.weight_decay == 0.0
-
-    def _update_sparse(self, p: Parameter, grad: SparseRowGrad) -> None:
-        acc = self._acc.get(id(p))
-        if acc is None:
-            acc = np.zeros_like(p.data)
-            self._acc[id(p)] = acc
-        idx, val = grad.indices, grad.values
-        # AdaGrad's accumulator never decays, so the sparse update performs
-        # the dense arithmetic exactly: untouched rows accumulate g² = 0 and
-        # receive a zero step.
-        acc_rows = acc[idx] + val * val
-        acc[idx] = acc_rows
-        p.data[idx] -= self.lr * val / (np.sqrt(acc_rows) + self.eps)  # reprolint: disable=RPL007
-
-    def state_size(self) -> int:
-        return sum(a.size for a in self._acc.values())
-
-    def _slots(self) -> Dict[str, Dict[int, np.ndarray]]:
-        return {"acc": self._acc}

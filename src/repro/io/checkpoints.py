@@ -8,9 +8,9 @@ load from untrusted sources):
   load.  This is what :class:`~repro.eval.sharded.SnapshotScorer` ships to
   worker processes.
 - :class:`TrainingCheckpoint` — everything a killed training run needs to
-  resume **bit-identically**: parameters, Adam/SGD/AdaGrad slot buffers and
-  step count, the training RNG's ``bit_generator`` state, the epoch counter,
-  loss/eval history, and the best-epoch snapshot.  Non-array state travels
+  resume **bit-identically**: parameters, Adam's moment slots, lazy row
+  steps and step count, the training RNG's ``bit_generator`` state, the
+  epoch counter, loss/eval history, and the best-epoch snapshot.  Non-array state travels
   as one JSON blob inside the archive (Python ints are arbitrary precision,
   so the 128-bit PCG64 state round-trips exactly; JSON floats round-trip
   float64 exactly via shortest-repr).

@@ -193,9 +193,7 @@ def weighted_neighbor_sum(
                 # Leaf table: restrict to rows with incoming edges so the
                 # lazy optimizer touches the same row set as the oracle's
                 # gather backward.
-                touched = np.flatnonzero(
-                    np.bincount(adj.tails, minlength=emb.shape[0])
-                )
+                touched = adj.tail_rows()
                 embeddings.accumulate_grad(
                     SparseRowGrad(
                         emb.shape, touched, g_emb[touched], coalesced=True

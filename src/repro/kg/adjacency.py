@@ -94,6 +94,7 @@ class CSRAdjacency:
         self._relation_groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._relation_scatter: Optional[np.ndarray] = None
         self._attention_grad_groups: Optional[AttentionGradGroups] = None
+        self._tail_rows: Optional[np.ndarray] = None
 
     @classmethod
     def from_arrays(
@@ -250,7 +251,7 @@ class CSRAdjacency:
     def warm_kernel_caches(self) -> "CSRAdjacency":
         """Materialize every derived layout the fused kernels read.
 
-        All three caches are pure functions of the edge arrays; warming them
+        All four caches are pure functions of the edge arrays; warming them
         at graph-preparation time moves the one-off sorts out of the first
         training step and lets every consumer of a shared adjacency hit the
         same arrays.  Returns ``self`` for chaining.
@@ -258,7 +259,21 @@ class CSRAdjacency:
         self.relation_edge_groups()
         self.relation_scatter_index()
         self.attention_grad_groups()
+        self.tail_rows()
         return self
+
+    def tail_rows(self) -> np.ndarray:
+        """Sorted unique tail entities, cached.
+
+        The rows with an incoming edge: the row set of the propagation's
+        sparse embedding gradient (``weighted_neighbor_sum``'s backward),
+        which is the same on every step.
+        """
+        if self._tail_rows is None:
+            self._tail_rows = np.flatnonzero(
+                np.bincount(self.tails, minlength=self.num_entities)
+            )
+        return self._tail_rows
 
     def attention_grad_groups(self) -> "AttentionGradGroups":
         """Run structure of the fused attention kernels, cached.

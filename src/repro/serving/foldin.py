@@ -10,9 +10,18 @@ engine places them in the *existing* embedding space:
    against *frozen* item vectors.  With ``n`` (positive, negative) pairs
    and row differences ``D = P − N``, the objective ``mean(−log σ(D·w)) +
    l2·n·‖w‖²`` has the closed-form gradient ``−(σ(−D·w) @ D)/n +
-   2·l2·n·w``, set as the dense grad of a ``(dim,)`` parameter stepped by
-   the shared :class:`Adam` — no per-step graph.  All steps' negatives are
-   drawn in one call, uniformly from the complement of the observed set.
+   2·l2·n·w``, stepped by :func:`~repro.autograd.optim.adam_update`, the
+   arithmetic training's :class:`~repro.autograd.Adam` runs — no per-step graph, no
+   ``Parameter`` and no optimizer object.
+
+One fold-in is one pass: the observed set and its digest are computed once;
+all steps' negatives are drawn in one call, as offsets into the complement
+of the observed set mapped to ids by one ``searchsorted``; every step's
+``D`` is gathered and differenced once, as a ``(steps, pairs, dim)`` block;
+and the steps run on buffers allocated once.  A 3-item fold-in on the
+CKAT/OOI index (789 items, dim 176, 15 steps) costs ~0.25 ms of CPU with
+one BLAS thread on a 2-vCPU host.  The block holds ``steps·pairs·dim`` floats, 1.7 MB for a
+20-item set there.
 
 The item table stays frozen on purpose: serving-time updates to shared item
 vectors would silently shift every other user's rankings and break the
@@ -29,10 +38,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+from typing import Optional
 
 import numpy as np
 
-from repro.autograd import Adam, Parameter
+from repro.autograd.optim import adam_update
 from repro.serving.index import ScoreIndex
 
 __all__ = ["FoldInConfig", "FoldInEngine", "content_digest"]
@@ -40,7 +50,7 @@ __all__ = ["FoldInConfig", "FoldInEngine", "content_digest"]
 
 def content_digest(seed: int, items: np.ndarray) -> bytes:
     """SHA-256 of the seed and the sorted unique observed ``items``."""
-    key = f"{seed}:" + ",".join(str(i) for i in items.tolist())
+    key = f"{seed}:" + ",".join(map(str, items.tolist()))
     return hashlib.sha256(key.encode("utf-8")).digest()
 
 
@@ -89,35 +99,57 @@ class FoldInEngine:
             raise ValueError(f"fold-in item ids outside [0, {num_items}): {bad[:10]}")
         return items
 
-    def negatives(self, items: np.ndarray) -> np.ndarray:
+    def negatives(self, items: np.ndarray, digest: Optional[bytes] = None) -> np.ndarray:
         """Row ``s``: step ``s``'s negative for each of ``np.repeat(items,
-        negatives_per_pos)``, drawn from the complement of ``items``."""
-        free = np.ones(self.index.num_items, dtype=bool)
-        free[items] = False
-        complement = np.flatnonzero(free)
-        rng = np.random.default_rng(
-            int.from_bytes(content_digest(self.config.seed, items)[:8], "little")
-        )
+        negatives_per_pos)``, drawn uniformly from the complement of ``items``.
+
+        ``digest`` is ``content_digest(config.seed, items)``, computed here
+        when not given.  Each draw is an offset ``j`` into the complement;
+        ``items[k] − k`` unobserved ids lie below ``items[k]``, so the
+        ``j``-th unobserved id is ``j`` plus the number of those counts
+        ``≤ j`` — one ``searchsorted``, no ``num_items``-long mask.
+        """
+        if digest is None:
+            digest = content_digest(self.config.seed, items)
+        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         shape = (self.config.steps, self.config.negatives_per_pos * items.size)
-        return complement[rng.integers(0, complement.size, size=shape)]
+        draws = rng.integers(0, self.index.num_items - items.size, size=shape)
+        draws += np.searchsorted(items - np.arange(items.size), draws, side="right")
+        return draws
 
     def embed(self, item_ids) -> np.ndarray:
         """Return a ``(dim,)`` user vector for the observed ``item_ids``."""
         items = self.observed(item_ids)
+        return self.refine(items, content_digest(self.config.seed, items))
+
+    def refine(self, items: np.ndarray, digest: bytes) -> np.ndarray:
+        """The user vector for ``items`` (from :meth:`observed`), whose
+        :func:`content_digest` is ``digest``: warm start, then refinement."""
+        config = self.config
         item_table = np.asarray(self.index.item_vecs)
-        warm = item_table[items].mean(axis=0)
-        if self.config.steps == 0 or items.size >= self.index.num_items:
+        rows = item_table[items]
+        user = np.add.reduce(rows, 0) / items.size  # the bits of rows.mean(0)
+        if config.steps == 0 or items.size >= self.index.num_items:
             # Nothing to refine, or no negatives exist (BPR is undefined).
-            return np.ascontiguousarray(warm, dtype=np.float64)
-        pos = np.repeat(item_table[items], self.config.negatives_per_pos, axis=0)
+            return np.ascontiguousarray(user, dtype=np.float64)
+        pos = np.repeat(rows, config.negatives_per_pos, axis=0)
         pairs = pos.shape[0]
-        l2_scale = 2.0 * self.config.l2 * pairs
-        user = Parameter(warm.copy(), name="foldin.user")
-        optimizer = Adam([user], lr=self.config.lr)
-        for neg in self.negatives(items):
-            diff = pos - item_table[neg]
+        # Every step's D = P − N at once: (steps, pairs, dim).
+        diffs = item_table[self.negatives(items, digest)]
+        np.subtract(pos, diffs, out=diffs)
+        l2_scale = 2.0 * config.l2 * pairs
+        margin = np.empty(pairs, dtype=user.dtype)
+        m, v, grad, pulled, *scratch = np.zeros((6,) + user.shape, dtype=user.dtype)
+        for t, diff in enumerate(diffs, start=1):
             # σ(−D·w) as exp(−softplus(D·w)): accurate even where it is tiny.
-            sig_neg = np.exp(-np.logaddexp(0.0, diff @ user.data))
-            user.grad = l2_scale * user.data - (sig_neg @ diff) / pairs
-            optimizer.step()
-        return np.ascontiguousarray(user.data, dtype=np.float64)
+            np.dot(diff, user, out=margin)
+            np.logaddexp(0.0, margin, out=margin)
+            np.negative(margin, out=margin)
+            np.exp(margin, out=margin)
+            # grad = 2·l2·n·w − (σ(−D·w) @ D) / n
+            np.dot(margin, diff, out=pulled)
+            pulled /= pairs
+            np.multiply(user, l2_scale, out=grad)
+            grad -= pulled
+            adam_update(user, grad, m, v, t, config.lr, scratch)
+        return np.ascontiguousarray(user, dtype=np.float64)

@@ -89,9 +89,9 @@ class RecommendService:
         *more* interactions mints a new handle with a refreshed embedding.
         """
         items = self.foldin.observed(item_ids)
-        vector = self.foldin.embed(items)
-        handle = "foldin-" + content_digest(self.foldin.config.seed, items).hex()[:12]
-        self._foldin_users[handle] = (vector, items)
+        digest = content_digest(self.foldin.config.seed, items)
+        handle = "foldin-" + digest.hex()[:12]
+        self._foldin_users[handle] = (self.foldin.refine(items, digest), items)
         return handle
 
     # ------------------------------------------------------------- resolution

@@ -297,7 +297,7 @@ class TestOptimizerFunnel:
         assert codes(src) == ["RPL015"]
 
     def test_optim_module_import_flagged(self):
-        src = "from repro.autograd.optim import SGD\n"
+        src = "from repro.autograd.optim import adam_update\n"
         assert codes(src) == ["RPL015"]
 
     def test_step_call_on_optimizer_name_flagged(self):

@@ -28,6 +28,7 @@ from repro.serving import (
     ScoreIndex,
 )
 from repro.store import ArtifactStore
+from tests.foldin_reference import reference_fold_in, reference_negatives
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +376,46 @@ def test_foldin_closed_form_equals_autograd_property(
     got = engine.embed(item_ids)
     want = _autograd_foldin(index, config, items, negatives)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_items=st.integers(2, 200),
+    dim=st.integers(1, 24),
+    steps=st.integers(0, 20),
+    negatives_per_pos=st.integers(1, 6),
+    random_l2=st.booleans(),
+    data=st.data(),
+)
+def test_fold_in_matches_reference_bits_property(
+    seed, num_items, dim, steps, negatives_per_pos, random_l2, data
+):
+    """``RecommendService.fold_in`` mints the handle and the vector bytes of
+    the step-by-step reference (masked complement, ``Parameter`` + ``Adam``),
+    and the ``searchsorted`` negatives are the masked draw, for observed sets
+    of any size from 1 to ``num_items - 1`` with duplicates in the input."""
+    rng = np.random.default_rng(seed)
+    index = _random_index(rng, 2, num_items, dim)
+    distinct = data.draw(st.integers(1, num_items - 1), label="distinct")
+    observed = rng.choice(num_items, size=distinct, replace=False)
+    item_ids = np.r_[observed, rng.choice(observed, size=rng.integers(0, 4))]
+    l2 = float(rng.uniform(1e-5, 1e-1)) if random_l2 else 0.0
+    config = FoldInConfig(
+        steps=steps, lr=float(rng.uniform(1e-3, 0.2)), l2=l2,
+        negatives_per_pos=negatives_per_pos, seed=seed,
+    )
+    service = RecommendService(index, config)
+    handle = service.fold_in(item_ids.tolist())
+    want_handle, want_vector = reference_fold_in(index, config, item_ids)
+    assert handle == want_handle
+    vector, items = service._foldin_users[handle]
+    assert vector.dtype == want_vector.dtype and vector.shape == want_vector.shape
+    assert vector.tobytes() == want_vector.tobytes()
+    np.testing.assert_array_equal(
+        service.foldin.negatives(items), reference_negatives(index, config, items),
+        strict=True,
+    )
 
 
 # ----------------------------------------------------------------- service

@@ -1,8 +1,9 @@
 """Sparse-row gradient path: SparseRowGrad semantics, take_rows emission,
 accumulation rules (sparse+sparse merge, sparse+dense densify), optimizer
-scatter-updates for SGD/Adam/AdaGrad — including duplicate-index batches and
-bitwise agreement with the dense path — lazy-Adam row-step bookkeeping, and
-its state_dict/JSON round-trip."""
+scatter-updates (Adam, and row-local SGD/AdaGrad probes of Optimizer.step's
+routing) — including duplicate-index batches and bitwise agreement with the
+dense path — lazy-Adam row-step bookkeeping, and its state_dict/JSON
+round-trip."""
 
 import contextlib
 import json
@@ -14,15 +15,13 @@ from hypothesis import strategies as st
 
 from repro.autograd import (
     Adam,
-    AdaGrad,
+    Optimizer,
     Parameter,
-    SGD,
     SparseRowGrad,
     dense_grads,
     sparse_grads_enabled,
 )
 from repro.autograd import functional as F
-from repro.autograd.optim import clip_grad_norm
 
 
 def _scatter_reference(shape, idx, vals):
@@ -204,7 +203,7 @@ class TestTakeRowsEmission:
         F.sum(out).backward()
         assert isinstance(W.grad, SparseRowGrad)
         assert W.grad.nnz == 0
-        opt = SGD([W], lr=0.1)
+        opt = Adam([W], lr=0.1)
         opt.step()  # no-op, must not raise
         np.testing.assert_array_equal(W.data, np.ones((4, 2)))
 
@@ -244,6 +243,12 @@ def _unique_batches(n, steps=12, seed=5, k=7):
     return [rng.choice(n, size=k, replace=False) for _ in range(steps)]
 
 
+def _unique_full_batches(n, steps=8, seed=6):
+    """Each batch a permutation of every row: full coverage, no duplicates."""
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(n) for _ in range(steps)]
+
+
 def _full_batches(n, steps=8, seed=4):
     """Batches covering every row each step (plus duplicated extras)."""
     rng = np.random.default_rng(seed)
@@ -253,28 +258,68 @@ def _full_batches(n, steps=8, seed=4):
     ]
 
 
+class _RowSGD(Optimizer):
+    """Plain SGD with a row scatter-update.
+
+    A stateless row-local update: its sparse path is the dense arithmetic on
+    the touched rows, so it probes :meth:`Optimizer.step`'s coalesce-and-route
+    contract apart from Adam's lazy decay.
+    """
+
+    def _update(self, p):
+        p.data -= self.lr * p.grad  # reprolint: disable=RPL007
+
+    def _supports_sparse(self):
+        return True
+
+    def _update_sparse(self, p, grad):
+        p.data[grad.indices] -= self.lr * grad.values  # reprolint: disable=RPL007
+
+
+class _RowAdaGrad(Optimizer):
+    """AdaGrad with a row scatter-update: per-row state that never decays."""
+
+    def __init__(self, params, lr, eps=1e-10):
+        super().__init__(params, lr)
+        self.eps = eps
+        self._acc = {}
+
+    def _accumulator(self, p):
+        return self._acc.setdefault(id(p), np.zeros_like(p.data))
+
+    def _update(self, p):
+        acc = self._accumulator(p)
+        acc += p.grad * p.grad
+        p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)  # reprolint: disable=RPL007
+
+    def _supports_sparse(self):
+        return True
+
+    def _update_sparse(self, p, grad):
+        acc = self._accumulator(p)
+        idx, val = grad.indices, grad.values
+        acc_rows = acc[idx] + val * val
+        acc[idx] = acc_rows
+        p.data[idx] -= self.lr * val / (np.sqrt(acc_rows) + self.eps)  # reprolint: disable=RPL007
+
+
+# Duplicate-free batches, so coalescing sums nothing.  The row-local probes
+# are exact on any such batch; Adam needs every row touched each step, so no
+# lazy decay is pending and its scatter-update performs the dense arithmetic.
+_UNIQUE_CASES = [
+    pytest.param(lambda ps: _RowSGD(ps, lr=0.05), _unique_batches, id="sgd"),
+    pytest.param(lambda ps: _RowAdaGrad(ps, lr=0.05), _unique_batches, id="adagrad"),
+    pytest.param(lambda ps: Adam(ps, lr=0.01), _unique_full_batches, id="adam"),
+]
+
+
 class TestOptimizerEquivalence:
-    @pytest.mark.parametrize(
-        "factory",
-        [lambda ps: SGD(ps, lr=0.05), lambda ps: AdaGrad(ps, lr=0.05)],
-        ids=["sgd", "adagrad"],
-    )
-    def test_bitwise_equals_dense_on_unique_batches(self, factory):
-        batches = _unique_batches(20)
+    @pytest.mark.parametrize("factory, make_batches", _UNIQUE_CASES)
+    def test_bitwise_equals_dense_on_unique_batches(self, factory, make_batches):
+        batches = make_batches(20)
         sparse_W, _ = _run_training(factory, batches, dense=False)
         dense_W, _ = _run_training(factory, batches, dense=True)
         np.testing.assert_array_equal(sparse_W.data, dense_W.data)
-
-    @pytest.mark.parametrize(
-        "factory",
-        [lambda ps: SGD(ps, lr=0.05), lambda ps: AdaGrad(ps, lr=0.05)],
-        ids=["sgd", "adagrad"],
-    )
-    def test_close_to_dense_on_duplicate_batches(self, factory):
-        batches = _partial_batches(20)
-        sparse_W, _ = _run_training(factory, batches, dense=False)
-        dense_W, _ = _run_training(factory, batches, dense=True)
-        np.testing.assert_allclose(sparse_W.data, dense_W.data, rtol=1e-10, atol=1e-14)
 
     def test_adam_single_step_equals_dense(self):
         batches = _partial_batches(20, steps=1)
@@ -292,13 +337,8 @@ class TestOptimizerEquivalence:
 
     @pytest.mark.parametrize(
         "factory",
-        [
-            lambda ps: SGD(ps, lr=0.05, momentum=0.9),
-            lambda ps: SGD(ps, lr=0.05, weight_decay=1e-3),
-            lambda ps: Adam(ps, lr=0.01, weight_decay=1e-3),
-            lambda ps: AdaGrad(ps, lr=0.05, weight_decay=1e-3),
-        ],
-        ids=["sgd-momentum", "sgd-wd", "adam-wd", "adagrad-wd"],
+        [lambda ps: Adam(ps, lr=0.01, weight_decay=1e-3)],
+        ids=["adam-wd"],
     )
     def test_dense_semantics_fallback(self, factory):
         # Configurations whose update couples untouched rows densify the
@@ -313,16 +353,12 @@ class TestOptimizerEquivalence:
         dense_W, _ = _run_training(factory, dup, dense=True)
         np.testing.assert_allclose(sparse_W.data, dense_W.data, rtol=1e-10, atol=1e-14)
 
-    @pytest.mark.parametrize(
-        "factory",
-        [lambda ps: SGD(ps, lr=0.1), lambda ps: AdaGrad(ps, lr=0.05)],
-        ids=["sgd", "adagrad"],
-    )
-    def test_one_dimensional_parameter(self, factory):
-        batches = _unique_batches(10, k=5)
+    @pytest.mark.parametrize("factory, make_batches", _UNIQUE_CASES)
+    def test_one_dimensional_parameter(self, factory, make_batches):
+        batches = make_batches(10)
         sparse_W, _ = _run_training(factory, batches, dense=False, n=10, d=None)
         dense_W, _ = _run_training(factory, batches, dense=True, n=10, d=None)
-        np.testing.assert_allclose(sparse_W.data, dense_W.data, rtol=1e-10, atol=0)
+        np.testing.assert_array_equal(sparse_W.data, dense_W.data)
 
 
 class TestLazyAdam:
@@ -426,32 +462,3 @@ class TestLazyAdam:
         state["row_steps"] = {"5": [0, 0, 0, 0]}
         with pytest.raises(ValueError, match="indexes parameter"):
             Adam([Parameter(np.ones((4, 2)))], lr=0.01).load_state_dict(state)
-
-
-# ------------------------------------------------------------ grad clipping
-class TestClipGradNorm:
-    def test_sparse_norm_matches_dense_with_duplicates(self):
-        rng = np.random.default_rng(2)
-        idx = np.array([0, 3, 0, 0, 2])
-        vals = rng.normal(size=(5, 3))
-        dense = _scatter_reference((6, 3), idx, vals)
-
-        p_sparse = Parameter(np.zeros((6, 3)))
-        p_sparse.grad = SparseRowGrad((6, 3), idx, vals)
-        p_dense = Parameter(np.zeros((6, 3)))
-        p_dense.grad = dense.copy()
-
-        norm_s = clip_grad_norm([p_sparse], max_norm=0.5)
-        norm_d = clip_grad_norm([p_dense], max_norm=0.5)
-        assert norm_s == pytest.approx(norm_d, rel=1e-12)
-        assert isinstance(p_sparse.grad, SparseRowGrad)
-        np.testing.assert_allclose(
-            p_sparse.grad.to_dense(), p_dense.grad, rtol=1e-12, atol=0
-        )
-
-    def test_no_scale_below_threshold(self):
-        p = Parameter(np.zeros((4, 2)))
-        p.grad = SparseRowGrad((4, 2), np.array([1]), np.full((1, 2), 0.1))
-        norm = clip_grad_norm([p], max_norm=10.0)
-        assert norm == pytest.approx(np.sqrt(0.02))
-        np.testing.assert_array_equal(p.grad.to_dense()[1], [0.1, 0.1])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Adam, AdaGrad, SGD, Parameter
+from repro.autograd import Adam, Parameter
 from repro.data.interactions import InteractionDataset
 from repro.io.checkpoints import (
     TrainingCheckpoint,
@@ -177,7 +177,7 @@ class TestExtraRngState:
         ckpt = TrainingCheckpoint(
             epoch=1,
             params={"w": np.zeros((2, 2))},
-            optimizer_state={"version": 1, "type": "SGD", "step_count": 2, "slots": {}},
+            optimizer_state={"version": 1, "type": "Adam", "step_count": 2, "slots": {}},
             rng_state=np.random.default_rng(1).bit_generator.state,
             losses=[1.0],
             extra_losses=[0.0],
@@ -196,7 +196,7 @@ class TestExtraRngState:
         ckpt = TrainingCheckpoint(
             epoch=1,
             params={"w": np.zeros((2, 2))},
-            optimizer_state={"version": 1, "type": "SGD", "step_count": 2, "slots": {}},
+            optimizer_state={"version": 1, "type": "Adam", "step_count": 2, "slots": {}},
             rng_state=np.random.default_rng(1).bit_generator.state,
             losses=[1.0],
             extra_losses=[0.0],
@@ -393,8 +393,7 @@ class TestOptimizerState:
         "cls,kwargs",
         [
             (Adam, {"lr": 0.01}),
-            (SGD, {"lr": 0.01, "momentum": 0.5}),
-            (AdaGrad, {"lr": 0.05}),
+            (Adam, {"lr": 0.01, "weight_decay": 1e-3}),
         ],
     )
     def test_state_roundtrip_continues_identically(self, cls, kwargs):
@@ -428,9 +427,9 @@ class TestOptimizerState:
 
     def test_type_mismatch_rejected(self):
         p = [Parameter(np.zeros(3), name="p")]
-        state = Adam(p, lr=0.01).state_dict()
-        with pytest.raises(ValueError, match="Adam"):
-            SGD([Parameter(np.zeros(3), name="p")], lr=0.01).load_state_dict(state)
+        state = dict(Adam(p, lr=0.01).state_dict(), type="Optimizer")
+        with pytest.raises(ValueError, match="'Optimizer', not 'Adam'"):
+            Adam([Parameter(np.zeros(3), name="p")], lr=0.01).load_state_dict(state)
 
     def test_shape_mismatch_rejected(self):
         p = [Parameter(np.zeros((2, 2)), name="p")]
