@@ -16,7 +16,7 @@ The package implements, from scratch in NumPy:
   :mod:`repro.autograd`;
 - the **experiment harness** regenerating every table and figure of the
   paper's evaluation — :mod:`repro.experiments`;
-- **data-parallel training** (the paper's future-work note) —
+- the **training engine** (epoch loop, resume, checkpoints) —
   :mod:`repro.train`.
 
 Importing :mod:`repro` loads none of that: every name in ``__all__`` is

@@ -67,9 +67,9 @@ class LintConfig:
 
     optimizer_funnel_paths: Tuple[str, ...] = ("models/",)
     """Model code, where RPL015 forbids constructing or driving optimizers:
-    parameter updates flow through the :mod:`repro.train` engine/executors
-    (which own step scheduling, sharded reconciliation and checkpointed
-    optimizer state); auxiliary phases use the engine's step callable."""
+    parameter updates flow through the :mod:`repro.train` engine (which owns
+    step scheduling and checkpointed optimizer state); auxiliary phases use
+    the engine's step callable."""
 
     kernel_consumer_paths: Tuple[str, ...] = ("models/", "eval/", "serving/")
     """Layers that must stay behind the kernel/persistence funnels.  RPL010

@@ -1,16 +1,13 @@
 """RPL015 — optimizer access outside the training-engine funnel.
 
 Every parameter update in the codebase flows through :mod:`repro.train`:
-the engine builds the optimizer, the executors decide when ``step`` runs
-(serially, or reconciled across worker processes), and model auxiliary
-phases receive an engine-built *step callable* instead of the optimizer
-itself.  A model that constructs its own optimizer — or drives
+the engine builds the optimizer and decides when ``step`` runs, and model
+auxiliary phases receive an engine-built *step callable* instead of the
+optimizer itself.  A model that constructs its own optimizer — or drives
 ``optimizer.step()`` / ``zero_grad()`` inside its hooks — creates updates
-the executors cannot see: under :class:`~repro.train.sharded.ShardedExecutor`
-those steps would desynchronize the global step counter the lazy-Adam
-row decay depends on, mutate shared mmap'd tables outside the
-round-reconciliation protocol, and break checkpoint resume (the rogue
-optimizer's slots are never gathered into the training checkpoint).
+the engine cannot see: they desynchronize the global step counter the
+lazy-Adam row decay depends on and break checkpoint resume (the rogue
+optimizer's slots never reach the training checkpoint).
 
 The rule therefore flags, in model paths: (a) importing the optimizer
 classes or the bare ``adam_update`` step from :mod:`repro.autograd`; (b) attribute calls of ``step`` / ``zero_grad``
@@ -65,10 +62,9 @@ class OptimizerFunnelRule(Rule):
     description = (
         "model code importing optimizer classes or calling "
         "optimizer.step()/zero_grad() bypasses the repro.train engine "
-        "funnel — executors own when steps run (and how sharded workers "
-        "reconcile them into shared tables and checkpoints); use the "
-        "engine-provided step callable in extra_epoch_step, or suppress "
-        "with a justification."
+        "funnel — the engine owns when steps run and what reaches the "
+        "checkpoint; use the engine-provided step callable in "
+        "extra_epoch_step, or suppress with a justification."
     )
     node_types = (ast.Import, ast.ImportFrom, ast.Call)
 

@@ -43,7 +43,6 @@ __all__ = [
     "Optimizer",
     "Adam",
     "adam_update",
-    "assemble_row_sharded_state",
 ]
 
 
@@ -333,55 +332,6 @@ class Adam(Optimizer):
             }
         return state
 
-    # ---------------------------------------------------- row-shard views
-    def export_row_shard(self, p: Parameter) -> dict:
-        """One parameter's lazy-Adam state as plain row-aligned arrays.
-
-        Returns copies of the ``m``/``v`` moment rows and the ``row_steps``
-        last-touched vector for ``p`` — the per-row-shard view the
-        data-parallel engine gathers from each worker's shard-local
-        optimizer.  State that was never materialized reads back as its
-        mathematical value: zero moments, and ``row_steps`` equal to the
-        current ``step_count`` (zeros decay to zeros, so "current" is exact).
-        """
-        if id(p) not in {id(q) for q in self.params}:
-            raise ValueError("export_row_shard: parameter is not owned by this optimizer")
-        m = self._m.get(id(p))
-        v = self._v.get(id(p))
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        last = self._last.get(id(p))
-        if last is None:
-            last = np.full(p.data.shape[0], self.step_count, dtype=np.int64)
-        return {"m": m.copy(), "v": v.copy(), "row_steps": last.copy()}
-
-    def install_row_shard(self, p: Parameter, state: dict) -> None:
-        """Install an :meth:`export_row_shard` view into this optimizer.
-
-        The inverse scatter: a worker restoring from a checkpoint installs
-        its shard's slice of the full ``m``/``v``/``row_steps`` arrays into
-        its shard-local optimizer, whose parameter covers exactly those rows.
-        """
-        if id(p) not in {id(q) for q in self.params}:
-            raise ValueError("install_row_shard: parameter is not owned by this optimizer")
-        m = np.asarray(state["m"], dtype=p.data.dtype)
-        v = np.asarray(state["v"], dtype=p.data.dtype)
-        last = np.asarray(state["row_steps"], dtype=np.int64)
-        if m.shape != p.data.shape or v.shape != p.data.shape:
-            raise ValueError(
-                f"row shard moment shape {m.shape}/{v.shape} does not match "
-                f"parameter shape {p.data.shape}"
-            )
-        if last.shape != (p.data.shape[0],):
-            raise ValueError(
-                f"row shard has {last.shape} row_steps for parameter with "
-                f"{p.data.shape[0]} rows"
-            )
-        self._m[id(p)] = m.copy()
-        self._v[id(p)] = v.copy()
-        self._last[id(p)] = last.copy()
-
     def load_state_dict(self, state: dict) -> None:
         state = dict(state)
         row_steps = state.pop("row_steps", None)
@@ -401,46 +351,3 @@ class Adam(Optimizer):
                     )
                 self._last[id(p)] = arr
 
-
-def assemble_row_sharded_state(
-    state: dict,
-    param_index: int,
-    shards: Sequence[tuple],
-) -> dict:
-    """Fold per-row-shard Adam views into a full ``state_dict`` (in place).
-
-    ``shards`` is a sequence of ``(lo, hi, view)`` with ``view`` an
-    :meth:`Adam.export_row_shard` dict covering rows ``[lo, hi)`` of
-    parameter ``param_index``.  Shards must tile the parameter's rows
-    exactly (disjoint, covering) — the assembled ``m``/``v`` slot arrays and
-    ``row_steps`` vector are indistinguishable from a serial optimizer's, so
-    the result round-trips through the existing
-    :mod:`repro.io.checkpoints` npz format unchanged.
-    """
-    if not shards:
-        raise ValueError("assemble_row_sharded_state: no shards given")
-    ordered = sorted(shards, key=lambda s: s[0])
-    num_rows = ordered[-1][1]
-    covered = 0
-    for lo, hi, view in ordered:
-        if lo != covered:
-            raise ValueError(
-                f"row shards must tile the parameter: gap/overlap at row {covered} (shard starts at {lo})"
-            )
-        if hi - lo != np.asarray(view["row_steps"]).shape[0]:
-            raise ValueError(
-                f"row shard [{lo}, {hi}) carries {np.asarray(view['row_steps']).shape[0]} rows of state"
-            )
-        covered = hi
-    m = np.concatenate([np.asarray(view["m"]) for _, _, view in ordered], axis=0)
-    v = np.concatenate([np.asarray(view["v"]) for _, _, view in ordered], axis=0)
-    last = np.concatenate(
-        [np.asarray(view["row_steps"], dtype=np.int64) for _, _, view in ordered]
-    )
-    if m.shape[0] != num_rows:
-        raise ValueError(f"assembled {m.shape[0]} rows, expected {num_rows}")
-    slots = state.setdefault("slots", {})
-    slots.setdefault("m", {})[param_index] = m
-    slots.setdefault("v", {})[param_index] = v
-    state.setdefault("row_steps", {})[param_index] = [int(s) for s in last]
-    return state

@@ -197,8 +197,3 @@ class SparseRowGrad:
         self.indices = np.concatenate([self.indices, other.indices])
         self.values = np.concatenate([self.values, other.values])
         self.coalesced = False
-
-    def scale_(self, scale: float) -> None:
-        """Multiply the stored values by a scalar (allocates; values may be
-        shared with a backward closure's output-grad buffer)."""
-        self.values = self.values * scale

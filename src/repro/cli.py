@@ -108,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("dataset", choices=("ooi", "gage"))
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--save", type=str, default=None, help="checkpoint path (.npz)")
-    p_train.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="data-parallel training workers (0 = serial engine); sharded "
-        "checkpoints only resume under the same worker count",
-    )
 
     p_rec = sub.add_parser("recommend", help="train CKAT and print top-K items")
     p_rec.add_argument("dataset", choices=("ooi", "gage"))
@@ -319,7 +312,6 @@ def _cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
         best_epoch_selection=args.epochs is None or args.epochs >= 10,
-        train_workers=args.workers,
     )
     print(
         f"{result.model} on {result.dataset}: recall@20={result.recall:.4f} "

@@ -218,29 +218,11 @@ class ShardedBPRSampler:
             rounds += 1
         return neg
 
-    def shard_num_batches(self, shard: int, batch_size: int) -> int:
-        """Batches one shard contributes to an epoch (0 for empty shards)."""
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        rec_lo, rec_hi = self.shard_records(shard)
-        return -(-(rec_hi - rec_lo) // batch_size)
-
-    def shard_epoch_batches(
+    def _shard_batches(
         self, shard: int, batch_size: int, rng: np.random.Generator
     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield one shard's epoch batches, drawing only from ``rng``.
-
-        This is the data-parallel entry point: the training engine gives
-        each (epoch, shard) pair its own deterministic generator, so any
-        worker that owns the shard produces byte-identical batches — batch
-        content depends on the shard and the seed, never on which process
-        draws it or how shards are assigned to workers.  The arithmetic is
-        exactly one shard's slice of :meth:`epoch_batches`: a fresh
-        permutation of the shard's interactions, negatives rejection-sampled
-        per batch against the shard's membership keys.
-        """
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        """One shard's batches: a fresh permutation of its interactions,
+        negatives rejection-sampled per batch against its membership keys."""
         rec_lo, rec_hi = self.shard_records(shard)
         if rec_hi == rec_lo:
             return
@@ -261,14 +243,4 @@ class ShardedBPRSampler:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         rng = ensure_rng(seed)
         for shard in range(self.num_shards):
-            rec_lo, rec_hi = self.shard_records(shard)
-            if rec_hi == rec_lo:
-                continue
-            keys = self.shard_keys(shard)
-            order = rng.permutation(rec_hi - rec_lo) + rec_lo
-            for start in range(0, len(order), batch_size):
-                pick = order[start : start + batch_size]
-                users = self.data.user_ids[pick]
-                pos = self.data.item_ids[pick]
-                neg = rng.integers(0, self.data.num_items, size=len(pick))
-                yield users, pos, self._reject_negatives(keys, users, neg, rng)
+            yield from self._shard_batches(shard, batch_size, rng)

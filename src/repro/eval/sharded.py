@@ -9,11 +9,6 @@ shard order.  Because every evaluator step is row-wise (see
 :mod:`repro.eval.evaluator`), the concatenated vectors are identical to a
 single serial pass, so the reduced means are **bit-identical** to the
 in-process shard loop and to :meth:`RankingEvaluator.evaluate`.
-
-Workers cannot share a live model, so scoring is handed off through a
-checkpoint: :class:`SnapshotScorer` pickles a model *factory* plus a
-``.npz`` parameter snapshot (:mod:`repro.io.checkpoints`) and rebuilds the
-model lazily on first use inside the worker.
 """
 
 from __future__ import annotations
@@ -26,57 +21,10 @@ import numpy as np
 
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import EvaluationResult, PerUserMetrics, RankingEvaluator
-from repro.io.checkpoints import load_parameters
 from repro.parallel import ProcessExecutor, chunk_indices
 from repro.utils.telemetry import RunLogger
 
-__all__ = ["SnapshotScorer", "EvalShard", "sharded_evaluate"]
-
-
-class SnapshotScorer:
-    """Picklable ``score_users``-style callable backed by a checkpoint.
-
-    Parameters
-    ----------
-    factory:
-        Picklable callable (module-level function or class) that rebuilds
-        the model architecture, e.g. ``BPRMF`` or a registry builder.
-    args, kwargs:
-        Arguments for ``factory``; must themselves be picklable.
-    checkpoint:
-        Optional path to a ``repro.io.checkpoints`` snapshot loaded into the
-        rebuilt model.  Without it the factory must already produce the
-        trained state (e.g. a deterministic rebuild).
-
-    The model is constructed lazily on first call and cached per process, so
-    a worker evaluating many batches pays the rebuild cost once.  Pickling
-    drops the cached model — only the recipe travels across processes.
-    """
-
-    def __init__(self, factory: Callable, args: Tuple = (), kwargs=None, checkpoint=None):
-        if not callable(factory):
-            raise TypeError("factory must be callable")
-        self.factory = factory
-        self.args = tuple(args)
-        self.kwargs = dict(kwargs or {})
-        self.checkpoint = str(checkpoint) if checkpoint is not None else None
-        self._model = None
-
-    def _build(self):
-        model = self.factory(*self.args, **self.kwargs)
-        if self.checkpoint is not None:
-            load_parameters(self.checkpoint, model)
-        return model
-
-    def __call__(self, users: np.ndarray) -> np.ndarray:
-        if self._model is None:
-            self._model = self._build()
-        return self._model.score_users(users)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_model"] = None
-        return state
+__all__ = ["EvalShard", "sharded_evaluate"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,8 +71,7 @@ def sharded_evaluate(
         ``user_batch`` to every shard.
     score_fn:
         Scoring callable.  With a :class:`ProcessExecutor` it must be
-        picklable — use :class:`SnapshotScorer` to ship a checkpointed
-        model; plain bound methods of live models only work serially.
+        picklable, e.g. a module-level class holding the score factors.
     num_shards:
         Number of contiguous user shards (typically the worker count).
     executor:

@@ -166,7 +166,6 @@ def run_single_model(
     checkpoint_dir: Optional[pathlib.Path] = None,
     checkpoint_every: int = 10,
     resume: bool = False,
-    train_workers: int = 0,
 ) -> RunResult:
     """Train one model on ``dataset`` and evaluate recall@K / ndcg@K.
 
@@ -180,12 +179,6 @@ def run_single_model(
     every ``checkpoint_every`` epochs, and ``resume=True`` restarts from the
     run's checkpoint when one exists — producing the same parameters as an
     uninterrupted run (see :meth:`repro.models.base.Recommender.fit`).
-
-    ``train_workers > 0`` trains data-parallel through
-    :class:`repro.train.ShardedExecutor` with that many worker processes
-    (models with private dropout RNGs — NFM, CKAT — are rejected by the
-    executor; checkpoints then record the worker/shard layout and only
-    resume under the same ``train_workers``).
     """
     if ckg is None:
         ckg = dataset.build_ckg(sources)
@@ -219,13 +212,6 @@ def run_single_model(
             # second copy of the run to the first.
             log_path.unlink(missing_ok=True)
         logger = RunLogger(log_path, run_id=slug)
-    executor = None
-    if train_workers:
-        if train_workers < 0:
-            raise ValueError(f"train_workers must be >= 0, got {train_workers}")
-        from repro.train import ShardedExecutor
-
-        executor = ShardedExecutor(train_workers)
     try:
         if logger is not None:
             logger.log("cell_start", label=label or name, model=name, dataset=dataset.name)
@@ -237,7 +223,6 @@ def run_single_model(
             checkpoint_path=checkpoint_path,
             resume_from=resume_from,
             logger=logger,
-            executor=executor,
         )
         t0 = time.perf_counter()
         result = evaluator.evaluate_model(model)

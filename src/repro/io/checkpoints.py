@@ -5,8 +5,7 @@ load from untrusted sources):
 
 - :func:`save_parameters` / :func:`load_parameters` — weights only, keyed by
   parameter ``name`` (falling back to positional keys), shape-validated on
-  load.  This is what :class:`~repro.eval.sharded.SnapshotScorer` ships to
-  worker processes.
+  load.
 - :class:`TrainingCheckpoint` — everything a killed training run needs to
   resume **bit-identically**: parameters, Adam's moment slots, lazy row
   steps and step count, the training RNG's ``bit_generator`` state, the
@@ -40,6 +39,7 @@ __all__ = [
     "TrainingCheckpoint",
     "save_training_checkpoint",
     "load_training_checkpoint",
+    "SERIAL_EXECUTOR_FINGERPRINT",
     "executor_fingerprint",
     "check_executor_compatible",
 ]
@@ -120,7 +120,8 @@ def load_parameters(path: PathLike, model) -> None:
                 p.data[...] = arr
 
 
-_SERIAL_EXECUTOR_FINGERPRINT = {"kind": "serial"}
+#: The executor stamp the training engine writes into every checkpoint.
+SERIAL_EXECUTOR_FINGERPRINT = {"kind": "serial"}
 
 
 def executor_fingerprint(config: dict) -> dict:
@@ -131,27 +132,24 @@ def executor_fingerprint(config: dict) -> dict:
     the absent key reads back as the serial fingerprint.
     """
     fp = config.get("executor")
-    return dict(fp) if fp else dict(_SERIAL_EXECUTOR_FINGERPRINT)
+    return dict(fp) if fp else dict(SERIAL_EXECUTOR_FINGERPRINT)
 
 
 def check_executor_compatible(saved_config: dict, current: Optional[dict]) -> None:
     """Fail loudly when a checkpoint's executor layout differs from the run's.
 
-    Optimizer slots — and, for sharded runs, the worker-resident lazy-Adam
-    ``row_steps`` — only load into the executor layout that produced them.
-    A serial checkpoint resumed under ``--workers N`` (or a sharded one
-    resumed serially, or under a different worker count / shard size) would
-    silently reshape that state into the wrong owners; this check turns the
-    silent corruption into an actionable error.
+    Checkpoints come from outside the process: one written by the
+    since-deleted data-parallel engine carries a ``"sharded"`` stamp and
+    optimizer state laid out for its workers.  Loading it serially would not
+    reproduce the uninterrupted run, so this check turns that silent
+    divergence into an actionable error.
     """
     saved = executor_fingerprint(saved_config)
-    now = dict(current) if current else dict(_SERIAL_EXECUTOR_FINGERPRINT)
+    now = dict(current) if current else dict(SERIAL_EXECUTOR_FINGERPRINT)
     if saved != now:
         raise ValueError(
             f"cannot resume: checkpoint was written by executor {saved} but this run "
-            f"uses {now}; optimizer slots and worker shard state only load into the "
-            "layout that produced them — resume with the matching executor settings "
-            "(same --workers and shard size) or start a fresh run"
+            f"uses {now}; only serial checkpoints resume — start a fresh run"
         )
 
 

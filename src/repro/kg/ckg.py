@@ -18,13 +18,12 @@ models need:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.facility.catalog import FacilityCatalog
 from repro.facility.users import UserPopulation
-from repro.kg.adjacency import CSRAdjacency
 from repro.kg.subgraphs import (
     INTERACT,
     EntitySpace,
@@ -40,7 +39,6 @@ from repro.kg.triples import TripleStore
 __all__ = [
     "CollaborativeKnowledgeGraph",
     "build_ckg",
-    "build_interaction_adjacency",
 ]
 
 
@@ -163,40 +161,6 @@ def build_ckg(
         sources=sources,
         catalog_name=catalog.name,
     )
-
-
-def build_interaction_adjacency(
-    space: EntitySpace,
-    pair_chunks: Callable[[], Iterable[Tuple[np.ndarray, np.ndarray]]],
-    include_inverse: bool = True,
-) -> CSRAdjacency:
-    """Interaction-graph CSR adjacency straight from (user, item) chunks.
-
-    The monolithic equivalent — ``CSRAdjacency(build_uig(space, users,
-    items).with_inverses(symmetric=(INTERACT,)))`` — materializes the triple
-    store twice (canonical + inverse-augmented) before sorting a third copy.
-    This builder feeds the chunks to
-    :meth:`~repro.kg.adjacency.CSRAdjacency.from_edge_chunks` as a forward
-    sweep followed by an inverse sweep, which is exactly the edge order
-    ``with_inverses`` produces for the single symmetric ``interact``
-    relation, so the result is bit-identical while scratch stays at chunk
-    size.  ``pair_chunks`` must be a callable returning a fresh iterator of
-    *deduplicated* local-id pairs (e.g.
-    :func:`repro.data.streaming.interaction_pair_chunks`).
-    """
-
-    def edges():
-        for users, items in pair_chunks():
-            u = space.global_ids("user", np.asarray(users, dtype=np.int64))
-            i = space.global_ids("item", np.asarray(items, dtype=np.int64))
-            yield u, np.zeros(len(u), dtype=np.int64), i
-        if include_inverse:
-            for users, items in pair_chunks():
-                u = space.global_ids("user", np.asarray(users, dtype=np.int64))
-                i = space.global_ids("item", np.asarray(items, dtype=np.int64))
-                yield i, np.zeros(len(i), dtype=np.int64), u
-
-    return CSRAdjacency.from_edge_chunks(edges, space.num_entities, num_relations=1)
 
 
 def _allocate_space(catalog: FacilityCatalog, population: UserPopulation) -> EntitySpace:

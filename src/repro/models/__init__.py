@@ -31,7 +31,6 @@ from repro.models.embeddings import TransE, TransR
 from repro.models.fm import FM, ItemFeatureTable
 from repro.models.kgcn import KGCN
 from repro.models.nfm import NFM
-from repro.models.popularity import MostPopular, RandomRecommender
 from repro.models.ripplenet import RippleNet
 
 __all__ = [
@@ -50,6 +49,4 @@ __all__ = [
     "KGCN",
     "CKAT",
     "CKATConfig",
-    "MostPopular",
-    "RandomRecommender",
 ]

@@ -9,10 +9,9 @@ Every model implements three hooks:
 
 :meth:`Recommender.fit` drives the paper's optimization recipe — Adam, batch
 size 512, epoch-wise BPR batches with fresh negative sampling — by
-delegating to :class:`repro.train.TrainEngine`; the default
+delegating to :class:`repro.train.TrainEngine`, whose
 :class:`~repro.train.SerialExecutor` reproduces the historical in-process
-loop bit-for-bit, and ``executor=ShardedExecutor(...)`` trains the same
-model data-parallel.  Models with auxiliary objectives (TransR/TransE phases
+loop bit-for-bit.  Models with auxiliary objectives (TransR/TransE phases
 in CKE, CFKG, CKAT) override ``extra_epoch_step`` to run their alternating
 phase once per epoch through the engine-provided step callable — model code
 never touches the optimizer directly (reprolint RPL015).
@@ -32,7 +31,7 @@ from repro.autograd import Parameter, Tensor
 from repro.autograd import functional as F
 from repro.data.interactions import InteractionDataset
 from repro.kernels import dispatch
-from repro.train.engine import FitConfig, FitResult, StepExecutor, StepFn, TrainEngine
+from repro.train.engine import FitConfig, FitResult, StepFn, TrainEngine
 from repro.utils.telemetry import RunLogger
 
 __all__ = ["FitConfig", "FitResult", "Recommender", "batch_l2"]
@@ -101,9 +100,8 @@ class Recommender:
         ``step(loss_fn)`` zero-grads, evaluates ``loss_fn()``,
         backpropagates, applies the optimizer, and returns the loss value.
         Models run their alternating phase through it instead of holding the
-        optimizer (reprolint RPL015) — which is what lets executors schedule
-        the phase (the sharded executor runs it on the master between
-        epochs).  Default: nothing to do.
+        optimizer (reprolint RPL015), so every update stays visible to the
+        engine's step count and checkpoints.  Default: nothing to do.
         """
         return 0.0
 
@@ -134,19 +132,6 @@ class Recommender:
             "but the checkpoint carries extra RNG state"
         )
 
-    def row_partitioned_parameters(self) -> List[Parameter]:
-        """Parameters whose rows partition along the sampler's user shards.
-
-        The sharded executor applies these locally on the worker that owns
-        the rows (no cross-worker reduction).  A parameter belongs here only
-        if a (user, pos, neg) batch drawn from user shard ``[lo, hi)``
-        gathers *exclusively* rows ``[lo, hi)`` of it — true for per-user
-        embedding tables indexed by the batch's users, false for anything a
-        negative sample or graph propagation can touch.  Default: none (all
-        parameters reduce as shared).
-        """
-        return []
-
     # ------------------------------------------------------------- training
     def fit(
         self,
@@ -159,12 +144,11 @@ class Recommender:
         resume_from: Optional[PathLike] = None,
         logger: Optional[RunLogger] = None,
         sampler: Optional[object] = None,
-        executor: Optional[StepExecutor] = None,
     ) -> FitResult:
         """Train with epoch-wise BPR minibatches and Adam.
 
-        Thin wrapper over :class:`repro.train.TrainEngine`; with the default
-        executor this is bit-identical to the historical in-process loop.
+        Thin wrapper over :class:`repro.train.TrainEngine`; bit-identical to
+        the historical in-process loop.
 
         Parameters
         ----------
@@ -184,27 +168,20 @@ class Recommender:
             time); required when ``checkpoint_every > 0``.
         resume_from:
             Resume a killed run from this checkpoint.  The restored run is
-            **bit-identical** to the uninterrupted one (same executor
-            required — the checkpoint records the executor/shard layout and
-            refuses to load into a different one): all training randomness
-            flows through generators whose states the checkpoint captured.
+            **bit-identical** to the uninterrupted one: all training
+            randomness flows through generators whose states the checkpoint
+            captured.  Checkpoints stamped by the since-deleted
+            data-parallel engine are refused.
         logger:
             Optional :class:`~repro.utils.telemetry.RunLogger`; emits one
-            JSONL event per epoch plus run/eval/checkpoint events (and
-            merged per-worker events under data-parallel executors).
+            JSONL event per epoch plus run/eval/checkpoint events.
         sampler:
-            Optional replacement for the executor's default sampler;
-            anything exposing ``epoch_batches(batch_size, seed)`` yielding
-            (users, pos, neg) triples works serially, while the sharded
-            executor additionally needs the shard-batch interface of
-            :class:`~repro.data.sampling.ShardedBPRSampler`.
-        executor:
-            Optional :class:`~repro.train.StepExecutor`; default
-            :class:`~repro.train.SerialExecutor` (the historical loop).
-            Pass :class:`~repro.train.ShardedExecutor` for data-parallel
-            training over partitioned embedding tables.
+            Optional replacement for the default
+            :class:`~repro.data.sampling.BPRSampler`; anything exposing
+            ``epoch_batches(batch_size, seed)`` yielding (users, pos, neg)
+            triples works.
         """
-        return TrainEngine(self, executor=executor).fit(
+        return TrainEngine(self).fit(
             train,
             config,
             eval_callback,

@@ -38,11 +38,6 @@ class BPRMF(Recommender):
     def parameters(self) -> List[Parameter]:
         return [self.user_emb, self.item_emb]
 
-    def row_partitioned_parameters(self) -> List[Parameter]:
-        # batch_loss gathers user_emb rows only at the batch's users, which a
-        # sharded sampler keeps within one user shard — item rows are shared.
-        return [self.user_emb]
-
     def batch_loss(
         self, users: np.ndarray, pos: np.ndarray, neg: np.ndarray, rng: np.random.Generator
     ) -> Tensor:

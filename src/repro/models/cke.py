@@ -80,11 +80,6 @@ class CKE(Recommender):
     def parameters(self) -> List[Parameter]:
         return [self.user_emb, self.item_emb] + self.transr.parameters()
 
-    def row_partitioned_parameters(self) -> List[Parameter]:
-        # Only user_emb is gathered strictly at the batch's users; item and
-        # TransR tables are touched by negatives/triples and stay shared.
-        return [self.user_emb]
-
     def _item_repr(self, items: np.ndarray) -> Tensor:
         """γ_v + e_v^TransR for a batch of item indices."""
         base = F.take_rows(self.item_emb, items)

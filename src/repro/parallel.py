@@ -2,8 +2,8 @@
 
 Workers receive picklable items and results come back in submission order.
 Sharded evaluation and the table harnesses map pure functions through
-:class:`ProcessExecutor`; data-parallel training has its own engine
-(:mod:`repro.train.sharded`) and uses only :func:`chunk_indices` from here.
+:class:`ProcessExecutor`; sharded evaluation also cuts its user list with
+:func:`chunk_indices`.
 """
 
 from __future__ import annotations

@@ -19,12 +19,10 @@ from repro.store.artifacts import (
     fingerprint,
     resolve_cache_dir,
 )
-from repro.store.segments import SegmentArena
 
 __all__ = [
     "Artifact",
     "ArtifactStore",
-    "SegmentArena",
     "canonical_json",
     "fingerprint",
     "resolve_cache_dir",

@@ -7,40 +7,29 @@ computes.  The split is:
   optimizer construction, resume/restore, telemetry, evaluation and
   best-epoch snapshots, periodic checkpoints.  One engine drives any model
   implementing the :class:`~repro.models.base.Recommender` hooks.
-- :class:`~repro.train.engine.StepExecutor` — the pluggable strategy that
-  actually runs one epoch of optimization steps.
-  :class:`~repro.train.engine.SerialExecutor` reproduces the historical
-  in-process loop bit-for-bit;
-  :class:`~repro.train.sharded.ShardedExecutor` runs data-parallel workers
-  over mmap'd shared parameter segments with deterministic gradient
-  reconciliation.
+- :class:`~repro.train.engine.SerialExecutor` — one epoch of optimization
+  steps, the historical in-process loop bit-for-bit.
+
+Training is serial: each CKAT step is a full-graph propagation, so splitting
+a batch across workers would not divide the work.
 
 Optimizer calls funnel through this package (reprolint RPL015): model code
 never invokes ``Optimizer.step`` directly — auxiliary phases receive an
 engine-provided step callable instead.
 """
 
-from repro.train.agreement import gradient_agreement_report
 from repro.train.engine import (
     FitConfig,
     FitResult,
     SerialExecutor,
-    StepExecutor,
     TrainEngine,
     make_step_fn,
 )
-from repro.train.objectives import TransRObjective, TripleShardSampler
-from repro.train.sharded import ShardedExecutor
 
 __all__ = [
     "FitConfig",
     "FitResult",
     "SerialExecutor",
-    "ShardedExecutor",
-    "StepExecutor",
     "TrainEngine",
-    "TransRObjective",
-    "TripleShardSampler",
-    "gradient_agreement_report",
     "make_step_fn",
 ]

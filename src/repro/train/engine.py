@@ -1,24 +1,21 @@
 """The training engine: epoch loop, resume, telemetry, checkpoints.
 
 Historically the epoch loop lived inside ``Recommender.fit``; it now lives
-here, behind a pluggable :class:`StepExecutor`.  ``Recommender.fit`` is a
-thin wrapper over :class:`TrainEngine`, and :class:`SerialExecutor`
-reproduces the historical loop **bit-for-bit**: the same single RNG drives
-sampling in the same order, the optimizer sees the same gradients in the
-same sequence, and checkpoints round-trip through the unchanged
-:mod:`repro.io.checkpoints` format.  The engine owns everything around the
-epoch — validation, sampler/optimizer construction, resume, evaluation and
-best-epoch snapshots, periodic checkpoints, JSONL telemetry — while the
-executor owns the steps inside it.
+here.  ``Recommender.fit`` is a thin wrapper over :class:`TrainEngine`, and
+:class:`SerialExecutor` runs the historical loop **bit-for-bit**: the same
+single RNG drives sampling in the same order, the optimizer sees the same
+gradients in the same sequence, and checkpoints round-trip through the
+unchanged :mod:`repro.io.checkpoints` format.  The engine owns everything
+around the epoch — validation, sampler/optimizer construction, resume,
+evaluation and best-epoch snapshots, periodic checkpoints, JSONL telemetry —
+while :meth:`SerialExecutor.run_epoch` owns the steps inside it.
 
 Optimizer funnel (reprolint RPL015): model code does not call
 ``Optimizer.step`` / ``zero_grad`` itself.  Auxiliary per-epoch phases
 (TransR/TransE in CKE, CFKG, CKAT) receive a *step callable* built by
 :func:`make_step_fn` — ``step(loss_fn) -> float`` runs zero-grad /
 forward / backward / optimizer-step and returns the loss value — so every
-parameter update in the codebase flows through this module and
-executors can reinterpret "one step" (e.g. run it on the master while
-workers idle) without touching model code.
+parameter update in the codebase flows through this module.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ import numpy as np
 
 from repro.autograd import Adam, no_grad
 from repro.io.checkpoints import (
+    SERIAL_EXECUTOR_FINGERPRINT,
     TrainingCheckpoint,
     check_executor_compatible,
     load_training_checkpoint,
@@ -39,12 +37,11 @@ from repro.io.checkpoints import (
     save_training_checkpoint,
 )
 from repro.utils.rng import ensure_rng
-from repro.utils.telemetry import RunLogger, merge_worker_events
+from repro.utils.telemetry import RunLogger
 
 __all__ = [
     "FitConfig",
     "FitResult",
-    "StepExecutor",
     "SerialExecutor",
     "TrainEngine",
     "make_step_fn",
@@ -133,82 +130,18 @@ class FitResult:
         return self.losses[-1] if self.losses else float("nan")
 
 
-class StepExecutor:
-    """Strategy for running one epoch of optimization steps.
-
-    The engine calls, in order: :meth:`bind` once before training begins
-    (after the optimizer exists, before any resume state loads), then
-    :meth:`run_epoch` once per epoch, and :meth:`close` when training ends
-    (including on error).  Optimizer-state traffic for checkpoints goes
-    through :meth:`optimizer_state` / :meth:`load_optimizer_state` so
-    executors that scatter state across workers can gather/rescatter it
-    while keeping the on-disk npz format unchanged.
-    """
-
-    kind: str = "step-executor"
-
-    def bind(self, model, train, config: FitConfig, sampler, optimizer) -> None:
-        """Attach to one training run; called exactly once per fit."""
-        raise NotImplementedError
-
-    def fingerprint(self) -> dict:
-        """Layout identity recorded in checkpoints (see RPL-satellite note).
-
-        Resuming requires an identical fingerprint: optimizer slots and
-        worker-local state only load into the executor layout that produced
-        them.
-        """
-        return {"kind": self.kind}
-
-    def run_epoch(self, epoch: int, optimizer, rng: np.random.Generator):
-        """Run one epoch; returns ``(mean_batch_loss, extra_loss)``."""
-        raise NotImplementedError
-
-    def default_sampler(self, train):
-        """The sampler built when ``fit`` receives none.
-
-        Serial execution keeps the historical default
-        (:class:`~repro.data.sampling.BPRSampler`); sharded execution needs
-        shard-addressable batches and overrides this.
-        """
-        from repro.data.sampling import BPRSampler  # deferred: keeps layering acyclic
-
-        return BPRSampler(train)
-
-    def optimizer_state(self, optimizer) -> dict:
-        """Full optimizer state for a checkpoint (worker state gathered in)."""
-        return optimizer.state_dict()
-
-    def load_optimizer_state(self, optimizer, state: dict) -> None:
-        """Restore checkpointed optimizer state (worker state scattered out)."""
-        optimizer.load_state_dict(state)
-
-    def drain_worker_events(self) -> List[dict]:
-        """Per-worker telemetry events accumulated since the last drain."""
-        return []
-
-    def close(self) -> None:
-        """Release executor resources; idempotent."""
-
-
-class SerialExecutor(StepExecutor):
-    """The reference executor: the historical in-process epoch loop.
+# A class only because perfbench/tracing.py wraps run_epoch; fold into TrainEngine with it.
+class SerialExecutor:
+    """One epoch of optimization steps: the historical in-process loop.
 
     ``run_epoch`` performs exactly the sequence the pre-engine
     ``Recommender.fit`` ran — auxiliary phase first, then one optimizer
     step per sampler batch, all randomness drawn from the single training
-    RNG in the same order — so a serial engine run is bit-identical to the
+    RNG in the same order — so an engine run is bit-identical to the
     historical code path (locked by the resume/training test suites).
     """
 
-    kind = "serial"
-
-    def __init__(self):
-        self.model = None
-        self.config: Optional[FitConfig] = None
-        self.sampler = None
-
-    def bind(self, model, train, config: FitConfig, sampler, optimizer) -> None:
+    def __init__(self, model, config: FitConfig, sampler):
         self.model = model
         self.config = config
         self.sampler = sampler
@@ -228,18 +161,16 @@ class SerialExecutor(StepExecutor):
 
 
 class TrainEngine:
-    """Drives training of one model with a pluggable :class:`StepExecutor`.
+    """Drives training of one model through :class:`SerialExecutor`.
 
     The engine is model-agnostic: anything implementing the
     :class:`~repro.models.base.Recommender` training hooks (``parameters``,
     ``batch_loss``, ``extra_epoch_step``, ``on_epoch_end``,
-    ``extra_rng_state``/``restore_extra_rng_state``) trains here, including
-    the standalone KG objectives in :mod:`repro.train.objectives`.
+    ``extra_rng_state``/``restore_extra_rng_state``) trains here.
     """
 
-    def __init__(self, model, executor: Optional[StepExecutor] = None):
+    def __init__(self, model):
         self.model = model
-        self.executor = executor if executor is not None else SerialExecutor()
 
     # ------------------------------------------------------------ internals
     def _restore_checkpoint(
@@ -255,9 +186,9 @@ class TrainEngine:
 
         Validates that the checkpoint matches the architecture (same
         parameter keys, shapes and dtypes), the replay-relevant config fields, *and*
-        the executor/shard layout — resuming under a different batch size,
-        learning rate, seed, or worker layout could not possibly reproduce
-        the uninterrupted run, so it raises instead.
+        the executor stamp — resuming under a different batch size,
+        learning rate or seed, or from a data-parallel checkpoint, could not
+        possibly reproduce the uninterrupted run, so it raises instead.
         """
         fp = config.fingerprint()
         saved = ckpt.config
@@ -269,7 +200,7 @@ class TrainEngine:
                 f"cannot resume: config mismatch {mismatched} (checkpoint vs current); "
                 "resume-exactness requires identical training configuration"
             )
-        check_executor_compatible(saved, self.executor.fingerprint())
+        check_executor_compatible(saved, SERIAL_EXECUTOR_FINGERPRINT)
         if config.epochs < ckpt.epoch:
             raise ValueError(
                 f"cannot resume: checkpoint has {ckpt.epoch} completed epochs but the "
@@ -294,16 +225,11 @@ class TrainEngine:
                         f"checkpoint {arr.dtype} vs model {p.data.dtype}"
                     )
                 p.data[...] = arr
-        self.executor.load_optimizer_state(optimizer, ckpt.optimizer_state)
+        optimizer.load_state_dict(ckpt.optimizer_state)
         rng.bit_generator.state = ckpt.rng_state
         if ckpt.extra_rng_state is not None:
             self.model.restore_extra_rng_state(ckpt.extra_rng_state)
         self.model.on_epoch_end()  # rebuild derived state (e.g. CKAT attention)
-
-    def _merge_worker_events(self, logger: Optional[RunLogger]) -> None:
-        events = self.executor.drain_worker_events()
-        if logger is not None and events:
-            merge_worker_events(logger, events)
 
     # -------------------------------------------------------------- training
     def fit(
@@ -320,9 +246,7 @@ class TrainEngine:
     ) -> FitResult:
         """Train ``self.model``; see ``Recommender.fit`` for the parameters.
 
-        ``train`` may be ``None`` when an explicit ``sampler`` is supplied
-        (standalone KG objectives train from a triple sampler with no
-        interaction dataset).
+        ``train`` may be ``None`` when an explicit ``sampler`` is supplied.
         """
         model = self.model
         config = config or FitConfig()
@@ -354,10 +278,10 @@ class TrainEngine:
         # An injected sampler only needs epoch_batches(batch_size, seed) —
         # e.g. data.ShardedBPRSampler, whose shard-local membership keys keep
         # million-user training sets out of the global-key memory regime.
-        # (The sharded executor additionally requires the shard-batch
-        # interface and builds a ShardedBPRSampler itself when none is given.)
         if sampler is None:
-            sampler = self.executor.default_sampler(train)
+            from repro.data.sampling import BPRSampler  # deferred: keeps layering acyclic
+
+            sampler = BPRSampler(train)
         params = model.parameters()
         keys = parameter_keys(params)
         optimizer = Adam(params, lr=config.lr)
@@ -368,115 +292,109 @@ class TrainEngine:
         best_snapshot: Optional[List[np.ndarray]] = None
         start_epoch = 0
         base_seconds = 0.0
-        try:
-            self.executor.bind(model, train, config, sampler, optimizer)
-            # Executor fingerprints may depend on bind-time layout (shard
-            # count), so the checkpoint config is assembled only now.
-            ckpt_config = dict(config.fingerprint())
-            ckpt_config["executor"] = self.executor.fingerprint()
-            if resume_from is not None:
-                ckpt = load_training_checkpoint(resume_from)
-                self._restore_checkpoint(ckpt, config, params, keys, optimizer, rng)
-                losses = list(ckpt.losses)
-                extra_losses = list(ckpt.extra_losses)
-                eval_history = list(ckpt.eval_history)
-                best_score = ckpt.best_score
-                if ckpt.best_snapshot is not None:
-                    best_snapshot = [ckpt.best_snapshot[key].copy() for key in keys]
-                start_epoch = ckpt.epoch
-                base_seconds = ckpt.seconds
-                if logger is not None:
-                    logger.log("resume", epoch=start_epoch, path=str(resume_from))
-            start = time.perf_counter()
+        executor = SerialExecutor(model, config, sampler)
+        ckpt_config = dict(config.fingerprint())
+        ckpt_config["executor"] = dict(SERIAL_EXECUTOR_FINGERPRINT)
+        if resume_from is not None:
+            ckpt = load_training_checkpoint(resume_from)
+            self._restore_checkpoint(ckpt, config, params, keys, optimizer, rng)
+            losses = list(ckpt.losses)
+            extra_losses = list(ckpt.extra_losses)
+            eval_history = list(ckpt.eval_history)
+            best_score = ckpt.best_score
+            if ckpt.best_snapshot is not None:
+                best_snapshot = [ckpt.best_snapshot[key].copy() for key in keys]
+            start_epoch = ckpt.epoch
+            base_seconds = ckpt.seconds
+            if logger is not None:
+                logger.log("resume", epoch=start_epoch, path=str(resume_from))
+        start = time.perf_counter()
+        if logger is not None:
+            logger.log(
+                "run_start",
+                model=model.name,
+                start_epoch=start_epoch,
+                **config.fingerprint(),
+            )
+        for epoch in range(start_epoch, config.epochs):
+            epoch_start = time.perf_counter()
+            mean_loss, extra = executor.run_epoch(epoch, optimizer, rng)
+            extra_losses.append(extra)
+            losses.append(mean_loss)
+            model.on_epoch_end()
             if logger is not None:
                 logger.log(
-                    "run_start",
-                    model=model.name,
-                    start_epoch=start_epoch,
-                    **config.fingerprint(),
+                    "epoch",
+                    epoch=epoch + 1,
+                    loss=losses[-1],
+                    aux_loss=extra,
+                    seconds=time.perf_counter() - epoch_start,
                 )
-            for epoch in range(start_epoch, config.epochs):
-                epoch_start = time.perf_counter()
-                mean_loss, extra = self.executor.run_epoch(epoch, optimizer, rng)
-                extra_losses.append(extra)
-                losses.append(mean_loss)
-                model.on_epoch_end()
-                self._merge_worker_events(logger)
+            if config.verbose:
+                msg = f"[{model.name}] epoch {epoch + 1}/{config.epochs} loss={losses[-1]:.4f}"
+                if extra:
+                    msg += f" aux={extra:.4f}"
+                print(msg)
+            if (
+                eval_callback is not None
+                and config.eval_every
+                and (epoch + 1) % config.eval_every == 0
+            ):
+                metrics = eval_callback()
+                metrics["epoch"] = epoch + 1
+                eval_history.append(metrics)
                 if logger is not None:
-                    logger.log(
-                        "epoch",
-                        epoch=epoch + 1,
-                        loss=losses[-1],
-                        aux_loss=extra,
-                        seconds=time.perf_counter() - epoch_start,
-                    )
+                    logger.log("eval", **metrics)
                 if config.verbose:
-                    msg = f"[{model.name}] epoch {epoch + 1}/{config.epochs} loss={losses[-1]:.4f}"
-                    if extra:
-                        msg += f" aux={extra:.4f}"
-                    print(msg)
-                if (
-                    eval_callback is not None
-                    and config.eval_every
-                    and (epoch + 1) % config.eval_every == 0
-                ):
-                    metrics = eval_callback()
-                    metrics["epoch"] = epoch + 1
-                    eval_history.append(metrics)
-                    if logger is not None:
-                        logger.log("eval", **metrics)
-                    if config.verbose:
-                        print(f"[{model.name}]   eval: {metrics}")
-                    if config.keep_best_metric:
-                        score = metrics.get(config.keep_best_metric)
-                        if score is None:
-                            raise KeyError(
-                                f"keep_best_metric {config.keep_best_metric!r} missing from "
-                                f"eval callback result {sorted(metrics)}"
-                            )
-                        if score > best_score:
-                            best_score = score
-                            best_snapshot = [p.data.copy() for p in params]
-                            if logger is not None:
-                                logger.log("best_snapshot", epoch=epoch + 1, score=float(score))
-                if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-                    ckpt = TrainingCheckpoint(
-                        epoch=epoch + 1,
-                        params={key: np.array(p.data, copy=True) for key, p in zip(keys, params)},
-                        optimizer_state=self.executor.optimizer_state(optimizer),
-                        rng_state=rng.bit_generator.state,
-                        extra_rng_state=model.extra_rng_state(),
-                        losses=list(losses),
-                        extra_losses=list(extra_losses),
-                        eval_history=list(eval_history),
-                        best_score=float(best_score),
-                        best_snapshot=(
-                            {key: arr.copy() for key, arr in zip(keys, best_snapshot)}
-                            if best_snapshot is not None
-                            else None
-                        ),
-                        seconds=base_seconds + (time.perf_counter() - start),
-                        config=dict(ckpt_config),
-                    )
-                    written = save_training_checkpoint(checkpoint_path, ckpt)
-                    if logger is not None:
-                        logger.log("checkpoint", epoch=epoch + 1, path=str(written))
-            if best_snapshot is not None:
-                with no_grad():
-                    for p, data in zip(params, best_snapshot):
-                        p.data[...] = data
-                model.on_epoch_end()  # refresh derived state (e.g. CKAT attention)
-            seconds = base_seconds + (time.perf_counter() - start)
-            if logger is not None:
-                logger.log(
-                    "run_end",
-                    model=model.name,
-                    epochs=config.epochs,
-                    seconds=seconds,
-                    final_loss=losses[-1] if losses else None,
+                    print(f"[{model.name}]   eval: {metrics}")
+                if config.keep_best_metric:
+                    score = metrics.get(config.keep_best_metric)
+                    if score is None:
+                        raise KeyError(
+                            f"keep_best_metric {config.keep_best_metric!r} missing from "
+                            f"eval callback result {sorted(metrics)}"
+                        )
+                    if score > best_score:
+                        best_score = score
+                        best_snapshot = [p.data.copy() for p in params]
+                        if logger is not None:
+                            logger.log("best_snapshot", epoch=epoch + 1, score=float(score))
+            if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
+                ckpt = TrainingCheckpoint(
+                    epoch=epoch + 1,
+                    params={key: np.array(p.data, copy=True) for key, p in zip(keys, params)},
+                    optimizer_state=optimizer.state_dict(),
+                    rng_state=rng.bit_generator.state,
+                    extra_rng_state=model.extra_rng_state(),
+                    losses=list(losses),
+                    extra_losses=list(extra_losses),
+                    eval_history=list(eval_history),
+                    best_score=float(best_score),
+                    best_snapshot=(
+                        {key: arr.copy() for key, arr in zip(keys, best_snapshot)}
+                        if best_snapshot is not None
+                        else None
+                    ),
+                    seconds=base_seconds + (time.perf_counter() - start),
+                    config=dict(ckpt_config),
                 )
-        finally:
-            self.executor.close()
+                written = save_training_checkpoint(checkpoint_path, ckpt)
+                if logger is not None:
+                    logger.log("checkpoint", epoch=epoch + 1, path=str(written))
+        if best_snapshot is not None:
+            with no_grad():
+                for p, data in zip(params, best_snapshot):
+                    p.data[...] = data
+            model.on_epoch_end()  # refresh derived state (e.g. CKAT attention)
+        seconds = base_seconds + (time.perf_counter() - start)
+        if logger is not None:
+            logger.log(
+                "run_end",
+                model=model.name,
+                epochs=config.epochs,
+                seconds=seconds,
+                final_loss=losses[-1] if losses else None,
+            )
         return FitResult(
             losses=losses,
             extra_losses=extra_losses,

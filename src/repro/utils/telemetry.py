@@ -18,9 +18,9 @@ Event vocabulary (the ``event`` field; producers may add fields freely):
 - ``eval_shard`` / ``eval_sharded`` — per-shard and total sharded-eval
   timings;
 - ``worker_epoch``                — one data-parallel training worker's
-  per-epoch record (rank, rounds, batches, loss sum, seconds), produced in
-  the worker process and merged into the main run log by
-  :func:`merge_worker_events`;
+  per-epoch record (worker, seconds).  Nothing writes it since the
+  data-parallel trainer was deleted; the summary still counts it so older
+  logs render as before;
 - ``cell_start`` / ``cell_end`` — one table-cell train→evaluate run.
 
 :func:`summarize_run` / :func:`render_run_report` reduce a log back into the
@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, TextIO, Union
 
 __all__ = [
     "RunLogger",
-    "merge_worker_events",
     "read_run_log",
     "summarize_run",
     "render_run_report",
@@ -126,23 +125,6 @@ class RunLogger:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-
-def merge_worker_events(logger: RunLogger, events: List[dict]) -> int:
-    """Merge per-worker training events into one run log; returns the count.
-
-    Data-parallel workers record their step/epoch events locally (no shared
-    file handle — concurrent appends from W processes would interleave past
-    the torn-tail tolerance of :func:`read_run_log`) and ship them to the
-    master at epoch boundaries.  The master merges each drain here, sorted
-    by ``(ts, worker)`` so the combined log reads in causal order even
-    though workers flush at different times.  Sorting is stable, so each
-    worker's own events keep their original relative order.
-    """
-    ordered = sorted(events, key=lambda e: (float(e.get("ts", 0.0)), e.get("worker", -1)))
-    for record in ordered:
-        logger.append(record)
-    return len(ordered)
 
 
 def read_run_log(path: PathLike) -> List[dict]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import InteractionDataset
-from repro.eval import PerUserMetrics, RankingEvaluator, SnapshotScorer, sharded_evaluate
+from repro.eval import PerUserMetrics, RankingEvaluator, sharded_evaluate
 from repro.eval.metrics import ndcg_at_k, precision_at_k, recall_at_k
 from tests.ranking_oracle import oracle_topk
 
@@ -237,27 +237,3 @@ class TestShardedEvaluate:
         ev = RankingEvaluator(train, test, k=5)
         with pytest.raises(ValueError):
             sharded_evaluate(ev, lambda users: None, num_shards=0)
-
-    def test_snapshot_scorer_requires_callable(self):
-        with pytest.raises(TypeError):
-            SnapshotScorer("not-callable")
-
-    def test_snapshot_scorer_roundtrip(self, tmp_path):
-        import pickle
-
-        from repro.io import save_parameters
-        from repro.models import BPRMF
-
-        train, test = random_split(12, n_users=10, n_items=25)
-        model = BPRMF(train.num_users, train.num_items, dim=4, seed=0)
-        path = tmp_path / "snap.npz"
-        save_parameters(path, model)
-        scorer = SnapshotScorer(
-            BPRMF, (train.num_users, train.num_items), {"dim": 4, "seed": 1}, checkpoint=path
-        )
-        clone = pickle.loads(pickle.dumps(scorer))
-        np.testing.assert_array_equal(
-            scorer(np.arange(3)), clone(np.arange(3))
-        )
-        # The checkpoint, not the factory seed, determines the scores.
-        np.testing.assert_array_equal(scorer(np.arange(3)), model.score_users(np.arange(3)))

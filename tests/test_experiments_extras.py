@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.coldstart import cold_start_report, slice_users_by_history
-from repro.models import MostPopular
+from repro.models import BPRMF, FitConfig
 
 
 class TestColdStart:
@@ -25,17 +25,17 @@ class TestColdStart:
             assert (deg[slices["big"]] >= 4).all()
 
     def test_report_structure(self, ooi_split):
-        pop = MostPopular(ooi_split.train.num_users, ooi_split.train.num_items)
-        pop.fit(ooi_split.train)
+        model = BPRMF(ooi_split.train.num_users, ooi_split.train.num_items, dim=8, seed=0)
+        model.fit(ooi_split.train, FitConfig(epochs=2, seed=0))
         results, text = cold_start_report(
-            {"MostPopular": pop.score_users},
+            {"BPRMF": model.score_users},
             ooi_split,
             k=10,
             buckets=(("all", 0, 10**9),),
         )
-        assert "MostPopular" in results
+        assert "BPRMF" in results
         assert "Cold-start" in text
-        bucket = list(results["MostPopular"].buckets.values())[0]
+        bucket = list(results["BPRMF"].buckets.values())[0]
         assert 0.0 <= bucket.recall <= 1.0
 
     def test_no_models_rejected(self, ooi_split):

@@ -45,7 +45,6 @@ from repro.facility.stream import (
 from repro.facility.trace import QueryTrace
 from repro.facility.users import build_user_population
 from repro.kg.adjacency import CSRAdjacency
-from repro.kg.ckg import build_interaction_adjacency
 from repro.kg.subgraphs import INTERACT, EntitySpace, build_uig
 from repro.models.base import FitConfig
 from repro.models.bprmf import BPRMF
@@ -289,6 +288,22 @@ def _interaction_space(data):
     return space
 
 
+def _chunked_interaction_adjacency(space, pair_chunks):
+    """Interaction CSR from deduplicated (user, item) chunks: a forward sweep
+    then an inverse sweep, the edge order ``with_inverses`` gives the one
+    symmetric ``interact`` relation."""
+
+    def edges():
+        for inverse in (False, True):
+            for users, items in pair_chunks():
+                u = space.global_ids("user", np.asarray(users, dtype=np.int64))
+                i = space.global_ids("item", np.asarray(items, dtype=np.int64))
+                rels = np.zeros(len(u), dtype=np.int64)
+                yield (i, rels, u) if inverse else (u, rels, i)
+
+    return CSRAdjacency.from_edge_chunks(edges, space.num_entities, num_relations=1)
+
+
 class TestChunkedAdjacency:
     @pytest.fixture(scope="class")
     def data(self, facility):
@@ -300,7 +315,7 @@ class TestChunkedAdjacency:
         mono = CSRAdjacency(
             build_uig(space, data.user_ids, data.item_ids).with_inverses(symmetric=(INTERACT,))
         )
-        chunked = build_interaction_adjacency(
+        chunked = _chunked_interaction_adjacency(
             space, lambda: interaction_pair_chunks(data, users_per_chunk)
         )
         np.testing.assert_array_equal(chunked.heads, mono.heads)

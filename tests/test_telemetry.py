@@ -251,6 +251,31 @@ class TestSummaries:
         assert "best epoch: 2" in text
         assert "checkpoints: 1 written" in text
 
+    def test_render_report_counts_worker_epochs(self, tmp_path):
+        """Logs from the old data-parallel engine still render their workers."""
+        path = tmp_path / "old.jsonl"
+        events = [
+            {"event": "run_start", "ts": 1.0, "model": "BPRMF"},
+            {"event": "worker_epoch", "ts": 1.1, "worker": 0, "epoch": 1, "shards": 2,
+             "rounds": 3, "batches": 5, "loss_sum": 3.5, "seconds": 0.25},
+            {"event": "worker_epoch", "ts": 1.2, "worker": 1, "epoch": 1, "shards": 2,
+             "rounds": 3, "batches": 5, "loss_sum": 2.5, "seconds": 0.5},
+            {"event": "epoch", "ts": 1.3, "epoch": 1, "loss": 0.6, "aux_loss": 0.0,
+             "seconds": 0.75},
+            {"event": "run_end", "ts": 1.4, "model": "BPRMF", "seconds": 0.8},
+        ]
+        path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+        s = summarize_run(read_run_log(path))
+        assert (s["worker_epochs"], s["workers"], s["worker_seconds"]) == (2, 2, 0.75)
+        assert render_run_report(path) == "\n".join(
+            [
+                f"run log: {path}",
+                "events: epoch=1, run_end=1, run_start=1, worker_epoch=2",
+                "epochs: 1 (loss 0.6000 -> 0.6000, min 0.6000, 0.75s)",
+                "train workers: 2 (2 worker-epochs, 0.75s worker time)",
+            ]
+        )
+
     def test_report_cli(self, tmp_path, capsys):
         from repro.cli import main
 

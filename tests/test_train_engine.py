@@ -1,5 +1,7 @@
 """Engine-layer tests: serial bit-identity, step funnel, executor fingerprints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from repro.io.checkpoints import (
     check_executor_compatible,
     executor_fingerprint,
     load_training_checkpoint,
+    save_training_checkpoint,
 )
 from repro.models import BPRMF
 from repro.models.base import FitConfig
-from repro.train import SerialExecutor, ShardedExecutor, TrainEngine, make_step_fn
+from repro.train import TrainEngine, make_step_fn
 from repro.utils.rng import ensure_rng
 
 
@@ -69,7 +72,7 @@ class TestSerialBitIdentity:
         a = BPRMF(40, 60, dim=8, seed=2)
         ra = a.fit(tiny_data, cfg)
         b = BPRMF(40, 60, dim=8, seed=2)
-        rb = TrainEngine(b, executor=SerialExecutor()).fit(tiny_data, cfg)
+        rb = TrainEngine(b).fit(tiny_data, cfg)
         assert ra.losses == rb.losses
         for p, q in zip(a.parameters(), b.parameters()):
             assert np.array_equal(p.data, q.data)
@@ -119,7 +122,7 @@ class TestExecutorFingerprint:
             )
 
     def test_serial_checkpoint_refuses_sharded_resume(self, tiny_data, tmp_path):
-        """A serial checkpoint resumed with --workers N fails loudly."""
+        """A checkpoint stamped by the old data-parallel engine fails loudly."""
         cfg = FitConfig(epochs=4, batch_size=64, seed=3)
         m = BPRMF(40, 60, dim=8, seed=1)
         ck = tmp_path / "serial.ckpt.npz"
@@ -129,14 +132,15 @@ class TestExecutorFingerprint:
             checkpoint_every=2,
             checkpoint_path=ck,
         )
+        # Restamp it the way the data-parallel engine wrote its checkpoints.
+        ckpt = load_training_checkpoint(ck)
+        sharded = dataclasses.replace(
+            ckpt, config={**ckpt.config, "executor": {"kind": "sharded", "workers": 2}}
+        )
+        save_training_checkpoint(ck, sharded)
         m2 = BPRMF(40, 60, dim=8, seed=1)
         with pytest.raises(ValueError, match="cannot resume.*executor"):
-            m2.fit(
-                tiny_data,
-                cfg,
-                resume_from=ck,
-                executor=ShardedExecutor(2, parallel=False),
-            )
+            m2.fit(tiny_data, cfg, resume_from=ck)
 
 
 class TestEngineValidation:
@@ -147,21 +151,3 @@ class TestEngineValidation:
     def test_shape_mismatch(self, tiny_data):
         with pytest.raises(ValueError, match="does not match model"):
             BPRMF(41, 60, dim=4).fit(tiny_data, FitConfig(epochs=1))
-
-    def test_worker_epoch_events_merged(self, tiny_data, tmp_path):
-        from repro.utils.telemetry import RunLogger, read_run_log
-
-        log = tmp_path / "run.jsonl"
-        cfg = FitConfig(epochs=2, batch_size=64, seed=3)
-        m = BPRMF(40, 60, dim=8, seed=1)
-        with RunLogger(log) as logger:
-            m.fit(
-                tiny_data,
-                cfg,
-                logger=logger,
-                executor=ShardedExecutor(2, parallel=False),
-            )
-        events = read_run_log(log)
-        worker_events = [e for e in events if e["event"] == "worker_epoch"]
-        assert len(worker_events) == 2 * cfg.epochs  # one per worker per epoch
-        assert {e["worker"] for e in worker_events} == {0, 1}
