@@ -1,18 +1,14 @@
 """Evaluation-pipeline micro-benchmarks.
 
-Two questions, answered on a synthetic dataset big enough to expose the
-asymptotics (2k+ users):
-
-1. How much faster is the loop-free evaluator than the per-user-loop
-   baseline it replaced (``_per_user_loop`` below)?
-   (``test_vectorized_speedup`` asserts ≥ 3× and agreement to 1e-12; it
-   carries the ``gate_smoke`` marker, so ``make bench-smoke`` runs it.  The
-   pytest-benchmark cases track both paths' absolute times.)
-2. Is process-sharded evaluation exactly the serial reference?  (Asserted
-   bit-for-bit with 2 workers.)
+How much faster is the loop-free evaluator than the per-user-loop baseline
+it replaced (``_per_user_loop`` below), on a synthetic dataset big enough to
+expose the asymptotics (2k+ users)?  ``test_vectorized_speedup`` asserts
+≥ 3× and agreement to 1e-12; it carries the ``gate_smoke`` marker, so
+``make bench-smoke`` runs it.  The pytest-benchmark cases track both paths'
+absolute times.
 
 Run with ``pytest benchmarks/test_bench_eval.py --benchmark-only`` for the
-tracked numbers; the speedup/exactness assertions also run in plain mode.
+tracked numbers; the speedup assertion also runs in plain mode.
 """
 
 import statistics
@@ -25,8 +21,6 @@ from conftest import write_bench_json, write_result
 
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import EvaluationResult, RankingEvaluator
-from repro.eval.sharded import sharded_evaluate
-from repro.parallel import ProcessExecutor
 
 N_USERS = 2048
 N_ITEMS = 1200
@@ -152,25 +146,6 @@ def test_vectorized_speedup(eval_problem):
         },
     )
     assert speedup >= 3.0, f"vectorized path only {speedup:.2f}x faster than legacy"
-
-
-def test_sharded_matches_serial_exactly(eval_problem):
-    """2-worker process-sharded evaluation == serial reference, bit-for-bit."""
-    train, test, scorer = eval_problem
-    ev = RankingEvaluator(train, test, k=20)
-    serial = ev.evaluate(scorer)
-    sharded_ref = sharded_evaluate(ev, scorer, num_shards=4)
-    with ProcessExecutor(max_workers=2) as pool:
-        sharded = sharded_evaluate(ev, scorer, num_shards=4, executor=pool)
-    assert sharded_ref == serial
-    assert sharded == serial
-    write_result(
-        "bench_eval_sharded",
-        f"sharded evaluation, {N_USERS} users, 4 shards / 2 workers\n"
-        f"  serial : {serial}\n"
-        f"  sharded: {sharded}\n"
-        "  exact match: True",
-    )
 
 
 def test_bench_eval_legacy(benchmark, eval_problem):

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.analysis import compute_distributions, pair_similarity_study, query_concentration
 from repro.experiments import figures, load_dataset, run_single_model, tables
-from repro.experiments.runner import MODEL_NAMES
+from repro.experiments.runner import MODEL_NAMES, fit_and_evaluate
 from repro.store import ArtifactStore, resolve_cache_dir
 
 __all__ = ["main", "build_parser"]
@@ -306,7 +306,7 @@ def _cmd_figure(args) -> int:
 def _cmd_train(args) -> int:
     ds = load_dataset(args.dataset, scale=args.scale, seed=args.seed, cache_dir=args.cache_dir)
     print(ds.describe())
-    result = run_single_model(
+    model, result = fit_and_evaluate(
         args.model,
         ds,
         epochs=args.epochs,
@@ -318,15 +318,9 @@ def _cmd_train(args) -> int:
         f"ndcg@20={result.ndcg:.4f} ({result.train_seconds:.1f}s train)"
     )
     if args.save:
-        # Re-train once more to hold a model object for saving would waste
-        # work; instead run_single_model would need to return the model.
-        # Keep the CLI simple: build + fit + save directly.
-        from repro.experiments.runner import build_model, default_fit_config
+        # The evaluated model: the restored best snapshot under selection.
         from repro.io import save_parameters
 
-        ckg = ds.build_ckg()
-        model = build_model(args.model, ds, ckg, seed=args.seed)
-        model.fit(ds.split.train, default_fit_config(args.model, epochs=args.epochs, seed=args.seed))
         written = save_parameters(args.save, model)
         print(f"checkpoint written to {written}")
     return 0

@@ -14,7 +14,6 @@ from repro.eval.metrics import (
     precision_at_k,
     recall_at_k,
 )
-from repro.eval.sharded import sharded_evaluate
 from repro.eval.significance import PairedTestResult, bootstrap_ci, paired_bootstrap_test
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "RankingEvaluator",
     "EvaluationResult",
     "PerUserMetrics",
-    "sharded_evaluate",
     "bootstrap_ci",
     "paired_bootstrap_test",
     "PairedTestResult",

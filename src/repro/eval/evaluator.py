@@ -20,14 +20,13 @@ The hot path is loop-free (DESIGN.md §6):
 
 Only users with at least one test interaction are evaluated (the paper's
 protocol: metrics are means over test users).  Because every step is
-row-wise, per-user metric values are independent of batching — the property
-the sharded evaluator (:mod:`repro.eval.sharded`) relies on for exactness.
+row-wise, per-user metric values are independent of batching.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -67,11 +66,8 @@ class EvaluationResult:
 class PerUserMetrics:
     """Per-user metric vectors, aligned with ``users``.
 
-    This is the mergeable form of an evaluation: concatenating the
-    per-user vectors of contiguous user shards (in shard order) rebuilds
-    exactly the arrays a single serial pass would produce, so the reduced
-    means are bit-identical — the exactness contract of
-    :func:`repro.eval.sharded.sharded_evaluate`.
+    The unreduced form of an evaluation, for per-user analyses such as the
+    paired bootstrap in :mod:`repro.eval.significance`.
     """
 
     users: np.ndarray
@@ -92,23 +88,6 @@ class PerUserMetrics:
             hit=float(np.mean(self.hit)),
             k=self.k,
             num_users=int(self.users.size),
-        )
-
-    @staticmethod
-    def concatenate(parts: Sequence["PerUserMetrics"]) -> "PerUserMetrics":
-        """Stitch shard results back together in shard order."""
-        if not parts:
-            raise ValueError("no shard results to concatenate")
-        ks = {p.k for p in parts}
-        if len(ks) != 1:
-            raise ValueError(f"shards evaluated at different k: {sorted(ks)}")
-        return PerUserMetrics(
-            users=np.concatenate([p.users for p in parts]),
-            recall=np.concatenate([p.recall for p in parts]),
-            ndcg=np.concatenate([p.ndcg for p in parts]),
-            precision=np.concatenate([p.precision for p in parts]),
-            hit=np.concatenate([p.hit for p in parts]),
-            k=parts[0].k,
         )
 
 

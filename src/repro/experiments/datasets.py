@@ -144,6 +144,6 @@ def dataset_from_ref(ref: DatasetRef) -> BenchmarkDataset:
     """Materialize the dataset a :class:`DatasetRef` names.
 
     Worker-process entry point: the underlying pipeline is process-cached,
-    so shards and model cells in one worker share stage materializations.
+    so the table cells in one worker share stage materializations.
     """
     return BenchmarkDataset(ref.pipeline())

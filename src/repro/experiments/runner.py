@@ -18,7 +18,7 @@ import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.eval.evaluator import RankingEvaluator
-from repro.experiments.datasets import BenchmarkDataset, dataset_from_ref, load_dataset
+from repro.experiments.datasets import BenchmarkDataset, dataset_from_ref
 from repro.kg.ckg import CollaborativeKnowledgeGraph
 from repro.kg.prepared import PreparedGraph
 from repro.kg.subgraphs import KnowledgeSources
@@ -45,6 +45,7 @@ __all__ = [
     "MODEL_NAMES",
     "build_model",
     "default_fit_config",
+    "fit_and_evaluate",
     "run_single_model",
     "RunResult",
     "CellSpec",
@@ -150,7 +151,7 @@ def _run_slug(label: str, dataset_name: str) -> str:
     return f"{sanitized}-{suffix}"
 
 
-def run_single_model(
+def fit_and_evaluate(
     name: str,
     dataset: BenchmarkDataset,
     ckg: Optional[CollaborativeKnowledgeGraph] = None,
@@ -166,8 +167,9 @@ def run_single_model(
     checkpoint_dir: Optional[pathlib.Path] = None,
     checkpoint_every: int = 10,
     resume: bool = False,
-) -> RunResult:
-    """Train one model on ``dataset`` and evaluate recall@K / ndcg@K.
+) -> Tuple[Recommender, RunResult]:
+    """Train one model on ``dataset``, evaluate recall@K / ndcg@K, and
+    return the trained model with its :class:`RunResult`.
 
     ``best_epoch_selection`` enables the KGAT-style protocol: evaluate every
     10 epochs and keep the best-recall snapshot (all models get the same
@@ -251,7 +253,7 @@ def run_single_model(
     finally:
         if logger is not None:
             logger.close()
-    return RunResult(
+    return model, RunResult(
         model=name,
         dataset=dataset.name,
         recall=result.recall,
@@ -260,6 +262,15 @@ def run_single_model(
         eval_seconds=eval_seconds,
         final_loss=fit.final_loss,
     )
+
+
+def run_single_model(name: str, dataset: BenchmarkDataset, **kwargs) -> RunResult:
+    """Train one model on ``dataset`` and evaluate recall@K / ndcg@K.
+
+    Takes the keyword arguments of :func:`fit_and_evaluate` and returns only
+    its :class:`RunResult`.
+    """
+    return fit_and_evaluate(name, dataset, **kwargs)[1]
 
 
 # --------------------------------------------------------- experiment fan-out
@@ -271,22 +282,18 @@ class CellSpec:
     the paper's Tables II–V are made of.  Cells share nothing at runtime, so
     they can fan out across a :class:`~repro.parallel.ProcessExecutor`.
 
-    ``dataset`` is preferably a lightweight
-    :class:`~repro.pipeline.DatasetRef` — the worker materializes the stages
-    it needs through its process-cached pipeline (memory-mapping artifacts
-    when the ref carries a cache dir) instead of receiving pickled arrays.
-    A dataset name string (rebuilt via :func:`load_dataset` with
-    ``dataset_scale``/``dataset_seed``/``cache_dir``) and a full
-    :class:`BenchmarkDataset` remain accepted; all three spellings are
-    bit-identical by construction since the bundles are pure functions of
-    their seed.
+    ``dataset`` is a :class:`BenchmarkDataset` or its lightweight
+    :class:`~repro.pipeline.DatasetRef`.  :func:`run_cells` turns the first
+    into the second when it fans out, so a worker materializes the stages it
+    needs through its process-cached pipeline (memory-mapping artifacts when
+    the ref carries a cache dir) instead of receiving pickled arrays.  Both
+    spellings are bit-identical by construction since the bundles are pure
+    functions of their seed.
     """
 
     label: str
     model: str
-    dataset: Union[str, DatasetRef, BenchmarkDataset]
-    dataset_scale: str = "full"
-    dataset_seed: int = 7
+    dataset: Union[DatasetRef, BenchmarkDataset]
     epochs: Optional[int] = None
     seed: int = 0
     k: int = 20
@@ -297,7 +304,6 @@ class CellSpec:
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 10
     resume: bool = False
-    cache_dir: Optional[str] = None
 
 
 def run_cell(spec: CellSpec) -> RunResult:
@@ -305,10 +311,6 @@ def run_cell(spec: CellSpec) -> RunResult:
     dataset = spec.dataset
     if isinstance(dataset, DatasetRef):
         dataset = dataset_from_ref(dataset)
-    elif isinstance(dataset, str):
-        dataset = load_dataset(
-            dataset, scale=spec.dataset_scale, seed=spec.dataset_seed, cache_dir=spec.cache_dir
-        )
     return run_single_model(
         spec.model,
         dataset,
@@ -333,14 +335,25 @@ def run_cells(
     """Run independent cells, optionally fanned across worker processes.
 
     ``num_workers > 1`` maps the cells through a :class:`ProcessExecutor`
-    (closed after the run); anything else runs them in a plain loop.
+    (closed after the run), sending each :class:`BenchmarkDataset` as its
+    :class:`~repro.pipeline.DatasetRef`; anything else runs them in a plain
+    loop on the datasets as given, whose pipelines memoize the CKG and
+    prepared graph across cells.  The conversion happens only here: an
+    in-process ``ds.ref()`` would resolve to a fresh pipeline and rebuild
+    every stage of a dataset the caller already holds.
 
-    Results are returned in spec order, paired with their specs, and are
-    identical to a serial run: each cell derives all randomness from its own
-    seeds, so process boundaries cannot change the numbers.
+    Results are returned in spec order, paired with the caller's specs, and
+    are identical to a serial run: each cell derives all randomness from its
+    own seeds, so process boundaries cannot change the numbers.
     """
     specs = list(specs)
     if num_workers > 1:
+        shipped = [
+            dataclasses.replace(spec, dataset=spec.dataset.ref())
+            if isinstance(spec.dataset, BenchmarkDataset)
+            else spec
+            for spec in specs
+        ]
         with ProcessExecutor(max_workers=num_workers) as pool:
-            return list(zip(specs, pool.map(run_cell, specs)))
+            return list(zip(specs, pool.map(run_cell, shipped)))
     return [(spec, run_cell(spec)) for spec in specs]

@@ -2,15 +2,15 @@
 
 ``python -m repro.experiments.scale`` drives the full streamed dataset path —
 blocked trace generation → chunked dedup/filter → blocked split → BPRMF
-training on the shard-blocked sampler → sharded ranking evaluation — and
+training on the shard-blocked sampler → batched ranking evaluation — and
 prints one JSON object with per-phase wall times, RSS snapshots, and the
 process peak RSS (``ru_maxrss``).
 
 The benchmark (`benchmarks/test_bench_scale.py`) runs this module in a
 *subprocess* so the reported ``ru_maxrss`` is the high-water mark of exactly
 this pipeline, not of whatever the host process touched earlier.  For the
-same reason evaluation runs its shards in-process — farming them to
-worker processes would move their memory out of the measured budget.
+same reason evaluation runs in-process — farming it to worker processes
+would move its memory out of the measured budget.
 
 The OOI-style catalog is reused with the site count scaled up: the paper's
 facilities serve a few thousand distinct data streams to ~10⁵–10⁶ users, so
@@ -32,7 +32,6 @@ import numpy as np
 from repro.data.sampling import ShardedBPRSampler
 from repro.data.streaming import blocked_per_user_split, streamed_trace_to_interactions
 from repro.eval.evaluator import RankingEvaluator
-from repro.eval.sharded import sharded_evaluate
 from repro.facility.affinity import OOI_AFFINITY
 from repro.facility.ooi import OOIConfig, build_ooi_catalog
 from repro.facility.stream import load_trace_stream, stream_trace
@@ -82,7 +81,6 @@ def run_scale_pipeline(
     epochs: int = 1,
     lr: float = 0.05,
     eval_users: int = 20_000,
-    num_eval_shards: int = 8,
     cache_dir: Optional[str] = None,
     seed: int = 7,
 ) -> dict:
@@ -171,9 +169,7 @@ def run_scale_pipeline(
     t0 = time.perf_counter()
     evaluator = RankingEvaluator(split.train, split.test, k=20, user_batch=512)
     users = evaluator.eval_users[: min(eval_users, len(evaluator.eval_users))]
-    result = sharded_evaluate(
-        evaluator, model.score_users, num_shards=num_eval_shards, users=users
-    )
+    result = evaluator.evaluate(model.score_users, users=users)
     metrics = {k: round(v, 6) for k, v in result.as_dict().items()}
     mark("eval", t0, users=len(users), **metrics)
 

@@ -12,15 +12,8 @@ from __future__ import annotations
 import pathlib
 from typing import Dict, List, Optional, Tuple, Union
 
-
 from repro.experiments.datasets import BenchmarkDataset, load_dataset
-from repro.experiments.runner import (
-    MODEL_NAMES,
-    CellSpec,
-    RunResult,
-    run_cells,
-    run_single_model,
-)
+from repro.experiments.runner import MODEL_NAMES, CellSpec, RunResult, run_cells
 from repro.kg.stats import CKGStats, compute_stats, render_table1
 from repro.kg.subgraphs import KnowledgeSources
 from repro.models.ckat import CKATConfig
@@ -75,17 +68,6 @@ PAPER_TABLE5: Dict[str, Dict[str, Tuple[float, float]]] = {
 PathLike = Union[str, pathlib.Path]
 
 
-def _telemetry_kw(
-    log_dir: Optional[PathLike], checkpoint_dir: Optional[PathLike], resume: bool
-) -> dict:
-    """Per-run telemetry/checkpoint kwargs shared by all table harnesses."""
-    return {
-        "log_dir": pathlib.Path(log_dir) if log_dir else None,
-        "checkpoint_dir": pathlib.Path(checkpoint_dir) if checkpoint_dir else None,
-        "resume": resume,
-    }
-
-
 # Table-III knowledge-source combinations, in paper row order.
 TABLE3_COMBINATIONS: List[Tuple[str, KnowledgeSources]] = [
     ("UIG+LOC", KnowledgeSources(uug=False, loc=True, dkg=False, md=False)),
@@ -95,6 +77,42 @@ TABLE3_COMBINATIONS: List[Tuple[str, KnowledgeSources]] = [
     ("UIG+UUG+LOC+DKG", KnowledgeSources(uug=True, loc=True, dkg=True, md=False)),
     ("UIG+UUG+LOC+DKG+MD", KnowledgeSources(uug=True, loc=True, dkg=True, md=True)),
 ]
+
+
+def _run_grid(
+    variants: List[Tuple[str, str, dict]],
+    datasets: List[BenchmarkDataset],
+    epochs: Optional[int],
+    seed: int,
+    num_workers: int,
+    log_dir: Optional[PathLike],
+    checkpoint_dir: Optional[PathLike],
+    resume: bool,
+) -> Dict[Tuple[str, str], RunResult]:
+    """Run one cell per (variant × dataset) through :func:`run_cells`.
+
+    ``variants`` holds ``(label, model, CellSpec overrides)`` triples; the
+    results are keyed by ``(label, dataset name)``.  ``num_workers > 1`` fans
+    the cells across a process pool; every cell reseeds from its spec, so the
+    rows are identical to a serial run.  ``log_dir``/``checkpoint_dir``/
+    ``resume`` give each cell its JSONL telemetry and resumable checkpoints.
+    """
+    specs = [
+        CellSpec(
+            label=label,
+            model=model,
+            dataset=ds,
+            epochs=epochs,
+            seed=seed,
+            log_dir=str(log_dir) if log_dir else None,
+            checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
+            resume=resume,
+            **overrides,
+        )
+        for label, model, overrides in variants
+        for ds in datasets
+    ]
+    return {(spec.label, r.dataset): r for spec, r in run_cells(specs, num_workers=num_workers)}
 
 
 # ------------------------------------------------------------------ tables
@@ -123,42 +141,20 @@ def table2(
 ) -> Tuple[Dict[Tuple[str, str], RunResult], str]:
     """Table II: overall performance comparison across all models.
 
-    ``num_workers > 1`` fans the independent (model × dataset) cells across
-    a process pool; every cell reseeds from its spec, so the rows are
-    identical to the serial run.  ``log_dir``/``checkpoint_dir``/``resume``
-    enable per-cell JSONL telemetry and resumable training checkpoints.
+    ``num_workers``, ``log_dir``, ``checkpoint_dir`` and ``resume`` apply to
+    every cell, as in :func:`_run_grid`.
     """
     datasets = datasets or [load_dataset("ooi"), load_dataset("gage")]
-    results: Dict[Tuple[str, str], RunResult] = {}
-    telemetry = _telemetry_kw(log_dir, checkpoint_dir, resume)
-    if num_workers > 1:
-        # Workers receive lightweight refs, not pickled datasets; each
-        # worker's process-cached pipeline materializes (or mmap-loads) the
-        # stages once and shares them across its cells.
-        specs = [
-            CellSpec(
-                label=name,
-                model=name,
-                dataset=ds.ref(),
-                epochs=epochs,
-                seed=seed,
-                log_dir=str(log_dir) if log_dir else None,
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-                resume=resume,
-            )
-            for name in models
-            for ds in datasets
-        ]
-        for spec, r in run_cells(specs, num_workers=num_workers):
-            results[(spec.model, r.dataset)] = r
-    else:
-        # The pipeline memoizes the CKG and prepared graph per dataset, so
-        # every model in the loop shares one build.
-        for name in models:
-            for ds in datasets:
-                results[(name, ds.name)] = run_single_model(
-                    name, ds, epochs=epochs, seed=seed, **telemetry
-                )
+    results = _run_grid(
+        [(name, name, {}) for name in models],
+        datasets,
+        epochs=epochs,
+        seed=seed,
+        num_workers=num_workers,
+        log_dir=log_dir,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
     headers = ["model"]
     for ds in datasets:
         headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper", f"{ds.name} n@20 paper"]
@@ -199,32 +195,16 @@ def table3(
 ) -> Tuple[Dict[Tuple[str, str], RunResult], str]:
     """Table III: CKAT under different knowledge-source combinations."""
     datasets = datasets or [load_dataset("ooi"), load_dataset("gage")]
-    results: Dict[Tuple[str, str], RunResult] = {}
-    telemetry = _telemetry_kw(log_dir, checkpoint_dir, resume)
-    if num_workers > 1:
-        specs = [
-            CellSpec(
-                label=label,
-                model="CKAT",
-                dataset=ds.ref(),
-                epochs=epochs,
-                seed=seed,
-                sources=sources,
-                log_dir=str(log_dir) if log_dir else None,
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-                resume=resume,
-            )
-            for label, sources in TABLE3_COMBINATIONS
-            for ds in datasets
-        ]
-        for spec, r in run_cells(specs, num_workers=num_workers):
-            results[(spec.label, r.dataset)] = r
-    else:
-        for label, sources in TABLE3_COMBINATIONS:
-            for ds in datasets:
-                results[(label, ds.name)] = run_single_model(
-                    "CKAT", ds, epochs=epochs, seed=seed, sources=sources, label=label, **telemetry
-                )
+    results = _run_grid(
+        [(label, "CKAT", {"sources": src}) for label, src in TABLE3_COMBINATIONS],
+        datasets,
+        epochs=epochs,
+        seed=seed,
+        num_workers=num_workers,
+        log_dir=log_dir,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
     headers = ["knowledge sources"]
     for ds in datasets:
         headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper"]
@@ -254,38 +234,16 @@ def table4(
         ("w/ Att + sum", CKATConfig(aggregator="sum", use_attention=True)),
         ("w/o Att + concat", CKATConfig(aggregator="concat", use_attention=False)),
     ]
-    results: Dict[Tuple[str, str], RunResult] = {}
-    telemetry = _telemetry_kw(log_dir, checkpoint_dir, resume)
-    if num_workers > 1:
-        specs = [
-            CellSpec(
-                label=label,
-                model="CKAT",
-                dataset=ds.ref(),
-                epochs=epochs,
-                seed=seed,
-                ckat_config=cfg,
-                log_dir=str(log_dir) if log_dir else None,
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-                resume=resume,
-            )
-            for label, cfg in variants
-            for ds in datasets
-        ]
-        for spec, r in run_cells(specs, num_workers=num_workers):
-            results[(spec.label, r.dataset)] = r
-    else:
-        for ds in datasets:
-            for label, cfg in variants:
-                results[(label, ds.name)] = run_single_model(
-                    "CKAT",
-                    ds,
-                    epochs=epochs,
-                    seed=seed,
-                    ckat_config=cfg,
-                    label=label,
-                    **telemetry,
-                )
+    results = _run_grid(
+        [(label, "CKAT", {"ckat_config": cfg}) for label, cfg in variants],
+        datasets,
+        epochs=epochs,
+        seed=seed,
+        num_workers=num_workers,
+        log_dir=log_dir,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
     headers = ["variant"]
     for ds in datasets:
         headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper"]
@@ -315,38 +273,16 @@ def table5(
         ("CKAT-2", CKATConfig(layer_dims=(64, 32))),
         ("CKAT-3", CKATConfig(layer_dims=(64, 32, 16))),
     ]
-    results: Dict[Tuple[str, str], RunResult] = {}
-    telemetry = _telemetry_kw(log_dir, checkpoint_dir, resume)
-    if num_workers > 1:
-        specs = [
-            CellSpec(
-                label=label,
-                model="CKAT",
-                dataset=ds.ref(),
-                epochs=epochs,
-                seed=seed,
-                ckat_config=cfg,
-                log_dir=str(log_dir) if log_dir else None,
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-                resume=resume,
-            )
-            for label, cfg in depths
-            for ds in datasets
-        ]
-        for spec, r in run_cells(specs, num_workers=num_workers):
-            results[(spec.label, r.dataset)] = r
-    else:
-        for ds in datasets:
-            for label, cfg in depths:
-                results[(label, ds.name)] = run_single_model(
-                    "CKAT",
-                    ds,
-                    epochs=epochs,
-                    seed=seed,
-                    ckat_config=cfg,
-                    label=label,
-                    **telemetry,
-                )
+    results = _run_grid(
+        [(label, "CKAT", {"ckat_config": cfg}) for label, cfg in depths],
+        datasets,
+        epochs=epochs,
+        seed=seed,
+        num_workers=num_workers,
+        log_dir=log_dir,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
     headers = ["depth"]
     for ds in datasets:
         headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper"]

@@ -1,9 +1,9 @@
-"""Process-pool fan-out: balanced chunking and a failure-aware ordered map.
+"""Process-pool fan-out: a failure-aware ordered map.
 
 Workers receive picklable items and results come back in submission order.
-Sharded evaluation and the table harnesses map pure functions through
-:class:`ProcessExecutor`; sharded evaluation also cuts its user list with
-:func:`chunk_indices`.
+:func:`repro.experiments.runner.run_cells` maps the independent Table II–V
+cells through :class:`ProcessExecutor`; nothing else in the package fans
+out across processes.
 """
 
 from __future__ import annotations
@@ -17,28 +17,9 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["ProcessExecutor", "chunk_indices"]
+__all__ = ["ProcessExecutor"]
 
 logger = logging.getLogger(__name__)
-
-
-def chunk_indices(n: int, num_chunks: int) -> List[range]:
-    """Split ``range(n)`` into ``num_chunks`` contiguous, balanced ranges.
-
-    The first ``n % num_chunks`` chunks get one extra element; empty chunks
-    are omitted, so the result may be shorter than ``num_chunks``.
-    """
-    if n < 0 or num_chunks <= 0:
-        raise ValueError("n must be >= 0 and num_chunks > 0")
-    base, extra = divmod(n, num_chunks)
-    out: List[range] = []
-    start = 0
-    for i in range(num_chunks):
-        size = base + (1 if i < extra else 0)
-        if size:
-            out.append(range(start, start + size))
-        start += size
-    return out
 
 
 class ProcessExecutor:
@@ -51,7 +32,7 @@ class ProcessExecutor:
     ``map`` is failure-aware: a worker exception (or a hard worker crash
     that breaks the pool) is logged with the failing item's index, retried
     once in a worker, and finally re-run in-process — so one bad item
-    degrades a sharded run to partially-serial instead of aborting it.
+    degrades a fanned-out run to partially-serial instead of aborting it.
     Only if the in-process attempt also fails does the exception propagate.
     ``failure_count`` tallies worker-side failures observed so far.
 

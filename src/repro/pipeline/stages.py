@@ -171,9 +171,10 @@ _PIPELINE_CACHE: Dict[str, "DatasetPipeline"] = {}
 def pipeline_for_ref(ref: DatasetRef) -> "DatasetPipeline":
     """Process-level pipeline cache keyed by the ref's full identity.
 
-    Evaluation shards and model cells running in the same worker process
-    share one pipeline, so the split / CKG / graph materialize (or load)
-    exactly once per process rather than once per shard.
+    Table cells running in the same worker process share one pipeline, so
+    the split / CKG / graph materialize (or load) exactly once per process
+    rather than once per cell.  In-process callers that already hold a
+    dataset should use it directly: a first lookup builds a new pipeline.
     """
     key = canonical_json(
         {

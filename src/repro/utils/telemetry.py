@@ -1,9 +1,9 @@
 """Structured run telemetry: append-only JSONL event logs.
 
 Every long-running piece of the pipeline (training epochs, evaluations,
-checkpoint writes, sharded-eval shard timings) emits one JSON object per
-line through a :class:`RunLogger`.  JSONL keeps the log crash-tolerant — a
-killed run leaves at most one truncated trailing line, which
+checkpoint writes, table cells) emits one JSON object per line through a
+:class:`RunLogger`.  JSONL keeps the log crash-tolerant — a killed run
+leaves at most one truncated trailing line, which
 :func:`read_run_log` skips — and trivially greppable/joinable across runs.
 
 Event vocabulary (the ``event`` field; producers may add fields freely):
@@ -15,8 +15,10 @@ Event vocabulary (the ``event`` field; producers may add fields freely):
 - ``eval``                      — metrics dict from the eval callback;
 - ``best_snapshot``             — the best-epoch protocol took a snapshot;
 - ``checkpoint``                — a training checkpoint was written;
-- ``eval_shard`` / ``eval_sharded`` — per-shard and total sharded-eval
-  timings;
+- ``eval_shard`` / ``eval_sharded`` — per-shard and total timings of the
+  process-sharded evaluator.  Nothing writes them since that evaluator was
+  deleted; the summary still counts the shards so older logs render as
+  before;
 - ``worker_epoch``                — one data-parallel training worker's
   per-epoch record (worker, seconds).  Nothing writes it since the
   data-parallel trainer was deleted; the summary still counts it so older

@@ -61,10 +61,31 @@ class TestCommands:
         assert main(["train", "BPRMF", "ooi", "--epochs", "2"]) == 0
         assert "recall@20" in capsys.readouterr().out
 
-    def test_train_with_save(self, tmp_path, capsys):
+    def test_train_with_save(self, tmp_path, capsys, monkeypatch):
+        """--save writes the one model trained and evaluated (best snapshot)."""
+        from repro.eval import RankingEvaluator
+        from repro.experiments import build_model, load_dataset
+        from repro.io import load_parameters
+        from repro.train.engine import TrainEngine
+
+        fits = []
+        real_fit = TrainEngine.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(self)
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrainEngine, "fit", counting_fit)
         path = tmp_path / "ck.npz"
-        assert main(["train", "BPRMF", "ooi", "--epochs", "2", "--save", str(path)]) == 0
-        assert path.exists()
+        argv = ["--seed", "7", "train", "BPRMF", "ooi", "--epochs", "10", "--save", str(path)]
+        assert main(argv) == 0
+        assert len(fits) == 1
+        out = capsys.readouterr().out
+        ds = load_dataset("ooi", scale="small", seed=7)
+        model = build_model("BPRMF", ds, ds.build_ckg(), seed=7)
+        load_parameters(path, model)
+        result = RankingEvaluator(ds.split.train, ds.split.test, k=20).evaluate_model(model)
+        assert f"recall@20={result.recall:.4f}" in out
 
     def test_recommend_runs(self, capsys):
         assert main(["recommend", "ooi", "0", "--epochs", "2", "--k", "3"]) == 0

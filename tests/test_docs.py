@@ -64,4 +64,4 @@ def test_checker_flags_stale_references():
     text = "see `src/repro/no_such.py`, `tests/test_docs.py` and repro.no_such.thing"
     assert list(missing_paths(text)) == ["src/repro/no_such.py"]
     assert unresolved_names(text) == ["repro.no_such.thing"]
-    assert unresolved_names("repro.eval.sharded_evaluate and repro.cli") == []
+    assert unresolved_names("repro.eval.paired_bootstrap_test and repro.cli") == []

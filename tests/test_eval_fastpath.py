@@ -1,6 +1,5 @@
 """Fast-path evaluator tests: vectorized vs a per-user reference loop,
-float32 scores, explicit-subset validation, and sharded-evaluation
-exactness."""
+float32 scores, explicit-subset validation, and per-user metrics."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import InteractionDataset
-from repro.eval import PerUserMetrics, RankingEvaluator, sharded_evaluate
+from repro.eval import PerUserMetrics, RankingEvaluator
 from repro.eval.metrics import ndcg_at_k, precision_at_k, recall_at_k
 from tests.ranking_oracle import oracle_topk
 
@@ -183,32 +182,6 @@ class TestPerUserMetrics:
         per_user = ev.evaluate_per_user(lambda users: table[users])
         assert per_user.reduce() == ev.evaluate(lambda users: table[users])
 
-    def test_concatenate_shards_rebuilds_serial(self):
-        train, test = random_split(6)
-        table = np.random.default_rng(7).normal(size=(train.num_users, train.num_items))
-        ev = RankingEvaluator(train, test, k=4)
-        full = ev.evaluate_per_user(lambda users: table[users])
-        mid = len(ev.eval_users) // 2
-        parts = [
-            ev.evaluate_per_user(lambda users: table[users], users=ev.eval_users[:mid]),
-            ev.evaluate_per_user(lambda users: table[users], users=ev.eval_users[mid:]),
-        ]
-        merged = PerUserMetrics.concatenate(parts)
-        np.testing.assert_array_equal(merged.users, full.users)
-        np.testing.assert_array_equal(merged.recall, full.recall)
-        np.testing.assert_array_equal(merged.ndcg, full.ndcg)
-        assert merged.reduce() == full.reduce()
-
-    def test_concatenate_validation(self):
-        with pytest.raises(ValueError):
-            PerUserMetrics.concatenate([])
-        train, test = random_split(6)
-        table = np.random.default_rng(7).normal(size=(train.num_users, train.num_items))
-        a = RankingEvaluator(train, test, k=3).evaluate_per_user(lambda u: table[u])
-        b = RankingEvaluator(train, test, k=4).evaluate_per_user(lambda u: table[u])
-        with pytest.raises(ValueError, match="different k"):
-            PerUserMetrics.concatenate([a, b])
-
     def test_reduce_empty_rejected(self):
         empty = PerUserMetrics(
             users=np.array([], dtype=np.int64),
@@ -220,20 +193,3 @@ class TestPerUserMetrics:
         )
         with pytest.raises(ValueError):
             empty.reduce()
-
-
-class TestShardedEvaluate:
-    def test_serial_shards_bit_identical(self):
-        train, test = random_split(10)
-        table = np.random.default_rng(13).normal(size=(train.num_users, train.num_items))
-        ev = RankingEvaluator(train, test, k=5, user_batch=3)
-        serial = ev.evaluate(lambda users: table[users])
-        for shards in (1, 2, 5, 100):
-            sharded = sharded_evaluate(ev, lambda users: table[users], num_shards=shards)
-            assert sharded == serial
-
-    def test_num_shards_validated(self):
-        train, test = random_split(10)
-        ev = RankingEvaluator(train, test, k=5)
-        with pytest.raises(ValueError):
-            sharded_evaluate(ev, lambda users: None, num_shards=0)

@@ -8,10 +8,8 @@ corrupted worker state) rather than deterministic bad input.
 
 import os
 
-import numpy as np
 import pytest
 
-from repro.eval import RankingEvaluator, sharded_evaluate
 from repro.parallel import ProcessExecutor
 
 
@@ -38,19 +36,6 @@ def _exit_in_worker(item):
     if os.getpid() != parent_pid:
         os._exit(17)  # hard crash: breaks the pool, not just the task
     return x * 2
-
-
-class _CrashyScorer:
-    """score_fn that fails in workers but works in the parent process."""
-
-    def __init__(self, table, parent_pid):
-        self.table = table
-        self.parent_pid = parent_pid
-
-    def __call__(self, users):
-        if os.getpid() != self.parent_pid:
-            raise RuntimeError("worker-side scoring failure")
-        return self.table[users]
 
 
 class TestWorkerExceptionRecovery:
@@ -99,17 +84,3 @@ class TestWorkerCrashRecovery:
             pool.map(_exit_in_worker, items)
             # The replaced pool must handle healthy work again.
             assert pool.map(_double, [5]) == [10]
-
-
-class TestShardedEvalSurvivesWorkerFailure:
-    def test_sharded_evaluate_degrades_not_aborts(self, ooi_split):
-        ev = RankingEvaluator(ooi_split.train, ooi_split.test, k=5)
-        rng = np.random.default_rng(0)
-        table = rng.normal(size=(ooi_split.train.num_users, ooi_split.train.num_items))
-        scorer = _CrashyScorer(table, os.getpid())
-        reference = sharded_evaluate(ev, scorer, num_shards=3)
-        with ProcessExecutor(max_workers=2) as pool:
-            survived = sharded_evaluate(ev, scorer, num_shards=3, executor=pool)
-            assert pool.failure_count >= 1
-        assert survived.recall == reference.recall
-        assert survived.ndcg == reference.ndcg

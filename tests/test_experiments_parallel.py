@@ -6,14 +6,21 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.experiments import runner, tables
 from repro.experiments.datasets import load_dataset
-from repro.experiments.runner import CellSpec, _run_slug, run_cell, run_cells
+from repro.experiments.runner import CellSpec, RunResult, _run_slug, run_cells
 from repro.experiments.tables import table2
+from repro.pipeline import DatasetRef
 
 
 @pytest.fixture(scope="module")
 def small_ooi():
     return load_dataset("ooi", scale="small", seed=7)
+
+
+def _echo_dataset(spec):
+    """Stand-in for ``run_cell`` (module-level, so process pools can pickle it)."""
+    return spec.dataset
 
 
 class TestCellSpec:
@@ -26,23 +33,39 @@ class TestCellSpec:
             clone.dataset.split.train.user_ids, small_ooi.split.train.user_ids
         )
 
-    def test_dataset_by_name_equals_dataset_by_bundle(self, small_ooi):
-        by_bundle = run_cell(
-            CellSpec(label="c", model="BPRMF", dataset=small_ooi, epochs=1, seed=3)
+
+class TestTablesSinglePath:
+    @pytest.mark.parametrize("table", ["table2", "table3", "table4", "table5"])
+    def test_specs_independent_of_num_workers(self, table, small_ooi, monkeypatch):
+        """Every table makes one run_cells call; only its num_workers differs."""
+        calls = []
+
+        def capture(specs, num_workers=0):
+            calls.append((list(specs), num_workers))
+            return [
+                (spec, RunResult(spec.model, spec.dataset.name, 0.25, 0.125, 0.0, 0.0, 0.0))
+                for spec in specs
+            ]
+
+        monkeypatch.setattr(tables, "run_cells", capture)
+        for num_workers in (0, 2):
+            getattr(tables, table)([small_ooi], epochs=1, seed=3, num_workers=num_workers)
+        assert [workers for _, workers in calls] == [0, 2]
+        (serial, _), (parallel, _) = calls
+        assert serial == parallel
+        assert all(spec.dataset is small_ooi for spec in serial)
+
+    def test_run_cells_ships_refs_only_when_fanning_out(self, small_ooi, monkeypatch):
+        monkeypatch.setattr(runner, "run_cell", _echo_dataset)
+        specs = [CellSpec(label=s, model="BPRMF", dataset=small_ooi) for s in ("a", "b")]
+        serial = run_cells(specs)
+        assert [spec for spec, _ in serial] == specs
+        assert all(seen is small_ooi for _, seen in serial)
+        parallel = run_cells(specs, num_workers=2)
+        assert [spec for spec, _ in parallel] == specs
+        assert all(
+            isinstance(seen, DatasetRef) and seen == small_ooi.ref() for _, seen in parallel
         )
-        by_name = run_cell(
-            CellSpec(
-                label="c",
-                model="BPRMF",
-                dataset="ooi",
-                dataset_scale="small",
-                dataset_seed=7,
-                epochs=1,
-                seed=3,
-            )
-        )
-        assert by_bundle.recall == by_name.recall
-        assert by_bundle.ndcg == by_name.ndcg
 
 
 class TestRunCells:

@@ -588,7 +588,6 @@ class TestScalePipelineSmoke:
             batch_size=256,
             epochs=1,
             eval_users=100,
-            num_eval_shards=2,
             cache_dir=str(tmp_path / "cache"),
             seed=SEED,
         )
@@ -618,7 +617,6 @@ class TestScalePipelineSmoke:
             batch_size=256,
             epochs=1,
             eval_users=100,
-            num_eval_shards=2,
             cache_dir=str(tmp_path / "cache"),
             seed=SEED,
         )

@@ -1,4 +1,4 @@
-"""Telemetry tests: JSONL run logs, fit/sharded-eval wiring, report command."""
+"""Telemetry tests: JSONL run logs, fit and table-cell wiring, report command."""
 
 import json
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.data.interactions import InteractionDataset
-from repro.eval import RankingEvaluator, sharded_evaluate
 from repro.models import BPRMF
 from repro.models.base import FitConfig
 from repro.utils.telemetry import RunLogger, read_run_log, render_run_report, summarize_run
@@ -19,14 +18,6 @@ def tiny_data():
     return InteractionDataset(
         rng.integers(0, 30, n), rng.integers(0, 50, n), num_users=30, num_items=50
     )
-
-
-class _TableScorer:
-    def __init__(self, table):
-        self.table = table
-
-    def __call__(self, users):
-        return self.table[users]
 
 
 class TestRunLogger:
@@ -196,21 +187,31 @@ class TestFitTelemetry:
 
 
 class TestShardedEvalTelemetry:
-    def test_shard_events(self, ooi_split, tmp_path):
-        ev = RankingEvaluator(ooi_split.train, ooi_split.test, k=5)
-        rng = np.random.default_rng(0)
-        scorer = _TableScorer(rng.normal(size=(ooi_split.train.num_users, ooi_split.train.num_items)))
-        path = tmp_path / "eval.jsonl"
-        with RunLogger(path) as log:
-            sharded_evaluate(ev, scorer, num_shards=3, logger=log)
-        events = read_run_log(path)
-        shards = [e for e in events if e["event"] == "eval_shard"]
-        assert len(shards) == 3
-        assert [s["shard"] for s in shards] == [0, 1, 2]
-        assert all(s["seconds"] >= 0 and s["num_users"] > 0 for s in shards)
-        total = [e for e in events if e["event"] == "eval_sharded"]
-        assert len(total) == 1
-        assert total[0]["num_users"] == sum(s["num_users"] for s in shards)
+    def test_shard_events(self, tmp_path):
+        """Logs from the deleted process-sharded evaluator keep their report."""
+        path = tmp_path / "old.jsonl"
+        events = [
+            {"event": "run_start", "ts": 1.0, "model": "BPRMF"},
+            {"event": "epoch", "ts": 1.1, "epoch": 1, "loss": 0.6, "aux_loss": 0.0,
+             "seconds": 0.75},
+            {"event": "run_end", "ts": 1.2, "model": "BPRMF", "seconds": 0.8},
+            {"event": "eval_shard", "ts": 1.3, "shard": 0, "num_users": 40, "seconds": 0.25},
+            {"event": "eval_shard", "ts": 1.4, "shard": 1, "num_users": 40, "seconds": 0.5},
+            {"event": "eval_shard", "ts": 1.5, "shard": 2, "num_users": 39, "seconds": 0.125},
+            {"event": "eval_sharded", "ts": 1.6, "num_shards": 3, "num_users": 119,
+             "seconds": 1.0},
+        ]
+        path.write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+        s = summarize_run(read_run_log(path))
+        assert (s["shards"], s["shard_seconds"]) == (3, 0.875)
+        assert render_run_report(path) == "\n".join(
+            [
+                f"run log: {path}",
+                "events: epoch=1, eval_shard=3, eval_sharded=1, run_end=1, run_start=1",
+                "epochs: 1 (loss 0.6000 -> 0.6000, min 0.6000, 0.75s)",
+                "eval shards: 3 (0.88s worker time)",
+            ]
+        )
 
 
 class TestSummaries:
