@@ -8,8 +8,12 @@ into a content-addressed :class:`~repro.store.ArtifactStore`, so peak memory
 is bounded by a block — the path to the paper's 10⁶-user / 10⁷-record
 corpus sizes.
 
-Two deliberate contracts:
+Three deliberate contracts:
 
+- **One categorical draw.**  Objects are drawn as in the monolithic trace
+  (:func:`~repro.facility.trace.draw_categorical`): one ``rng.choice(N,
+  p=row)`` per record, in user-major order, on the chunk's child
+  generator.  Schema-1 blocks, drawn with another CDF convention, miss.
 - **Block size is a pure performance knob.**  Generation is internally
   chunked at the fixed :data:`GEN_CHUNK` user granularity with one child
   generator per chunk (``SeedSequence(entropy=(seed, tag), spawn_key=(kind,
@@ -40,7 +44,13 @@ import numpy as np
 
 from repro.facility.affinity import AffinityModel
 from repro.facility.catalog import FacilityCatalog
-from repro.facility.trace import SECONDS_PER_YEAR, QueryTrace
+from repro.facility.trace import (
+    SECONDS_PER_YEAR,
+    QueryTrace,
+    TraceGenerator,
+    categorical_cdfs,
+    draw_from_cdfs,
+)
 from repro.facility.users import UserPopulation
 from repro.store import ArtifactStore
 
@@ -63,7 +73,7 @@ GEN_CHUNK = 4096
 
 TRACE_BLOCK_KIND = "trace_block"
 TRACE_STREAM_KIND = "trace_stream"
-TRACE_STREAM_SCHEMA = 1
+TRACE_STREAM_SCHEMA = 2
 
 #: Extra entropy word mixed into every stream SeedSequence, so stream RNG
 #: streams can never collide with other consumers of the same integer seed.
@@ -88,15 +98,6 @@ def _block_config(recipe: dict, block_size: int, index: int) -> dict:
     return config
 
 
-def _segment_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s+l)`` ranges, vectorized."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    shift = np.concatenate(([np.int64(0)], np.cumsum(lens)[:-1]))
-    return np.repeat(starts - shift, lens) + np.arange(total, dtype=np.int64)
-
-
 @dataclasses.dataclass(frozen=True)
 class TraceBlock:
     """One user block of a streamed trace (users ``[user_lo, user_hi)``)."""
@@ -115,69 +116,38 @@ class TraceBlock:
 class _BlockGenerator:
     """Draws trace records chunk by chunk, one child RNG per chunk.
 
-    Per-user query counts follow the same lognormal as
-    :class:`~repro.facility.trace.TraceGenerator`; objects are drawn by
-    inverse-CDF sampling from the deduplicated mixture rows
-    (:meth:`AffinityModel.unique_user_mixtures`), K×N for the K distinct
-    (site, dtype) combinations, shared by every chunk.
+    ``trace`` (a :class:`~repro.facility.trace.TraceGenerator`) holds the
+    checked parameters and draws the per-user query counts.  The K×N
+    deduplicated mixture rows (:meth:`AffinityModel.unique_user_mixtures`)
+    become one :func:`~repro.facility.trace.categorical_cdfs` table, built
+    once and shared by every chunk; each chunk draws from it with
+    :func:`~repro.facility.trace.draw_from_cdfs`.
     """
 
-    def __init__(
-        self,
-        catalog: FacilityCatalog,
-        population: UserPopulation,
-        affinity: AffinityModel,
-        seed: int,
-        queries_per_user_mean: float,
-        lognormal_sigma: float,
-    ):
-        if queries_per_user_mean <= 0:
-            raise ValueError("queries_per_user_mean must be positive")
-        if lognormal_sigma < 0:
-            raise ValueError("lognormal_sigma must be nonnegative")
-        if population.num_users <= 0:
+    def __init__(self, trace: TraceGenerator, seed: int):
+        if trace.population.num_users <= 0:
             raise ValueError("population has no users")
-        if catalog.num_objects <= 0:
+        if trace.catalog.num_objects <= 0:
             raise ValueError("catalog has no data objects")
+        self._trace = trace
         self.seed = int(seed)
-        self.num_users = population.num_users
-        self.num_objects = catalog.num_objects
-        self._sigma = float(lognormal_sigma)
-        self._mu = float(np.log(queries_per_user_mean) - 0.5 * self._sigma**2)
-        rows, inverse = affinity.unique_user_mixtures(
-            catalog, population, _stream_rng(self.seed, _KIND_MIXTURE, 0)
+        self.num_users = trace.population.num_users
+        self.num_objects = trace.catalog.num_objects
+        rows, inverse = trace.affinity.unique_user_mixtures(
+            trace.catalog, trace.population, _stream_rng(self.seed, _KIND_MIXTURE, 0)
         )
-        self._cdfs = np.cumsum(rows, axis=1)
+        self._cdfs = categorical_cdfs(rows)
         self._row_of_user = np.asarray(inverse, dtype=np.int64)
-
-    @property
-    def num_chunks(self) -> int:
-        return math.ceil(self.num_users / GEN_CHUNK)
 
     def chunk(self, index: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Generate users ``[index*GEN_CHUNK, ...)`` of the trace."""
         lo = index * GEN_CHUNK
         hi = min(lo + GEN_CHUNK, self.num_users)
         rng = _stream_rng(self.seed, _KIND_CHUNK, index)
-        n = hi - lo
-        counts = np.maximum(
-            np.ceil(rng.lognormal(self._mu, self._sigma, size=n)).astype(np.int64), 1
-        )
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
+        counts = self._trace.sample_query_counts(rng, hi - lo)
         user_ids = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-        object_ids = np.empty(total, dtype=np.int64)
-        rows = self._row_of_user[lo:hi]
-        for r in np.unique(rows):
-            sel = np.flatnonzero(rows == r)
-            pos = _segment_positions(offsets[sel], counts[sel])
-            cdf = self._cdfs[r]
-            draws = rng.random(len(pos)) * cdf[-1]
-            object_ids[pos] = np.minimum(
-                np.searchsorted(cdf, draws, side="right"), self.num_objects - 1
-            )
-        timestamps = rng.uniform(0.0, SECONDS_PER_YEAR, size=total)
+        object_ids = draw_from_cdfs(self._cdfs, self._row_of_user[user_ids], rng)
+        timestamps = rng.uniform(0.0, SECONDS_PER_YEAR, size=len(user_ids))
         # user_ids is nondecreasing, so this permutation only reorders each
         # user's segment: timestamps ascend within every user while the
         # (i.i.d.) object draws keep generation order.
@@ -304,7 +274,8 @@ def stream_trace(
     if recipe is None:
         recipe = {}
     gen = _BlockGenerator(
-        catalog, population, affinity, seed, queries_per_user_mean, lognormal_sigma
+        TraceGenerator(catalog, population, affinity, queries_per_user_mean, lognormal_sigma),
+        seed,
     )
     num_users = gen.num_users
     num_blocks = math.ceil(num_users / block_size)
@@ -333,7 +304,7 @@ def stream_trace(
             )
 
     next_flush = 0
-    for chunk_index in range(gen.num_chunks):
+    for chunk_index in range(math.ceil(num_users / GEN_CHUNK)):
         users, objects, stamps = gen.chunk(chunk_index)
         block_of = users // block_size
         if len(users):

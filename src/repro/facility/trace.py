@@ -25,6 +25,8 @@ __all__ = [
     "QueryTrace",
     "TraceGenerator",
     "generate_trace",
+    "categorical_cdfs",
+    "draw_from_cdfs",
     "draw_categorical",
     "sorted_unique_pairs",
 ]
@@ -55,6 +57,41 @@ def sorted_unique_pairs(
     return keys // num_objects, keys % num_objects
 
 
+def categorical_cdfs(rows: np.ndarray) -> np.ndarray:
+    """``Generator.choice``'s ``cdf = p.cumsum(); cdf /= cdf[-1]`` for each of ``rows``.
+
+    Rows get ``choice``'s checks on ``p``: a negative or non-finite entry,
+    or a sum off 1 by more than ``sqrt(eps)``, raises ``ValueError``.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    lowest, highest = rows.min(initial=0.0), rows.max(initial=0.0)  # NaN if any entry is
+    if not (np.isfinite(lowest) and np.isfinite(highest)):
+        raise ValueError("probabilities are not finite")
+    if lowest < 0:
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(rows.sum(axis=1) - 1.0) > _PROB_SUM_ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdfs = rows.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:].copy()
+    return cdfs
+
+
+def draw_from_cdfs(
+    cdfs: np.ndarray, row_of_record: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """:func:`draw_categorical` over a table :func:`categorical_cdfs` built once."""
+    draws = rng.random(len(row_of_record))
+    by_row = np.argsort(row_of_record, kind="stable")
+    counts = np.bincount(row_of_record, minlength=len(cdfs))
+    used = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[used]
+    out = np.empty(len(row_of_record), dtype=np.int64)
+    for row, start, end in zip(used.tolist(), (ends - counts[used]).tolist(), ends.tolist()):
+        records = by_row[start:end]
+        out[records] = cdfs[row].searchsorted(draws[records], side="right")
+    return out
+
+
 def draw_categorical(
     rows: np.ndarray, row_of_record: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -66,31 +103,12 @@ def draw_categorical(
     ``cdf = p.cumsum(); cdf /= cdf[-1]`` with side ``"right"`` for
     ``random(size)`` draws, and consecutive ``random`` calls consume the
     stream exactly as one call over their concatenation.  So one
-    ``random(len(row_of_record))`` call, then one ``searchsorted`` per
-    distinct row over the draws of the records that use it, gives the same
-    objects.  Rows get ``choice``'s input checks: a row with a negative or
-    non-finite entry, or summing to 1 ± more than ``sqrt(eps)``, raises
-    ``ValueError``.
+    ``random(len(row_of_record))`` call, then one ``searchsorted`` per row
+    that has records, over their draws, gives the same objects.  The
+    streamed trace builds the table once (:func:`categorical_cdfs`) and
+    draws per chunk (:func:`draw_from_cdfs`).
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(rows).all():
-        raise ValueError("probabilities are not finite")
-    if (rows < 0).any():
-        raise ValueError("probabilities are not non-negative")
-    if (np.abs(rows.sum(axis=1) - 1.0) > _PROB_SUM_ATOL).any():
-        raise ValueError("probabilities do not sum to 1")
-    cdfs = rows.cumsum(axis=1)
-    cdfs /= cdfs[:, -1:].copy()
-    draws = rng.random(len(row_of_record))
-    by_row = np.argsort(row_of_record, kind="stable")
-    ends = np.cumsum(np.bincount(row_of_record, minlength=len(rows)))
-    out = np.empty(len(row_of_record), dtype=np.int64)
-    start = 0
-    for row, end in enumerate(ends.tolist()):
-        records = by_row[start:end]
-        out[records] = cdfs[row].searchsorted(draws[records], side="right")
-        start = end
-    return out
+    return draw_from_cdfs(categorical_cdfs(rows), row_of_record, rng)
 
 
 @dataclasses.dataclass
@@ -181,11 +199,11 @@ class TraceGenerator:
         self.queries_per_user_mean = queries_per_user_mean
         self.lognormal_sigma = lognormal_sigma
 
-    def sample_query_counts(self, rng: np.random.Generator) -> np.ndarray:
-        """Heavy-tailed per-user query counts (>=1 for every user)."""
+    def sample_query_counts(self, rng: np.random.Generator, num_users: int) -> np.ndarray:
+        """Heavy-tailed query counts (>=1 each) for ``num_users`` users."""
         sigma = self.lognormal_sigma
         mu = np.log(self.queries_per_user_mean) - 0.5 * sigma**2
-        counts = np.ceil(rng.lognormal(mu, sigma, size=self.population.num_users))
+        counts = np.ceil(rng.lognormal(mu, sigma, size=num_users))
         return np.maximum(counts.astype(np.int64), 1)
 
     def generate(self, seed=0) -> QueryTrace:
@@ -198,7 +216,7 @@ class TraceGenerator:
         the simulated year follow.
         """
         rng = ensure_rng(seed)
-        counts = self.sample_query_counts(rng)
+        counts = self.sample_query_counts(rng, self.population.num_users)
         rows, inverse = self.affinity.unique_user_mixtures(self.catalog, self.population, rng)
         total = int(counts.sum())
         user_ids = np.repeat(np.arange(self.population.num_users, dtype=np.int64), counts)

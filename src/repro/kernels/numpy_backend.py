@@ -65,9 +65,10 @@ __all__ = [
     "masked_select",
 ]
 
-#: Target bytes for one gathered edge block (values chosen so the two
-#: gathered blocks of :func:`gather_dot` fit in a 256 KiB+ L2 cache).
-_BLOCK_TARGET_BYTES = 1 << 20
+#: Target bytes of :func:`gather_dot`'s two gathered blocks together (1,024
+#: rows each at float32, k = 64); 1 MiB blocks are mapped fresh and
+#: page-faulted on every call.
+_BLOCK_TARGET_BYTES = 1 << 19
 #: Rows per block of the TransR residual's gathered scratch (256 KiB at
 #: k = 64).  A 2048-row (1 MiB) scratch made the OOI forward 2.5x slower:
 #: that size is mapped fresh and page-faulted on every call.
@@ -164,11 +165,14 @@ def edge_attention_backward(
     )
     # d scores / d th = pt ; d th / d u = 1 − th² ; d scores / d pt = th.
     gu = scores_grad @ pt
-    # gu *= 1 − th², through one scratch array instead of two temporaries.
-    slope = np.multiply(th, th)
-    np.subtract(1.0, slope, out=slope)
-    gu *= slope
-    del slope
+    # gu *= 1 − th², through one reused _ROW_BLOCK-row scratch.
+    slope = np.empty((min(_ROW_BLOCK, num_head_runs), th.shape[1]), dtype=th.dtype)
+    for lo in range(0, num_head_runs, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, num_head_runs)
+        sl = slope[: hi - lo]
+        np.multiply(th[lo:hi], th[lo:hi], out=sl)
+        np.subtract(1.0, sl, out=sl)
+        gu[lo:hi] *= sl
     gp = scores_grad.T @ th
     for r in range(len(head_bounds) - 1):
         hs, he = int(head_bounds[r]), int(head_bounds[r + 1])
@@ -344,7 +348,7 @@ def gather_dot(
     """
     num, k = len(a_rows), a.shape[1]
     itemsize = max(a.dtype.itemsize, b.dtype.itemsize)
-    block = max(512, _BLOCK_TARGET_BYTES // (itemsize * max(k, 1)))
+    block = max(512, _BLOCK_TARGET_BYTES // (2 * itemsize * max(k, 1)))
     out = np.empty(num, dtype=np.result_type(a, b))
     if num == 0:
         return out

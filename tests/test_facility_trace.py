@@ -96,7 +96,7 @@ class TestTraceGenerator:
         gen = TraceGenerator(
             ooi_catalog, ooi_population, affinity, queries_per_user_mean=20.0, lognormal_sigma=0.0
         )
-        counts = gen.sample_query_counts(np.random.default_rng(0))
+        counts = gen.sample_query_counts(np.random.default_rng(0), gen.population.num_users)
         assert counts.min() == counts.max() == 20
 
     def test_validation(self, ooi_catalog, ooi_population, affinity):

@@ -207,6 +207,24 @@ class TestGradcheck:
         )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_dot_block_size_never_changes_bytes(monkeypatch, dtype):
+    """One block, the shipped blocks and many 512-row blocks give the same bytes."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((300, 64)).astype(dtype)
+    b = rng.standard_normal((200, 64)).astype(dtype)
+    a_rows, b_rows = rng.integers(0, 300, 5000), rng.integers(0, 200, 5000)
+    shipped = numpy_backend.gather_dot(a, b, a_rows, b_rows)
+    monkeypatch.setattr(numpy_backend, "_BLOCK_TARGET_BYTES", 1 << 30)
+    one_block = numpy_backend.gather_dot(a, b, a_rows, b_rows)
+    monkeypatch.setattr(numpy_backend, "_BLOCK_TARGET_BYTES", 1)
+    many_blocks = numpy_backend.gather_dot(a, b, a_rows, b_rows)
+    assert shipped.tobytes() == one_block.tobytes() == many_blocks.tobytes()
+    tol = 1e-4 if dtype == np.float32 else 1e-12
+    ref = np.einsum("ij,ij->i", a[a_rows], b[b_rows])
+    np.testing.assert_allclose(shipped, ref, rtol=tol, atol=tol)
+
+
 # ------------------------------------------------------------------- parity
 class TestAttentionParity:
     def _grads(self, backend, adj, params, upstream):
@@ -225,6 +243,17 @@ class TestAttentionParity:
         np.testing.assert_allclose(s1, s0, rtol=1e-12, atol=1e-14)
         for a, b in zip(g0, g1):
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("row_block", [1, 2])
+    def test_row_block_never_changes_bytes(self, small_adj, small_params, monkeypatch, row_block):
+        """The backward's ``1 − th²`` scratch runs in row blocks of any size, same bits."""
+        upstream = np.linspace(-1.0, 1.0, small_adj.num_edges)
+        base = self._grads("numpy", small_adj, small_params, upstream)
+        monkeypatch.setattr(numpy_backend, "_ROW_BLOCK", row_block)
+        scores, grads = self._grads("numpy", small_adj, small_params, upstream)
+        assert scores.tobytes() == base[0].tobytes()
+        for got, ref in zip(grads, base[1]):
+            assert got.tobytes() == ref.tobytes()
 
     def test_single_relation(self, small_params):
         ent, _, proj = small_params

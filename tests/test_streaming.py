@@ -2,6 +2,8 @@
 
 The contracts locked here (see DESIGN.md §13):
 
+- each streamed chunk draws its objects exactly as one ``rng.choice`` per
+  record on the chunk's child RNG (``tests/trace_oracle.py``);
 - streamed generation is bit-identical across block sizes (block size is a
   pure performance knob) and round-trips through the artifact store;
 - the chunked constructors (interactions, CSR adjacency) are bit-identical
@@ -11,8 +13,12 @@ The contracts locked here (see DESIGN.md §13):
   filtering runs to a fixed point.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.interactions import (
     InteractionDataset,
@@ -31,10 +37,13 @@ from repro.data.streaming import (
     interaction_pair_chunks,
     streamed_trace_to_interactions,
 )
-from repro.facility.affinity import OOI_AFFINITY
+from repro.facility import stream as facility_stream
+from repro.facility.affinity import OOI_AFFINITY, AffinityModel
+from repro.facility.gage import GAGEConfig, build_gage_catalog
 from repro.facility.ooi import OOIConfig, build_ooi_catalog
 from repro.facility.stream import (
     TRACE_BLOCK_KIND,
+    TRACE_STREAM_KIND,
     TRACE_STREAM_SCHEMA,
     TraceReader,
     _block_config,
@@ -49,6 +58,7 @@ from repro.kg.subgraphs import INTERACT, EntitySpace, build_uig
 from repro.models.base import FitConfig
 from repro.models.bprmf import BPRMF
 from repro.store import ArtifactStore
+from tests import trace_oracle
 
 SEED = 11
 BLOCK_SIZES = [1, 7, 10_000]
@@ -92,6 +102,67 @@ class TestStreamGeneration:
             np.testing.assert_array_equal(other.user_ids, base.user_ids)
             np.testing.assert_array_equal(other.object_ids, base.object_ids)
             np.testing.assert_array_equal(other.timestamps, base.timestamps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["ooi", "gage"]),
+        catalog_seed=st.integers(0, 50),
+        num_users=st.integers(1, 60),
+        population_seed=st.integers(0, 10_000),
+        affinity=st.builds(
+            AffinityModel,
+            p_region=st.floats(0.0, 1.0),
+            p_dtype=st.floats(0.0, 1.0),
+            popularity_exponent=st.floats(0.0, 2.0),
+            site_concentration=st.floats(1.0, 50.0),
+        ),
+        queries=st.floats(1.0, 30.0),
+        sigma=st.floats(0.0, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+        gen_chunk=st.sampled_from([facility_stream.GEN_CHUNK, 1, 5, 16]),
+        block_size=st.integers(1, 80),
+    )
+    def test_chunks_match_per_record_choice_loop(
+        self, kind, catalog_seed, num_users, population_seed, affinity, queries, sigma,
+        seed, gen_chunk, block_size,
+    ):
+        """Every chunk's records are the per-record ``rng.choice`` loop's, bit for bit.
+
+        So per-user record counts and the (user, object) multiset match too.
+        A small ``GEN_CHUNK`` puts several chunks into a small recipe.
+        """
+        if kind == "ooi":
+            catalog = build_ooi_catalog(OOIConfig(num_sites=24), seed=catalog_seed)
+        else:
+            catalog = build_gage_catalog(
+                GAGEConfig(num_stations=80, num_cities=50), seed=catalog_seed
+            )
+        population = build_user_population(
+            catalog, num_users=num_users, num_orgs=min(num_users, 4), seed=population_seed
+        )
+        with mock.patch.object(facility_stream, "GEN_CHUNK", gen_chunk):
+            got = stream_trace(
+                catalog, population, affinity, seed=seed, queries_per_user_mean=queries,
+                lognormal_sigma=sigma, block_size=block_size,
+            ).materialize()
+            ref = trace_oracle.stream(catalog, population, affinity, seed, queries, sigma)
+        assert got.user_ids.tobytes() == ref.user_ids.tobytes()
+        assert got.object_ids.tobytes() == ref.object_ids.tobytes()
+        assert got.timestamps.tobytes() == ref.timestamps.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_bad_mixture_row_raises(self, facility, bad):
+        """The stream keeps ``Generator.choice``'s checks on each mixture row."""
+
+        class Broken(AffinityModel):
+            def unique_user_mixtures(self, catalog, population, rng):
+                rows, inverse = super().unique_user_mixtures(catalog, population, rng)
+                rows[-1, 0] = bad
+                return rows, inverse
+
+        catalog, population = facility
+        with pytest.raises(ValueError, match="probabilities"):
+            stream_trace(catalog, population, Broken(0.3, 0.3))
 
     def test_user_major_layout(self, reader):
         """Blocks partition the user space; timestamps ascend within a user."""
@@ -176,6 +247,26 @@ class TestStoreBackedStream:
         payload.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0xFF]))
         assert load_trace_stream(store, self.RECIPE, 64) is None
 
+    def test_schema_one_stream_is_a_miss(self, facility, tmp_path):
+        """Schema-1 blocks drew objects with another CDF convention: never served."""
+        store, built = self._stream_with_store(facility, tmp_path)
+        assert TRACE_STREAM_SCHEMA == 2
+        old = ArtifactStore(tmp_path / "old")
+        config = stream_config(self.RECIPE, 64)
+        manifest = store.get(TRACE_STREAM_KIND, config, TRACE_STREAM_SCHEMA)
+        old.put(
+            TRACE_STREAM_KIND, config, 1,
+            {"records_per_block": manifest.array("records_per_block")}, dict(manifest.meta),
+        )
+        for block in built.iter_blocks():
+            old.put(
+                TRACE_BLOCK_KIND, _block_config(self.RECIPE, 64, block.index), 1,
+                {"user_ids": block.user_ids, "object_ids": block.object_ids,
+                 "timestamps": block.timestamps},
+                {"user_lo": block.user_lo, "user_hi": block.user_hi},
+            )
+        assert load_trace_stream(old, self.RECIPE, 64) is None
+
     def test_wrong_block_size_is_a_miss(self, facility, tmp_path):
         store, _ = self._stream_with_store(facility, tmp_path, block_size=64)
         assert load_trace_stream(store, self.RECIPE, 32) is None
@@ -183,19 +274,40 @@ class TestStoreBackedStream:
 
 # -------------------------------------------------------- chunked constructors
 class TestChunkedInteractions:
-    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    def test_bit_identical_to_monolithic(self, facility, block_size):
-        reader = _stream(facility, block_size)
+    @staticmethod
+    def _assert_chunked_equals_monolithic(reader, min_user, min_item):
         mono = trace_to_interactions(
-            reader.materialize(), min_user_interactions=3, min_item_interactions=2
+            reader.materialize(), min_user_interactions=min_user, min_item_interactions=min_item
         )
         chunked = streamed_trace_to_interactions(
-            reader, min_user_interactions=3, min_item_interactions=2
+            reader, min_user_interactions=min_user, min_item_interactions=min_item
         )
-        assert len(chunked) > 0
-        np.testing.assert_array_equal(chunked.user_ids, mono.user_ids)
-        np.testing.assert_array_equal(chunked.item_ids, mono.item_ids)
+        assert chunked.user_ids.tobytes() == mono.user_ids.tobytes()
+        assert chunked.item_ids.tobytes() == mono.item_ids.tobytes()
         assert (chunked.num_users, chunked.num_items) == (mono.num_users, mono.num_items)
+        return chunked
+
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_bit_identical_to_monolithic(self, facility, block_size):
+        chunked = self._assert_chunked_equals_monolithic(_stream(facility, block_size), 3, 2)
+        assert len(chunked) > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        block_size=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        min_user=st.integers(1, 6),
+        min_item=st.integers(1, 5),
+    )
+    def test_bit_identical_at_random_block_sizes(
+        self, facility, block_size, seed, min_user, min_item
+    ):
+        """Any block size, seed and k-core minimums: chunked == in-memory builders.
+
+        The fixed block sizes {1, 7, 10⁴} are the parametrized test above.
+        """
+        reader = _stream(facility, block_size, seed=seed)
+        self._assert_chunked_equals_monolithic(reader, min_user, min_item)
 
     def test_default_filter_matches_too(self, facility, reader):
         mono = trace_to_interactions(reader.materialize())
