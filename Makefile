@@ -1,13 +1,15 @@
 # Developer entry points. `make verify` is the local/CI gate: lint (reprolint
-# + ruff) and typecheck plus the fast smoke suite (slow-marked tests
-# excluded). `make test` is tier-1.
+# + ruff) and typecheck, the fast smoke suite (slow-marked tests excluded),
+# the gate benchmarks and the sanitizer smoke (two short trainings under the
+# sanitizer hook, the end-to-end check that it still reaches every op).
+# `make test` is tier-1.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify lint reprolint lint-changed typecheck smoke bench-smoke test sanitize-smoke
 
-verify: lint typecheck smoke bench-smoke
+verify: lint typecheck smoke bench-smoke sanitize-smoke
 
 lint: reprolint
 	@if command -v ruff >/dev/null 2>&1; then \

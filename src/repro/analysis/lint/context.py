@@ -74,8 +74,8 @@ class LintConfig:
     kernel_consumer_paths: Tuple[str, ...] = ("models/", "eval/", "serving/")
     """Layers that must stay behind the kernel/persistence funnels.  RPL010
     requires every ``repro.kernels`` import here to name ``dispatch`` — the
-    oracle fallback and the sanitizer/profiler instrumentation live there,
-    and raw backend imports silently bypass both (``serving/`` scores every
+    oracle fallback and the ops the op registry instruments (its
+    ``TENSOR_OPS``) live there, and raw backend imports silently bypass both (``serving/`` scores every
     request through the same funnel, so its ranking stays bit-identical to
     offline evaluation).  RPL014 follows call paths out of these layers
     into raw backends or the ``np.save`` family through helpers."""

@@ -3,8 +3,8 @@
 The fused kernels (:mod:`repro.kernels.numpy_backend`) are
 raw-ndarray routines with no tape; the **only** sanctioned way for model and
 evaluation code to reach them is :mod:`repro.kernels.dispatch`, which owns
-the Tensor-building wrappers the sanitizer/profiler instrument and the test
-oracles swap out.  A model importing the backend module directly produces
+the Tensor-building ops that the op registry (:mod:`repro.autograd.ops`)
+lists for instrumentation hooks and the test oracles swap out.  A model importing the backend module directly produces
 tensors the instrumentation never sees and calls the parity tests cannot
 reroute.  The rule flags any ``repro.kernels`` import other than
 ``dispatch`` in the consumer paths; a deliberate exception (a parity test, a
@@ -56,8 +56,8 @@ class KernelImportFunnelRule(Rule):
     name = "kernel-dispatch-funnel"
     description = (
         "direct imports of repro.kernels backends bypass the dispatch "
-        "funnel — the oracle fallback and sanitizer/profiler "
-        "instrumentation live in repro.kernels.dispatch; import that "
+        "funnel — the oracle fallback and the registered ops that "
+        "instrumentation hooks wrap live in repro.kernels.dispatch; import that "
         "instead, or suppress with a comment stating why a raw backend is "
         "required here."
     )

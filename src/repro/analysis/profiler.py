@@ -1,9 +1,9 @@
 """Op-timer profiler: where does a training epoch's wall-clock go?
 
-Reuses the monkeypatch machinery of :mod:`repro.analysis.sanitizer`: every
-public op in :mod:`repro.autograd.functional`, every fused Tensor op in
-:mod:`repro.kernels.dispatch`, and :meth:`~repro.autograd.optim.Optimizer.step`
-is wrapped with a timing shim while a profile is active.  Each wrapper records
+One :class:`~repro.autograd.ops.Hook` over the op registry: while a profile
+is active, every registered op (:func:`repro.autograd.ops.registered_ops`)
+and :meth:`~repro.autograd.optim.Optimizer.step` run through a timing shim
+that records
 
 - **forward** seconds — wall-clock of the op call itself, attributed only to
   *top-level* calls (a composite op like ``bpr_loss`` that invokes other
@@ -18,26 +18,22 @@ share the ``repro profile`` CLI command prints.  This is the receipts side of
 the fused-kernel work: an epoch's time sits in ``edge_attention_scores`` /
 ``weighted_neighbor_sum`` rather than in a gather/scatter chain.
 
-Instrumentation is installed by patching module attributes and fully removed
-on exit, so an un-profiled run costs nothing.  Profiling composes with the
-sanitizer (either order): each layer saves and restores whatever callable it
-found.
+The registry installs the wrappers with its first hook and removes them
+with its last, so an un-profiled run costs nothing, and a profile composes
+with the sanitizer in either order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import time
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-from repro.autograd import functional as F
-from repro.autograd import optim as _optim
+from repro.autograd.ops import Hook, active_hooks, add_hook, op_depth, remove_hook
 from repro.autograd.tensor import Tensor
-from repro.kernels import dispatch as _dispatch
 
-__all__ = ["OpStat", "ProfileReport", "profiled", "enable", "disable", "is_enabled"]
+__all__ = ["OpStat", "ProfileReport", "profiled"]
 
 
 @dataclasses.dataclass
@@ -123,32 +119,24 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------- wrappers
-_active: Optional[ProfileReport] = None
-# Depth of instrumented calls on the stack: only depth-0 calls are timed, so
-# composite ops don't double-count the primitives they invoke.
-_depth = 0
+# ------------------------------------------------------------------- hook
+class _ProfileHook(Hook):
+    """Times top-level op calls, their backward closures and optimizer steps."""
 
+    def __init__(self, report: ProfileReport) -> None:
+        self.report = report
 
-def _timed_op(name: str, fn: Callable) -> Callable:
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        global _depth
-        report = _active
-        if report is None or _depth:
-            _depth += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                _depth -= 1
-        _depth += 1
+    def op(self, name, call, args, kwargs):
+        # Only top-level calls are timed, so composite ops don't double-count
+        # the primitives they invoke.
+        if op_depth() > 1:
+            return call(*args, **kwargs)
         t0 = time.perf_counter()
         try:
-            out = fn(*args, **kwargs)
+            out = call(*args, **kwargs)
         finally:
             dt = time.perf_counter() - t0
-            _depth -= 1
-        stat = report._stat(name)
+        stat = self.report._stat(name)
         stat.calls += 1
         stat.forward_seconds += dt
         if isinstance(out, Tensor) and out._backward is not None:
@@ -164,94 +152,32 @@ def _timed_op(name: str, fn: Callable) -> Callable:
             out._backward = timed_backward
         return out
 
-    wrapped.__profiler_wrapped__ = True
-    return wrapped
-
-
-def _timed_step(original: Callable) -> Callable:
-    @functools.wraps(original)
-    def wrapped(self):
-        report = _active
-        if report is None:
-            return original(self)
+    def step(self, optimizer, call):
         t0 = time.perf_counter()
         try:
-            return original(self)
+            call()
         finally:
-            stat = report._stat("optimizer.step")
+            stat = self.report._stat("optimizer.step")
             stat.calls += 1
             stat.forward_seconds += time.perf_counter() - t0
-
-    wrapped.__profiler_wrapped__ = True
-    return wrapped
-
-
-# ------------------------------------------------------------ install state
-_installed = False
-_saved_ops: Dict[str, Callable] = {}
-_saved_dispatch_ops: Dict[str, Callable] = {}
-_saved_step: Optional[Callable] = None
-
-
-def is_enabled() -> bool:
-    """Whether the profiler instrumentation is currently installed."""
-    return _installed
-
-
-def enable() -> None:
-    """Install the timing instrumentation (idempotent)."""
-    global _installed, _saved_step
-    if _installed:
-        return
-    for name in F.__all__:
-        fn = getattr(F, name)
-        _saved_ops[name] = fn
-        setattr(F, name, _timed_op(name, fn))
-    for name in _dispatch.TENSOR_OPS:
-        fn = getattr(_dispatch, name)
-        _saved_dispatch_ops[name] = fn
-        setattr(_dispatch, name, _timed_op(name, fn))
-    _saved_step = _optim.Optimizer.step
-    _optim.Optimizer.step = _timed_step(_saved_step)
-    _installed = True
-
-
-def disable() -> None:
-    """Remove the instrumentation (idempotent)."""
-    global _installed, _saved_step
-    if not _installed:
-        return
-    for name, fn in _saved_ops.items():
-        setattr(F, name, fn)
-    _saved_ops.clear()
-    for name, fn in _saved_dispatch_ops.items():
-        setattr(_dispatch, name, fn)
-    _saved_dispatch_ops.clear()
-    _optim.Optimizer.step = _saved_step
-    _saved_step = None
-    _installed = False
 
 
 @contextlib.contextmanager
 def profiled() -> Iterator[ProfileReport]:
     """Profile the enclosed block, yielding the report being filled.
 
-    The report's totals are final once the block exits.  Nesting-safe in the
-    same way as :func:`repro.analysis.sanitizer.sanitized`; concurrent
-    profiles are not supported (one active report at a time).
+    The report's totals are final once the block exits.  One profile at a
+    time (``profiled()`` does not nest); it composes with the sanitizer in
+    any order, each being one registry hook.
     """
-    global _active
-    if _active is not None:
+    if any(isinstance(h, _ProfileHook) for h in active_hooks()):
         raise RuntimeError("a profile is already active; profiled() does not nest")
-    was_installed = _installed
-    enable()
     report = ProfileReport()
-    _active = report
+    hook = _ProfileHook(report)
+    add_hook(hook)
     t0 = time.perf_counter()
     try:
         yield report
     finally:
         report.wall_seconds = time.perf_counter() - t0
-        _active = None
-        if not was_installed:
-            disable()
+        remove_hook(hook)

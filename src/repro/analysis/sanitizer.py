@@ -6,16 +6,20 @@ appearing mid-computation, gradients whose shape has drifted from their
 parameter, and silent float64 upcasts leaking into the float32 evaluation
 fast path.  When enabled it instruments the engine at four choke points —
 
-- every public op in :mod:`repro.autograd.functional` and every fused Tensor
-  op in :mod:`repro.kernels.dispatch` (outputs are checked for non-finite
+- every registered op (:func:`repro.autograd.ops.registered_ops`: the public
+  ops of :mod:`repro.autograd.functional` and the fused Tensor ops of
+  :mod:`repro.kernels.dispatch`), through the sanitizer's
+  :class:`~repro.autograd.ops.Hook` (outputs are checked for non-finite
   values and for a float32 input producing a float64 output);
+- :meth:`~repro.autograd.optim.Optimizer.step`, through the same hook
+  (gradient/parameter shape agreement and finiteness before the update,
+  parameter finiteness after);
 - :class:`~repro.autograd.tensor.Tensor` construction (data checked unless
-  the tensor is being built inside an instrumented op, which already names
+  the tensor is being built inside a registered op, which already names
   the op);
 - :meth:`~repro.autograd.tensor.Tensor.accumulate_grad` (incoming gradients
-  checked before they are folded into the buffer);
-- :meth:`~repro.autograd.optim.Optimizer.step` (gradient/parameter shape
-  agreement and finiteness before the update, parameter finiteness after).
+  checked before they are folded into the buffer).  Only the sanitizer
+  patches these two Tensor methods.
 
 Every violation raises :class:`SanitizerError` carrying the *innermost*
 offending op name, so a NaN born in ``log`` is reported as ``log`` even when
@@ -23,10 +27,10 @@ it surfaces inside ``bpr_loss``.
 
 Enable with the ``REPRO_SANITIZE=1`` environment variable (checked when
 the :mod:`repro` package is first imported), the :func:`sanitized` context
-manager, or explicit
-:func:`enable`/:func:`disable` calls.  The instrumentation is installed by
-patching module/class attributes and fully removed on :func:`disable`, so a
-disabled sanitizer costs nothing.
+manager, or explicit :func:`enable`/:func:`disable` calls.  The op wrappers
+belong to the registry and come off when its last hook is removed, in any
+order against other hooks (a profile may outlive the sanitizer or the other
+way round), so a disabled sanitizer costs nothing.
 """
 
 from __future__ import annotations
@@ -34,19 +38,18 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.autograd import functional as F
-from repro.autograd import optim as _optim
+from repro.autograd.ops import Hook, active_hooks, add_hook, op_depth, remove_hook
 from repro.autograd.sparse import SparseRowGrad
 from repro.autograd.tensor import Tensor
-from repro.kernels import dispatch as _dispatch
 
 __all__ = [
     "ENV_VAR",
     "SanitizerError",
+    "HOOK",
     "enable",
     "disable",
     "is_enabled",
@@ -108,22 +111,12 @@ def _tensor_args(args, kwargs) -> List[Tensor]:
     return found
 
 
-# ----------------------------------------------------------------- wrappers
-# Depth of instrumented-op calls currently on the stack.  The Tensor.__init__
-# hook stays quiet while an op is running: the op wrapper performs the same
-# check on the finished output and, unlike the constructor, knows the op name.
-_op_depth = 0
+# ------------------------------------------------------------------- hook
+class _SanitizerHook(Hook):
+    """Checks every registered op's output and every optimizer step."""
 
-
-def _wrap_op(name: str, fn: Callable) -> Callable:
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        global _op_depth
-        _op_depth += 1
-        try:
-            out = fn(*args, **kwargs)
-        finally:
-            _op_depth -= 1
+    def op(self, name, call, args, kwargs):
+        out = call(*args, **kwargs)
         if isinstance(out, Tensor):
             _check_finite(out.data, name, "output")
             ins = _tensor_args(args, kwargs)
@@ -136,19 +129,41 @@ def _wrap_op(name: str, fn: Callable) -> Callable:
                 )
         return out
 
-    wrapped.__sanitizer_wrapped__ = True
-    return wrapped
+    def step(self, optimizer, call):
+        for p in optimizer.params:
+            if p.grad is None:
+                continue
+            label = p.name or f"param{p.data.shape}"
+            if p.grad.shape != p.data.shape:
+                raise SanitizerError(
+                    f"gradient shape {p.grad.shape} does not match parameter "
+                    f"shape {p.data.shape} in 'step[{label}]'",
+                    op=f"step[{label}]",
+                    kind="shape",
+                )
+            garr = p.grad.values if isinstance(p.grad, SparseRowGrad) else p.grad
+            _check_finite(garr, f"step[{label}]", "gradient")
+        call()
+        for p in optimizer.params:
+            if p.grad is not None:
+                label = p.name or f"param{p.data.shape}"
+                _check_finite(p.data, f"step[{label}]", "updated parameter")
+
+
+#: The sanitizer's :class:`~repro.autograd.ops.Hook`; :func:`enable` adds it.
+HOOK = _SanitizerHook()
 
 
 def _sanitized_tensor_init(original: Callable) -> Callable:
     @functools.wraps(original)
     def wrapped(self, data, requires_grad=False, _parents=(), _backward=None, name=""):
         original(self, data, requires_grad, _parents, _backward, name)
-        if _op_depth == 0:
+        # Quiet inside a registered op: the hook checks the finished output
+        # and, unlike the constructor, knows the op's name.
+        if op_depth() == 0:
             label = name or f"Tensor{self.data.shape}"
             _check_finite(self.data, label, "data")
 
-    wrapped.__sanitizer_wrapped__ = True
     return wrapped
 
 
@@ -164,113 +179,41 @@ def _sanitized_accumulate_grad(original: Callable) -> Callable:
             _check_finite(np.asarray(grad), f"accumulate_grad[{label}]", "gradient")
         original(self, grad, owned)
 
-    wrapped.__sanitizer_wrapped__ = True
-    return wrapped
-
-
-def _sanitized_step(original: Callable) -> Callable:
-    @functools.wraps(original)
-    def wrapped(self):
-        for p in self.params:
-            if p.grad is None:
-                continue
-            label = p.name or f"param{p.data.shape}"
-            if p.grad.shape != p.data.shape:
-                raise SanitizerError(
-                    f"gradient shape {p.grad.shape} does not match parameter "
-                    f"shape {p.data.shape} in 'step[{label}]'",
-                    op=f"step[{label}]",
-                    kind="shape",
-                )
-            garr = p.grad.values if isinstance(p.grad, SparseRowGrad) else p.grad
-            _check_finite(garr, f"step[{label}]", "gradient")
-        original(self)
-        for p in self.params:
-            if p.grad is not None:
-                label = p.name or f"param{p.data.shape}"
-                _check_finite(p.data, f"step[{label}]", "updated parameter")
-
-    wrapped.__sanitizer_wrapped__ = True
     return wrapped
 
 
 # ------------------------------------------------------------ install state
-_installed = False
-_saved_ops: Dict[str, Callable] = {}
-_saved_dispatch_ops: Dict[str, Callable] = {}
+# The Tensor methods only the sanitizer patches, saved while it is enabled.
 _saved_tensor_init: Optional[Callable] = None
 _saved_accumulate_grad: Optional[Callable] = None
-_saved_step: Optional[Callable] = None
 
 
 def is_enabled() -> bool:
     """Whether the sanitizer instrumentation is currently installed."""
-    return _installed
-
-
-def _already_wrapped(fn: Callable) -> bool:
-    return bool(getattr(fn, "__sanitizer_wrapped__", False))
+    return HOOK in active_hooks()
 
 
 def enable() -> None:
-    """Install the instrumentation (idempotent).
-
-    Guarded twice: the module-level ``_installed`` flag short-circuits the
-    common repeat call (``REPRO_SANITIZE=1`` install at import plus an
-    explicit ``sanitized()`` block), and a per-function
-    ``__sanitizer_wrapped__`` marker refuses to wrap an already-instrumented
-    attribute even if the flag is ever out of sync with the patched engine
-    (e.g. the sanitizer module imported under two names).  Without the
-    second guard a double install would also poison ``disable()``: the
-    "original" it saves on the second pass is the first pass's wrapper, so
-    the engine could never be fully restored.
-    """
-    global _installed, _saved_tensor_init, _saved_accumulate_grad, _saved_step
-    if _installed:
+    """Install the instrumentation (idempotent)."""
+    global _saved_tensor_init, _saved_accumulate_grad
+    if is_enabled():
         return
-    for name in F.__all__:
-        fn = getattr(F, name)
-        if _already_wrapped(fn):
-            continue
-        _saved_ops[name] = fn
-        setattr(F, name, _wrap_op(name, fn))
-    for name in _dispatch.TENSOR_OPS:
-        fn = getattr(_dispatch, name)
-        if _already_wrapped(fn):
-            continue
-        _saved_dispatch_ops[name] = fn
-        setattr(_dispatch, name, _wrap_op(name, fn))
-    if not _already_wrapped(Tensor.__init__):
-        _saved_tensor_init = Tensor.__init__
-        Tensor.__init__ = _sanitized_tensor_init(_saved_tensor_init)
-    if not _already_wrapped(Tensor.accumulate_grad):
-        _saved_accumulate_grad = Tensor.accumulate_grad
-        Tensor.accumulate_grad = _sanitized_accumulate_grad(_saved_accumulate_grad)
-    if not _already_wrapped(_optim.Optimizer.step):
-        _saved_step = _optim.Optimizer.step
-        _optim.Optimizer.step = _sanitized_step(_saved_step)
-    _installed = True
+    _saved_tensor_init = Tensor.__init__
+    _saved_accumulate_grad = Tensor.accumulate_grad
+    Tensor.__init__ = _sanitized_tensor_init(_saved_tensor_init)
+    Tensor.accumulate_grad = _sanitized_accumulate_grad(_saved_accumulate_grad)
+    add_hook(HOOK)
 
 
 def disable() -> None:
     """Remove the instrumentation, restoring the original engine (idempotent)."""
-    global _installed, _saved_tensor_init, _saved_accumulate_grad, _saved_step
-    if not _installed:
+    global _saved_tensor_init, _saved_accumulate_grad
+    if not is_enabled():
         return
-    for name, fn in _saved_ops.items():
-        setattr(F, name, fn)
-    _saved_ops.clear()
-    for name, fn in _saved_dispatch_ops.items():
-        setattr(_dispatch, name, fn)
-    _saved_dispatch_ops.clear()
-    if _saved_tensor_init is not None:
-        Tensor.__init__ = _saved_tensor_init
-    if _saved_accumulate_grad is not None:
-        Tensor.accumulate_grad = _saved_accumulate_grad
-    if _saved_step is not None:
-        _optim.Optimizer.step = _saved_step
-    _saved_tensor_init = _saved_accumulate_grad = _saved_step = None
-    _installed = False
+    remove_hook(HOOK)
+    Tensor.__init__ = _saved_tensor_init
+    Tensor.accumulate_grad = _saved_accumulate_grad
+    _saved_tensor_init = _saved_accumulate_grad = None
 
 
 @contextlib.contextmanager
@@ -280,7 +223,7 @@ def sanitized() -> Iterator[None]:
     Nesting-safe: if the sanitizer was already enabled on entry it stays
     enabled on exit.
     """
-    was_enabled = _installed
+    was_enabled = is_enabled()
     enable()
     try:
         yield

@@ -14,7 +14,10 @@ This subpackage is the numerical substrate for every recommendation model in
   instead of O(table · dim);
 - :mod:`~repro.autograd.optim` — the Adam optimizer, with sparse
   scatter-updates (lazy per-row moment decay);
-- :mod:`~repro.autograd.init` — Xavier and scaled-normal initializers.
+- :mod:`~repro.autograd.init` — Xavier and scaled-normal initializers;
+- :mod:`~repro.autograd.ops` — the registry of differentiable ops and the
+  one :class:`~repro.autograd.ops.Hook` mechanism that instruments them
+  (the sanitizer and the profiler are hooks).
 
 The engine is deliberately small: dense float64/float32 arrays, define-by-run
 tape, topological-order backward.  At the scale of the paper's collaborative
@@ -23,7 +26,6 @@ models in seconds to minutes on one core, which is all the reproduction needs.
 """
 
 from repro.autograd import functional
-from repro.autograd.gradcheck import GradcheckError, gradcheck, numerical_gradient
 from repro.autograd.init import xavier_uniform, xavier_normal, normal_init
 from repro.autograd.optim import Adam, Optimizer
 from repro.autograd.sparse import SparseRowGrad, dense_grads, sparse_grads_enabled
@@ -43,7 +45,4 @@ __all__ = [
     "xavier_uniform",
     "xavier_normal",
     "normal_init",
-    "gradcheck",
-    "numerical_gradient",
-    "GradcheckError",
 ]

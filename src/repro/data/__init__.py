@@ -12,7 +12,6 @@ from repro.data.sampling import BPRSampler, ShardedBPRSampler, check_pair_key_sp
 from repro.data.split import TrainTestSplit, per_user_split
 from repro.data.streaming import (
     blocked_per_user_split,
-    interaction_pair_chunks,
     streamed_trace_to_interactions,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "TrainTestSplit",
     "per_user_split",
     "blocked_per_user_split",
-    "interaction_pair_chunks",
     "BPRSampler",
     "ShardedBPRSampler",
     "check_pair_key_space",

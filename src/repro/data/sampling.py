@@ -98,24 +98,6 @@ class BPRSampler:
             rounds += 1
         return neg
 
-    def sample_batch(
-        self, batch_size: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw one batch of (users, positive items, negative items).
-
-        Positives are drawn uniformly over interactions (so heavy users are
-        proportionally represented, as in standard BPR); negatives are
-        uniform over the catalog with rejection against the user's
-        positives.
-        """
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        pick = rng.integers(0, len(self.data), size=batch_size)
-        users = self.data.user_ids[pick]
-        pos = self.data.item_ids[pick]
-        neg = rng.integers(0, self.data.num_items, size=batch_size)
-        return users, pos, self._reject_negatives(users, neg, rng)
-
     def epoch_batches(
         self, batch_size: int, seed=0
     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -30,7 +30,7 @@ Bit-identity arguments (each locked by tests):
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from repro.utils.rng import ensure_rng
 __all__ = [
     "streamed_trace_to_interactions",
     "blocked_per_user_split",
-    "interaction_pair_chunks",
 ]
 
 
@@ -134,22 +133,3 @@ def blocked_per_user_split(
         data.user_ids[~train_mask], data.item_ids[~train_mask], data.num_users, data.num_items
     )
     return TrainTestSplit(train=train, test=test)
-
-
-def interaction_pair_chunks(
-    data: InteractionDataset, users_per_chunk: int
-) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
-    """(user_ids, item_ids) views of contiguous user ranges.
-
-    Views, not copies — the CSR layout makes a user range a contiguous
-    slice, so chunked consumers (e.g. the adjacency builders) iterate the
-    dataset with zero additional memory.
-    """
-    if users_per_chunk <= 0:
-        raise ValueError(f"users_per_chunk must be positive, got {users_per_chunk}")
-    for user_lo in range(0, data.num_users, users_per_chunk):
-        user_hi = min(user_lo + users_per_chunk, data.num_users)
-        lo = int(data.user_offsets[user_lo])
-        hi = int(data.user_offsets[user_hi])
-        if hi > lo:
-            yield data.user_ids[lo:hi], data.item_ids[lo:hi]

@@ -39,9 +39,9 @@ __all__ = [
     "masked_select",
 ]
 
-#: Dispatch ops that return Tensors — instrumented by the numeric sanitizer
-#: and the op-timer profiler exactly like the ``repro.autograd.functional``
-#: public surface.
+#: Dispatch ops that return Tensors: with ``repro.autograd.functional``'s
+#: public ops they make up the op registry (``repro.autograd.ops``), which
+#: every instrumentation hook wraps and every convergence case covers.
 TENSOR_OPS = ("edge_attention_scores", "weighted_neighbor_sum", "aggregate", "transr_energy")
 
 

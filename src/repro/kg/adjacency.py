@@ -15,7 +15,7 @@ sentinel.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,78 +124,6 @@ class CSRAdjacency:
         if relation_groups is not None:
             order, bounds = relation_groups
             self._relation_groups = (order, bounds)
-        return self
-
-    @classmethod
-    def from_edge_chunks(
-        cls,
-        chunks: Callable[[], Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
-        num_entities: int,
-        num_relations: int,
-    ) -> "CSRAdjacency":
-        """Two-pass (count, then fill) CSR construction from edge chunks.
-
-        ``chunks`` is a callable returning a *fresh* iterator of equal-length
-        ``(heads, rels, tails)`` arrays; it is consumed twice and must yield
-        the same edges both times.  Pass one accumulates per-head degree
-        counts into the offset table; pass two stable-sorts each chunk by
-        head and writes its runs at per-head cursors.  Scratch memory is one
-        chunk plus the degree vector — never the concatenated edge list plus
-        its argsort, which is what ``CSRAdjacency(store)`` allocates.
-
-        Bit-identical to ``CSRAdjacency`` built from the concatenated
-        chunks: a stable sort keeps equal heads in input order, and the
-        cursors append each chunk's runs in chunk order, which is the same
-        order.
-        """
-        num_entities = int(num_entities)
-        num_relations = int(num_relations)
-        counts = np.zeros(num_entities, dtype=np.int64)
-        total = 0
-        for h, r, t in chunks():
-            h = np.asarray(h, dtype=np.int64)
-            if not (len(h) == len(r) == len(t)):
-                raise ValueError("edge chunk arrays must have equal length")
-            if len(h):
-                if h.min() < 0 or h.max() >= num_entities:
-                    raise ValueError("head entity id out of range")
-                counts += np.bincount(h, minlength=num_entities)
-                total += len(h)
-        offsets = np.zeros(num_entities + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        heads = np.empty(total, dtype=np.int64)
-        rels = np.empty(total, dtype=np.int64)
-        tails = np.empty(total, dtype=np.int64)
-        cursor = offsets[:-1].copy()
-        filled = 0
-        for h, r, t in chunks():
-            h = np.asarray(h, dtype=np.int64)
-            r = np.asarray(r, dtype=np.int64)
-            t = np.asarray(t, dtype=np.int64)
-            if len(h) == 0:
-                continue
-            if len(t) and (t.min() < 0 or t.max() >= num_entities):
-                raise ValueError("tail entity id out of range")
-            if len(r) and (r.min() < 0 or r.max() >= num_relations):
-                raise ValueError("relation id out of range")
-            order = np.argsort(h, kind="stable")
-            hs = h[order]
-            run_starts = np.flatnonzero(np.r_[True, hs[1:] != hs[:-1]])
-            run_lens = np.diff(np.r_[run_starts, len(hs)])
-            within = np.arange(len(hs), dtype=np.int64) - np.repeat(run_starts, run_lens)
-            pos = cursor[hs] + within
-            heads[pos] = hs
-            rels[pos] = r[order]
-            tails[pos] = t[order]
-            cursor[hs[run_starts]] += run_lens
-            filled += len(hs)
-        if filled != total:
-            raise ValueError(
-                f"edge chunks changed between passes: counted {total} edges, "
-                f"filled {filled}"
-            )
-        self = cls.__new__(cls)
-        self._init_from_sorted(heads, rels, tails, num_entities, num_relations)
         return self
 
     @property

@@ -44,7 +44,6 @@ __all__ = [
     "build_uig",
     "build_uug",
     "build_iag",
-    "relation_source_map",
 ]
 
 INTERACT = "interact"
@@ -322,30 +321,6 @@ def build_iag(
                     space.global_ids("level", catalog.object_level[has_level]),
                 )
     return store.deduplicated()
-
-
-def relation_source_map(catalog: FacilityCatalog) -> Dict[str, str]:
-    """Map each IAG relation name to its knowledge source ('loc'/'dkg'/'md')."""
-    if _is_city_catalog(catalog):
-        return {
-            "locatedAt": "loc",
-            "siteInCity": "loc",
-            "cityInState": "loc",
-            "hasDataType": "dkg",
-            "hasDiscipline": "dkg",
-            "inNetwork": "md",
-            "deliveryMethod": "md",
-        }
-    return {
-        "locatedAt": "loc",
-        "memberOfArray": "loc",
-        "hasDataType": "dkg",
-        "hasDiscipline": "dkg",
-        "generatedBy": "dkg",
-        "deliveryMethod": "md",
-        "inGroup": "md",
-        "processingLevel": "md",
-    }
 
 
 # ----------------------------------------------------------- catalog coding

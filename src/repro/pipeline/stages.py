@@ -38,13 +38,6 @@ from repro.facility.affinity import GAGE_AFFINITY, OOI_AFFINITY, AffinityModel
 from repro.facility.catalog import FacilityCatalog
 from repro.facility.gage import GAGEConfig, build_gage_catalog
 from repro.facility.ooi import OOIConfig, build_ooi_catalog
-from repro.facility.stream import (
-    TRACE_STREAM_SCHEMA,
-    TraceReader,
-    load_trace_stream,
-    stream_config,
-    stream_trace,
-)
 from repro.facility.trace import QueryTrace, generate_trace
 from repro.facility.users import UserPopulation, build_user_population
 from repro.kg.ckg import CollaborativeKnowledgeGraph, build_ckg
@@ -59,8 +52,6 @@ __all__ = [
     "DatasetPipeline",
     "DatasetRef",
     "PIPELINE_STAGES",
-    "STREAM_STAGES",
-    "STREAM_BLOCK_SIZE",
     "pipeline_for_ref",
     "global_stage_counters",
     "reset_global_stage_counters",
@@ -68,22 +59,12 @@ __all__ = [
 
 DATASET_NAMES = ("ooi", "gage")
 PIPELINE_STAGES = ("trace", "split", "ckg", "graph")
-#: Streaming stages live beside (not inside) PIPELINE_STAGES: the classic
-#: chain's warm-run invariants ("every stage built exactly once") must not
-#: start counting a stage that only out-of-core runs exercise.
-STREAM_STAGES = ("trace_stream",)
-
-#: Default storage block (users per artifact) for streamed traces.  Purely a
-#: performance knob — the emitted records are block-size-invariant — but it
-#: enters the stream fingerprint because it defines the artifact layout.
-STREAM_BLOCK_SIZE = 4096
 
 #: Per-stage payload schema versions; bump one when that stage's array
 #: layout (or its builder's semantics) changes, which re-keys the stage and
 #: every descendant (the invalidation rule of DESIGN.md §9).
 SCHEMA_VERSIONS: Dict[str, int] = {
     "trace": 1,
-    "trace_stream": TRACE_STREAM_SCHEMA,
     "split": 1,
     "ckg": 1,
     "graph": GRAPH_SCHEMA_VERSION,
@@ -116,7 +97,7 @@ _GLOBAL_COUNTERS: Dict[str, Dict[str, int]] = {}
 def _blank_counters() -> Dict[str, Dict[str, int]]:
     return {
         stage: {"built": 0, "loaded": 0, "memo": 0}
-        for stage in PIPELINE_STAGES + STREAM_STAGES
+        for stage in PIPELINE_STAGES
     }
 
 
@@ -262,24 +243,15 @@ class DatasetPipeline:
         stage: str,
         sources: Optional[KnowledgeSources] = None,
         uug_max_neighbors: int = 25,
-        block_size: int = STREAM_BLOCK_SIZE,
     ) -> str:
         """Content fingerprint of one stage (no stage is materialized).
 
         Keys chain: ``split`` embeds the trace digest, ``ckg`` the split
         digest, ``graph`` the CKG digest — so any upstream config change
-        re-keys the whole downstream suffix.  ``trace_stream`` keys the
-        streamed trace's *manifest*; its per-block artifacts extend the same
-        config with a ``block_index``.
+        re-keys the whole downstream suffix.
         """
         if stage == "trace":
             return fingerprint("trace", {"recipe": self.recipe()}, SCHEMA_VERSIONS["trace"])
-        if stage == "trace_stream":
-            return fingerprint(
-                "trace_stream",
-                stream_config(self.recipe(), block_size),
-                SCHEMA_VERSIONS["trace_stream"],
-            )
         if stage == "split":
             return fingerprint(
                 "split",
@@ -422,46 +394,6 @@ class DatasetPipeline:
         return self._stage(
             "trace", "trace", {"recipe": self.recipe()}, build, serialize, rehydrate
         )
-
-    def trace_stream(self, block_size: int = STREAM_BLOCK_SIZE) -> TraceReader:
-        """Streamed variant of the trace stage: blocks, never the whole log.
-
-        Unlike the classic stages this one is *incrementally* persisted —
-        each user block lands in the store as it is generated, so a crash
-        loses at most one block of work and peak memory never includes the
-        full trace.  The warm path verifies the manifest plus every block
-        before trusting the stream; any corruption degrades to a rebuild,
-        exactly like a classic stage miss.  (Not routed through
-        :meth:`_stage`, which is built around single-artifact stages.)
-        """
-        memo_key = f"trace_stream:{int(block_size)}"
-        memo = self._memo.get(memo_key)
-        if memo is not None:
-            self._count("trace_stream", "memo")
-            return memo
-        recipe = self.recipe()
-        reader: Optional[TraceReader] = None
-        if self.store is not None:
-            reader = load_trace_stream(self.store, recipe, block_size)
-            if reader is not None:
-                self._count("trace_stream", "loaded")
-        if reader is None:
-            catalog, population = self.facility()
-            reader = stream_trace(
-                catalog,
-                population,
-                self.affinity,
-                seed=self.seed,
-                queries_per_user_mean=_SCALES[self.name][self.scale]["queries"],
-                block_size=block_size,
-                store=self.store,
-                recipe=recipe if self.store is not None else None,
-            )
-            if self.store is not None:
-                self.store.builds += 1
-            self._count("trace_stream", "built")
-        self._memo[memo_key] = reader
-        return reader
 
     def split(self) -> TrainTestSplit:
         """Stage 2: the per-user 80/20 interaction split."""

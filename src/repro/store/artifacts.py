@@ -34,7 +34,7 @@ import pathlib
 import shutil
 import time
 import uuid
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -318,26 +318,6 @@ class ArtifactStore:
             return Artifact(final, record)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-
-    def get_or_build(
-        self,
-        kind: str,
-        config: dict,
-        schema_version: int,
-        builder: Callable[[], Tuple[Dict[str, np.ndarray], dict]],
-    ) -> Tuple[Artifact, bool]:
-        """Return the cached artifact, or build+persist it.
-
-        ``builder`` returns ``(arrays, meta)``.  The second element of the
-        result is ``True`` when the builder actually ran — the stage-build
-        signal the pipeline counters aggregate.
-        """
-        artifact = self.get(kind, config, schema_version)
-        if artifact is not None:
-            return artifact, False
-        arrays, meta = builder()
-        self.builds += 1
-        return self.put(kind, config, schema_version, arrays, meta), True
 
     # ------------------------------------------------------------ management
     def ls(self, kinds: Optional[Iterable[str]] = None) -> List[ArtifactInfo]:

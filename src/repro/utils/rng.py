@@ -10,13 +10,13 @@ global generator is threaded through everything).
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 SeedLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
-__all__ = ["ensure_rng", "spawn_rngs", "SeedSequenceFactory"]
+__all__ = ["ensure_rng", "SeedSequenceFactory"]
 
 
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -31,24 +31,6 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
-    """Derive ``n`` statistically independent generators from one seed.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, so the children are
-    independent regardless of how many draws each consumes.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if isinstance(seed, np.random.Generator):
-        # Derive a SeedSequence from the generator's own bit stream.
-        ss = np.random.SeedSequence(seed.integers(0, 2**63 - 1, size=4).tolist())
-    elif isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
 class SeedSequenceFactory:

@@ -441,25 +441,6 @@ def _bpr_objective_chain(user_table, item_table, users, pos, neg, l2):
 
 
 class TestBprObjective:
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_gradcheck(self, shared):
-        from repro.autograd import gradcheck
-
-        rng = np.random.default_rng(4)
-        users, pos, neg = np.array([0, 2, 2, 4]), np.array([1, 3, 0, 3]), np.array([3, 3, 2, 0])
-        base = Parameter(rng.normal(size=(5, 3)))
-        items = Parameter(rng.normal(size=(4, 3)))
-        scale = Tensor(rng.uniform(0.5, 1.5, size=(5, 3)))
-
-        def loss():
-            if shared:
-                # A non-leaf source, as CKAT's propagated table.
-                table = F.mul(base, scale)
-                return F.bpr_objective(table, table, users, pos, neg, 0.3)
-            return F.bpr_objective(base, items, users, pos, neg, 0.3)
-
-        assert gradcheck(loss, [base] if shared else [base, items])
-
     def test_is_one_tape_node(self):
         rng = np.random.default_rng(5)
         users, items = Parameter(rng.normal(size=(2, 3))), Parameter(rng.normal(size=(4, 3)))

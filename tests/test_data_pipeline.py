@@ -128,22 +128,6 @@ class TestPerUserSplit:
 
 
 class TestBPRSampler:
-    def test_negatives_never_positive(self, ooi_split, rng):
-        sampler = BPRSampler(ooi_split.train)
-        for _ in range(5):
-            u, p, n = sampler.sample_batch(256, rng)
-            assert not sampler.is_positive(u, n).any()
-
-    def test_positives_are_positive(self, ooi_split, rng):
-        sampler = BPRSampler(ooi_split.train)
-        u, p, n = sampler.sample_batch(256, rng)
-        assert sampler.is_positive(u, p).all()
-
-    def test_batch_shapes(self, ooi_split, rng):
-        sampler = BPRSampler(ooi_split.train)
-        u, p, n = sampler.sample_batch(64, rng)
-        assert len(u) == len(p) == len(n) == 64
-
     def test_epoch_covers_all_interactions(self, ooi_split):
         sampler = BPRSampler(ooi_split.train)
         seen = 0
@@ -159,11 +143,6 @@ class TestBPRSampler:
         empty = InteractionDataset(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 2, 2)
         with pytest.raises(ValueError):
             BPRSampler(empty)
-
-    def test_invalid_batch_size(self, ooi_split, rng):
-        sampler = BPRSampler(ooi_split.train)
-        with pytest.raises(ValueError):
-            sampler.sample_batch(0, rng)
 
     def test_is_positive_vectorized_matches_set(self, ooi_split, rng):
         sampler = BPRSampler(ooi_split.train)

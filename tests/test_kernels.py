@@ -1,11 +1,11 @@
-"""Fused cache-blocked kernels: dispatch, gradcheck, and parity oracles.
+"""Fused cache-blocked kernels: dispatch, gradient convergence, and parity oracles.
 
 Every fused op in :mod:`repro.kernels.dispatch` has a per-op chain as its
 parity oracle, a drop-in in ``tests/kernel_oracle.py``; these tests pin the
-contract from both sides — analytic gradients against finite differences,
-and fused forward/backward against the oracle chain on the shapes that
-historically break segment kernels (zero edges, a single relation, repeated
-endpoints, empty batches).
+contract from both sides — analytic gradients by convergence order
+(``tests/convergence.py``), and fused forward/backward against the oracle
+chain on the shapes that historically break segment kernels (zero edges, a
+single relation, repeated endpoints, empty batches).
 """
 
 import contextlib
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import profiler, sanitizer
-from repro.autograd import Parameter, Tensor, functional as F, gradcheck, no_grad
+from repro.autograd import Parameter, Tensor, functional as F, no_grad
 from repro.autograd.sparse import SparseRowGrad, segment_sum_rows
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import RankingEvaluator
@@ -34,6 +34,7 @@ from repro.models.ckat.layers import PropagationLayer, compute_edge_attention
 from repro.models.embeddings import TransR
 from tests import kernel_oracle
 from tests.ckat_reference import float64_ckat
+from tests.convergence import check_case
 from tests.kernel_oracle import oracle_kernels
 from tests.ranking_oracle import assert_matches_oracle, oracle_rank, oracle_topk
 
@@ -140,71 +141,24 @@ def test_oracle_kernels_reach_every_call_site(ooi_split, ooi_ckg_best, monkeypat
 
 # ---------------------------------------------------------------- gradcheck
 class TestGradcheck:
-    def test_edge_attention_scores(self, small_adj, small_params):
-        ent, rel, proj = small_params
-        probe = Tensor(np.linspace(0.5, 1.5, small_adj.num_edges))
-        assert gradcheck(
-            lambda: F.sum(
-                F.mul(
-                    dispatch.edge_attention_scores(ent, rel, proj, small_adj),
-                    probe,
-                )
-            ),
-            [ent, rel, proj],
-        )
+    """The fused ops' convergence cases (``tests.convergence.OP_CASES``)."""
 
-    def test_weighted_neighbor_sum_tensor_weights(self, small_adj):
-        rng = np.random.default_rng(6)
-        emb = Parameter(rng.standard_normal((6, 4)))
-        w = Parameter(rng.standard_normal(small_adj.num_edges))
-        probe = Tensor(np.linspace(-1.0, 1.0, 24).reshape(6, 4))
-        assert gradcheck(
-            lambda: F.sum(
-                F.mul(dispatch.weighted_neighbor_sum(emb, w, small_adj), probe)
-            ),
-            [emb, w],
-        )
+    def test_edge_attention_scores(self):
+        check_case("edge_attention_scores", "")
 
-    def test_weighted_neighbor_sum_frozen_weights(self, small_adj):
-        rng = np.random.default_rng(7)
-        emb = Parameter(rng.standard_normal((6, 4)))
-        w = rng.standard_normal(small_adj.num_edges)  # constant: frozen path
-        assert gradcheck(
-            lambda: F.sum(dispatch.weighted_neighbor_sum(emb, w, small_adj)),
-            [emb],
-        )
+    def test_weighted_neighbor_sum_tensor_weights(self):
+        check_case("weighted_neighbor_sum", "tensor-weights")
+
+    def test_weighted_neighbor_sum_frozen_weights(self):
+        check_case("weighted_neighbor_sum", "frozen-weights")
 
     @pytest.mark.parametrize("mode", ["concat", "sum"])
     @pytest.mark.parametrize("p", [0.0, 0.4])
     def test_aggregate(self, mode, p):
-        rng = np.random.default_rng(8)
-        x = Parameter(rng.standard_normal((5, 3)))
-        n = Parameter(rng.standard_normal((5, 3)))
-        w = Parameter(rng.standard_normal((6 if mode == "concat" else 3, 4)))
-        b = Parameter(rng.standard_normal(4))
-        probe = Tensor(rng.standard_normal((5, 4)))
-        # A fresh generator per evaluation keeps the dropout mask fixed.
-        assert gradcheck(
-            lambda: F.sum(
-                F.mul(
-                    dispatch.aggregate(x, n, w, b, mode, p, np.random.default_rng(3)),
-                    probe,
-                )
-            ),
-            [x, n, w, b],
-        )
+        check_case("aggregate", f"{mode}-p{p}")
 
-    def test_transr_energy(self, small_params):
-        ent, rel, proj = small_params
-        heads = np.array([0, 3, 1, 4, 2], dtype=np.int64)
-        rels = np.array([2, 0, 1, 0, 2], dtype=np.int64)
-        tails = np.array([1, 4, 0, 2, 5], dtype=np.int64)
-        assert gradcheck(
-            lambda: F.sum(
-                dispatch.transr_energy(ent, rel, proj, heads, rels, tails)
-            ),
-            [ent, rel, proj],
-        )
+    def test_transr_energy(self):
+        check_case("transr_energy", "")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

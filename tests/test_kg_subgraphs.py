@@ -11,7 +11,6 @@ from repro.kg.subgraphs import (
     build_iag,
     build_uig,
     build_uug,
-    relation_source_map,
 )
 
 
@@ -161,18 +160,3 @@ class TestBuildIAG:
         space = _allocate_space(ooi_catalog, ooi_population)
         store = build_iag(space, ooi_catalog, KnowledgeSources(uug=False, loc=False, dkg=False, md=False))
         assert len(store) == 0
-
-
-class TestRelationSourceMap:
-    def test_ooi_mapping(self, ooi_catalog):
-        m = relation_source_map(ooi_catalog)
-        assert m["locatedAt"] == "loc"
-        assert m["generatedBy"] == "dkg"
-        assert m["processingLevel"] == "md"
-        assert len(m) == 8  # the paper's 8 OOI relations
-
-    def test_gage_mapping(self, gage_catalog):
-        m = relation_source_map(gage_catalog)
-        assert m["cityInState"] == "loc"
-        assert m["inNetwork"] == "md"
-        assert len(m) == 7  # the paper's 7 GAGE relations

@@ -5,9 +5,10 @@ inputs are reported, and enable/disable fully restores the engine."""
 import numpy as np
 import pytest
 
+from repro.analysis.profiler import profiled
 from repro.analysis.sanitizer import (
+    HOOK,
     SanitizerError,
-    _wrap_op,
     disable,
     enable,
     install_from_env,
@@ -16,6 +17,22 @@ from repro.analysis.sanitizer import (
 )
 from repro.autograd import Adam, Parameter, SparseRowGrad, Tensor
 from repro.autograd import functional as F
+from repro.autograd.ops import active_hooks, registered_ops
+from repro.autograd.optim import Optimizer
+
+
+def _engine():
+    """Every callable the instrumentation may replace, by identity."""
+    ops = {f"{m.__name__}.{n}": getattr(m, n) for m, n in registered_ops()}
+    ops["Optimizer.step"] = Optimizer.step
+    ops["Tensor.__init__"] = Tensor.__init__
+    ops["Tensor.accumulate_grad"] = Tensor.accumulate_grad
+    return ops
+
+
+def _assert_engine_is(expected):
+    for name, fn in _engine().items():
+        assert fn is expected[name], f"{name} not restored"
 
 
 @pytest.fixture(autouse=True)
@@ -139,10 +156,8 @@ def test_float64_upcast_on_float32_inputs_flagged():
     def upcasting_op(a):
         return Tensor(a.data.astype(np.float64))
 
-    wrapped = _wrap_op("upcasting_op", upcasting_op)
-    enable()
     with pytest.raises(SanitizerError) as exc_info:
-        wrapped(Tensor(np.ones(3, dtype=np.float32)))
+        HOOK.op("upcasting_op", upcasting_op, (Tensor(np.ones(3, dtype=np.float32)),), {})
     assert exc_info.value.kind == "upcast"
     assert exc_info.value.op == "upcasting_op"
 
@@ -178,39 +193,53 @@ def test_disable_restores_engine_exactly():
 
 
 def test_double_install_never_double_wraps():
-    """A second install (env install + explicit enable, or a desynced flag)
-    must not stack wrappers — one disable must restore the pristine engine."""
-    import repro.analysis.sanitizer as san
-
-    original_add = F.add
-    original_init = Tensor.__init__
-    original_step = san._optim.Optimizer.step
+    """A second install (env install + explicit enable) must not stack
+    wrappers — one disable must restore the pristine engine."""
+    original = _engine()
     enable()
-    wrapped_add = F.add
-    enable()  # second install through the public guard: no-op
-    assert F.add is wrapped_add
-    # Simulate the flag desyncing from the patched engine (two module
-    # instances, a test resetting state): the per-function marker still
-    # refuses to wrap a wrapper.
-    san._installed = False
-    enable()
-    assert F.add is wrapped_add, "marker guard must refuse to re-wrap"
-    assert Tensor.__init__.__sanitizer_wrapped__
+    wrapped = _engine()
+    enable()  # second install: no-op
+    assert _engine() == wrapped
+    assert all(wrapped[name] is not fn for name, fn in original.items())
+    assert active_hooks() == (HOOK,)
     disable()
-    assert F.add is original_add
-    assert Tensor.__init__ is original_init
-    assert san._optim.Optimizer.step is original_step
-    assert not san._saved_ops and not san._saved_dispatch_ops
+    _assert_engine_is(original)
+    assert active_hooks() == ()
 
 
 def test_nested_enable_disable_restores_exactly():
-    originals = {name: getattr(F, name) for name in F.__all__}
+    original = _engine()
     with sanitized():
         with sanitized():
             assert is_enabled()
         assert is_enabled()
-    for name, fn in originals.items():
-        assert getattr(F, name) is fn, f"{name} not restored"
+    _assert_engine_is(original)
+
+
+def test_disable_inside_a_profile_keeps_profiling_and_restores_engine():
+    """The sanitizer leaving before a profile must neither blind the profile
+    nor stay installed after it."""
+    original = _engine()
+    enable()
+    with profiled() as report:
+        disable()
+        F.log(Tensor(np.array([2.0])))
+    assert report.stats["log"].calls == 1
+    _assert_engine_is(original)
+    with np.errstate(invalid="ignore"):
+        F.log(Tensor(np.array([-1.0])))  # NaN allowed again: no sanitizer
+
+
+def test_profile_ending_inside_sanitizer_keeps_sanitizing():
+    original = _engine()
+    with profiled():
+        enable()
+    assert is_enabled()
+    with pytest.raises(SanitizerError):
+        with np.errstate(invalid="ignore"):
+            F.log(Tensor(np.array([-1.0])))
+    disable()
+    _assert_engine_is(original)
 
 
 def test_sanitized_context_is_nesting_safe():

@@ -120,19 +120,6 @@ class TestRoundTrip:
         assert store.get("trace", {"seed": 7}, 1) is not None
         assert store.stats() == {"hits": 1, "misses": 1, "builds": 0, "evictions": 0}
 
-    def test_get_or_build_runs_builder_once(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        calls = []
-
-        def builder():
-            calls.append(1)
-            return _arrays(), {"n": 64}
-
-        _, built = store.get_or_build("trace", {"seed": 7}, 1, builder)
-        assert built and calls == [1]
-        _, built = store.get_or_build("trace", {"seed": 7}, 1, builder)
-        assert not built and calls == [1]
-        assert store.builds == 1
 
     def test_object_dtype_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)

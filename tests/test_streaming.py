@@ -6,8 +6,8 @@ The contracts locked here (see DESIGN.md §13):
   record on the chunk's child RNG (``tests/trace_oracle.py``);
 - streamed generation is bit-identical across block sizes (block size is a
   pure performance knob) and round-trips through the artifact store;
-- the chunked constructors (interactions, CSR adjacency) are bit-identical
-  to their monolithic counterparts;
+- the chunked interaction constructor is bit-identical to its monolithic
+  counterpart;
 - the scale-exposed bugfixes stay fixed: empty-key membership probes return
   all-False, the int64 pair-key space is guarded at construction, and k-core
   filtering runs to a fixed point.
@@ -34,7 +34,6 @@ from repro.data.sampling import (
 )
 from repro.data.streaming import (
     blocked_per_user_split,
-    interaction_pair_chunks,
     streamed_trace_to_interactions,
 )
 from repro.facility import stream as facility_stream
@@ -53,8 +52,6 @@ from repro.facility.stream import (
 )
 from repro.facility.trace import QueryTrace
 from repro.facility.users import build_user_population
-from repro.kg.adjacency import CSRAdjacency
-from repro.kg.subgraphs import INTERACT, EntitySpace, build_uig
 from repro.models.base import FitConfig
 from repro.models.bprmf import BPRMF
 from repro.store import ArtifactStore
@@ -319,18 +316,6 @@ class TestChunkedInteractions:
         with pytest.raises(ValueError, match=">= 1"):
             streamed_trace_to_interactions(reader, min_user_interactions=0)
 
-    def test_pair_chunk_views_cover_dataset(self, facility, reader):
-        data = streamed_trace_to_interactions(reader)
-        for users_per_chunk in (1, 17, 10_000):
-            chunks = list(interaction_pair_chunks(data, users_per_chunk))
-            users = np.concatenate([u for u, _ in chunks])
-            items = np.concatenate([i for _, i in chunks])
-            np.testing.assert_array_equal(users, data.user_ids)
-            np.testing.assert_array_equal(items, data.item_ids)
-        with pytest.raises(ValueError, match="users_per_chunk"):
-            list(interaction_pair_chunks(data, 0))
-
-
 def _divergence_trace():
     """A trace where one filter pass is not enough (satellite regression).
 
@@ -390,89 +375,6 @@ class TestKCoreFixedPoint:
         )
         np.testing.assert_array_equal(chunked.user_ids, mono.user_ids)
         np.testing.assert_array_equal(chunked.item_ids, mono.item_ids)
-
-
-# ------------------------------------------------------------- chunked CSR/KG
-def _interaction_space(data):
-    space = EntitySpace()
-    space.add_block("user", data.num_users)
-    space.add_block("item", data.num_items)
-    return space
-
-
-def _chunked_interaction_adjacency(space, pair_chunks):
-    """Interaction CSR from deduplicated (user, item) chunks: a forward sweep
-    then an inverse sweep, the edge order ``with_inverses`` gives the one
-    symmetric ``interact`` relation."""
-
-    def edges():
-        for inverse in (False, True):
-            for users, items in pair_chunks():
-                u = space.global_ids("user", np.asarray(users, dtype=np.int64))
-                i = space.global_ids("item", np.asarray(items, dtype=np.int64))
-                rels = np.zeros(len(u), dtype=np.int64)
-                yield (i, rels, u) if inverse else (u, rels, i)
-
-    return CSRAdjacency.from_edge_chunks(edges, space.num_entities, num_relations=1)
-
-
-class TestChunkedAdjacency:
-    @pytest.fixture(scope="class")
-    def data(self, facility):
-        return streamed_trace_to_interactions(_stream(facility, block_size=64))
-
-    @pytest.mark.parametrize("users_per_chunk", [1, 13, 10_000])
-    def test_bit_identical_to_monolithic(self, data, users_per_chunk):
-        space = _interaction_space(data)
-        mono = CSRAdjacency(
-            build_uig(space, data.user_ids, data.item_ids).with_inverses(symmetric=(INTERACT,))
-        )
-        chunked = _chunked_interaction_adjacency(
-            space, lambda: interaction_pair_chunks(data, users_per_chunk)
-        )
-        np.testing.assert_array_equal(chunked.heads, mono.heads)
-        np.testing.assert_array_equal(chunked.tails, mono.tails)
-        np.testing.assert_array_equal(chunked.rels, mono.rels)
-        np.testing.assert_array_equal(chunked.offsets, mono.offsets)
-
-    def test_empty_chunks_tolerated(self):
-        empty = np.zeros(0, dtype=np.int64)
-        chunks = lambda: iter(  # noqa: E731
-            [
-                (np.array([2, 0]), np.array([0, 0]), np.array([1, 1])),
-                (empty, empty, empty),
-                (np.array([0]), np.array([0]), np.array([2])),
-            ]
-        )
-        adj = CSRAdjacency.from_edge_chunks(chunks, num_entities=3, num_relations=1)
-        np.testing.assert_array_equal(adj.heads, [0, 0, 2])
-        np.testing.assert_array_equal(adj.tails, [1, 2, 1])
-
-    def test_changed_chunks_between_passes_is_loud(self):
-        state = {"calls": 0}
-
-        def chunks():
-            state["calls"] += 1
-            n = 3 if state["calls"] == 1 else 2
-            yield (
-                np.zeros(n, dtype=np.int64),
-                np.zeros(n, dtype=np.int64),
-                np.zeros(n, dtype=np.int64),
-            )
-
-        with pytest.raises(ValueError, match="changed between passes"):
-            CSRAdjacency.from_edge_chunks(chunks, num_entities=2, num_relations=1)
-
-    def test_range_validation(self):
-        one = lambda h, r, t: lambda: iter(  # noqa: E731
-            [(np.array([h]), np.array([r]), np.array([t]))]
-        )
-        with pytest.raises(ValueError, match="head"):
-            CSRAdjacency.from_edge_chunks(one(5, 0, 0), num_entities=3, num_relations=1)
-        with pytest.raises(ValueError, match="tail"):
-            CSRAdjacency.from_edge_chunks(one(0, 0, 5), num_entities=3, num_relations=1)
-        with pytest.raises(ValueError, match="relation"):
-            CSRAdjacency.from_edge_chunks(one(0, 2, 0), num_entities=3, num_relations=1)
 
 
 # ------------------------------------------------------- sampler regressions
@@ -620,66 +522,6 @@ class TestBlockedSplit:
     def test_rejects_bad_fraction(self, data):
         with pytest.raises(ValueError, match="train_fraction"):
             blocked_per_user_split(data, train_fraction=1.0)
-
-
-# ----------------------------------------------------------- pipeline staging
-class TestPipelineTraceStream:
-    def _pipe(self, cache_dir=None):
-        from repro.pipeline import DatasetPipeline
-
-        return DatasetPipeline("ooi", scale="small", seed=7, cache_dir=cache_dir)
-
-    def test_keys_depend_on_block_size_and_seed(self):
-        from repro.pipeline import DatasetPipeline
-
-        a, b = self._pipe(), self._pipe()
-        assert a.stage_key("trace_stream") == b.stage_key("trace_stream")
-        assert a.stage_key("trace_stream", block_size=512) != a.stage_key("trace_stream")
-        other = DatasetPipeline("ooi", scale="small", seed=8)
-        assert other.stage_key("trace_stream") != a.stage_key("trace_stream")
-        assert a.stage_key("trace_stream") != a.stage_key("trace")
-
-    def test_cold_warm_memo_counters(self, tmp_path):
-        cache = tmp_path / "cache"
-        pipe = self._pipe(cache)
-        reader = pipe.trace_stream(block_size=512)
-        assert pipe.stage_counters()["trace_stream"]["built"] == 1
-        assert pipe.trace_stream(block_size=512) is reader
-        assert pipe.stage_counters()["trace_stream"]["memo"] == 1
-
-        warm = self._pipe(cache)
-        again = warm.trace_stream(block_size=512)
-        counts = warm.stage_counters()["trace_stream"]
-        assert counts["loaded"] == 1 and counts["built"] == 0
-        base = reader.materialize()
-        reload = again.materialize()
-        np.testing.assert_array_equal(reload.user_ids, base.user_ids)
-        np.testing.assert_array_equal(reload.object_ids, base.object_ids)
-
-    def test_corrupt_block_degrades_to_rebuild(self, tmp_path):
-        from repro.facility.stream import TRACE_STREAM_KIND
-
-        cache = tmp_path / "cache"
-        pipe = self._pipe(cache)
-        base = pipe.trace_stream(block_size=512).materialize()
-
-        entry = pipe.store.entry_path(
-            TRACE_BLOCK_KIND,
-            _block_config(pipe.recipe(), 512, 0),
-            TRACE_STREAM_SCHEMA,
-        )
-        payload = entry / "object_ids.npy"
-        raw = payload.read_bytes()
-        payload.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0xFF]))
-        assert pipe.store.entry_path(
-            TRACE_STREAM_KIND, stream_config(pipe.recipe(), 512), TRACE_STREAM_SCHEMA
-        ).exists()
-
-        rebuilt = self._pipe(cache)
-        again = rebuilt.trace_stream(block_size=512).materialize()
-        assert rebuilt.stage_counters()["trace_stream"]["built"] == 1
-        np.testing.assert_array_equal(again.user_ids, base.user_ids)
-        np.testing.assert_array_equal(again.object_ids, base.object_ids)
 
 
 # ------------------------------------------------------------- scale pipeline

@@ -11,7 +11,6 @@ from repro.utils import (
     check_probability,
     ensure_rng,
     format_float,
-    spawn_rngs,
 )
 from repro.utils.validation import check_nonnegative
 
@@ -34,28 +33,6 @@ class TestEnsureRng:
         a = ensure_rng(ss).random()
         b = ensure_rng(np.random.SeedSequence(3)).random()
         assert a == b
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_children_differ(self):
-        a, b = spawn_rngs(0, 2)
-        assert a.random() != b.random()
-
-    def test_deterministic(self):
-        a1, _ = spawn_rngs(9, 2)
-        a2, _ = spawn_rngs(9, 2)
-        assert a1.random() == a2.random()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(0), 3)
-        assert len(children) == 3
 
 
 class TestSeedSequenceFactory:
