@@ -1,18 +1,14 @@
-"""Million-user out-of-core pipeline benchmark: peak memory is the gate.
+"""Million-user dataset pipeline benchmark: peak memory is the gate.
 
 The full run pushes 10⁶ users / ~1.9·10⁷ trace records / ~1.4·10⁷
-interactions through the streamed dataset path — blocked trace generation →
-chunked dedup/k-core → blocked split → one BPRMF epoch on the shard-blocked
-sampler → sharded ranking evaluation — inside a **subprocess**, so the
-asserted ``ru_maxrss`` is the high-water mark of exactly that pipeline.
+interactions through the in-memory dataset path every paper dataset takes —
+trace generation → dedup/k-core → per-user split → one BPRMF epoch on the
+global BPR sampler → batched ranking evaluation of users spread over the
+whole id range — inside a **subprocess**, so the asserted ``ru_maxrss`` is
+the high-water mark of exactly that pipeline.
 
 The asserted bound is the measured peak RSS under a ceiling (calibrated
-~3× above the measured ~1.3 GB).  The arithmetic floor of the monolithic
-path (``monolithic_lower_bound_bytes``: the K×N mixture rows and their CDFs
-plus five all-records arrays) is reported next to it, not asserted: since
-the trace draw stopped fanning the mixture rows out to M×N, that floor sits
-under the ceiling at every scale run here, so it no longer separates the
-two paths.
+~3× above the measured peak).
 
 The smoke subset (the ``gate_smoke`` marker, part of ``make verify``) runs
 the same driver at 3·10⁴ users in seconds with proportionally scaled bounds
@@ -32,7 +28,7 @@ from conftest import BENCH_SCALE, write_bench_json, write_result
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 # (num_users, rss_ceiling_mb): the ceiling sits above the measured peak
-# (~1286 MB full / ~226 MB smoke).
+# (~1.3 GB full / ~235 MB smoke).
 FULL_USERS, FULL_CEILING_MB = 1_000_000, 4096
 SMALL_USERS, SMALL_CEILING_MB = 100_000, 1536
 SMOKE_USERS, SMOKE_CEILING_MB = 30_000, 512
@@ -40,7 +36,7 @@ SMOKE_USERS, SMOKE_CEILING_MB = 30_000, 512
 MIN_FULL_INTERACTIONS = 10_000_000
 
 
-def _run_scale(num_users, cache_dir, eval_users=20_000):
+def _run_scale(num_users, eval_users=20_000):
     """Drive ``python -m repro.experiments.scale`` in a fresh subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -53,8 +49,6 @@ def _run_scale(num_users, cache_dir, eval_users=20_000):
             str(num_users),
             "--eval-users",
             str(eval_users),
-            "--cache-dir",
-            str(cache_dir),
         ],
         env=env,
         capture_output=True,
@@ -66,7 +60,7 @@ def _run_scale(num_users, cache_dir, eval_users=20_000):
 
 def _check_bounds(stats, ceiling_mb):
     assert stats["peak_rss_mb"] <= ceiling_mb, (
-        f"streamed pipeline peaked at {stats['peak_rss_mb']} MB, "
+        f"scale pipeline peaked at {stats['peak_rss_mb']} MB, "
         f"over the {ceiling_mb} MB ceiling"
     )
 
@@ -75,12 +69,11 @@ def _record(users, ceiling, stats):
     """Write the rendered table and ``BENCH_scale.json`` for one run."""
     write_result(
         "scale",
-        f"Out-of-core dataset pipeline, {users:,} users (scale={BENCH_SCALE})\n"
+        f"In-memory dataset pipeline, {users:,} users (scale={BENCH_SCALE})\n"
         f"  trace records   : {stats['num_records']:>12,}\n"
         f"  interactions    : {stats['num_interactions']:>12,}\n"
         f"  total wall      : {stats['total_seconds']:>9.1f} s\n"
-        f"  peak RSS        : {stats['peak_rss_mb']:>9.1f} MB  (ceiling {ceiling} MB)\n"
-        f"  monolithic floor: {stats['monolithic_lower_bound_mb']:>9.1f} MB",
+        f"  peak RSS        : {stats['peak_rss_mb']:>9.1f} MB  (ceiling {ceiling} MB)",
     )
     write_bench_json(
         "scale",
@@ -94,7 +87,6 @@ def _record(users, ceiling, stats):
                     "num_interactions",
                     "total_seconds",
                     "peak_rss_mb",
-                    "monolithic_lower_bound_mb",
                     "phases",
                     "metrics",
                 )
@@ -103,12 +95,11 @@ def _record(users, ceiling, stats):
     )
 
 
-def test_scale_out_of_core(tmp_path_factory):
+def test_scale_in_memory():
     users, ceiling = (
         (FULL_USERS, FULL_CEILING_MB) if BENCH_SCALE == "full" else (SMALL_USERS, SMALL_CEILING_MB)
     )
-    cache = tmp_path_factory.mktemp("scale-bench")
-    stats = _run_scale(users, cache)
+    stats = _run_scale(users)
 
     assert stats["recipe"]["num_users"] == users
     if BENCH_SCALE == "full":
@@ -120,14 +111,9 @@ def test_scale_out_of_core(tmp_path_factory):
 
 
 @pytest.mark.gate_smoke
-def test_scale_smoke(tmp_path):
-    stats = _run_scale(SMOKE_USERS, tmp_path / "cache", eval_users=2_000)
+def test_scale_smoke():
+    stats = _run_scale(SMOKE_USERS, eval_users=2_000)
     assert stats["num_interactions"] > 0
+    assert stats["phases"]["trace"]["num_records"] == stats["num_records"]
     _check_bounds(stats, SMOKE_CEILING_MB)
-    # A warm rerun reads the persisted blocks instead of regenerating and
-    # reproduces the exact numbers — the store round-trip is bit-safe.
-    again = _run_scale(SMOKE_USERS, tmp_path / "cache", eval_users=2_000)
-    assert again["phases"]["trace_stream"]["warm"]
-    assert again["num_interactions"] == stats["num_interactions"]
-    assert again["metrics"] == stats["metrics"]
     _record(SMOKE_USERS, SMOKE_CEILING_MB, stats)

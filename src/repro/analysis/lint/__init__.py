@@ -18,7 +18,8 @@ per-module summaries extracted from the same parse:
 - **RPL011** (graph) unseeded RNG values reaching determinism sinks;
 - **RPL012** (graph) float64/float32 mixing at fast-path calls;
 - **RPL013** (graph) blocking work or unlocked writes reachable from
-  ``async def`` serving handlers;
+  serving event-loop code (``async def``, protocol callbacks,
+  ``call_soon`` targets);
 - **RPL014** (graph) call paths escaping the kernel/persistence funnels
   through helpers;
 - **RPL015** optimizers are driven by the training engine, not model code.

@@ -89,8 +89,9 @@ class LintConfig:
     float64/float32 arguments."""
 
     async_paths: Tuple[str, ...] = ("serving/",)
-    """RPL013: ``async def`` functions here are handlers; blocking work they
-    reach is reported at the last call site inside these paths."""
+    """RPL013: ``async def`` functions, ``asyncio`` protocol callbacks and
+    ``loop.call_soon`` targets here run on the event loop; blocking work
+    they reach is reported at the last call site inside these paths."""
 
     funnel_modules: Tuple[str, ...] = ("repro.io", "repro.store", "repro.kernels.dispatch")
     """RPL014: sanctioned funnel modules (dotted prefixes) — escape

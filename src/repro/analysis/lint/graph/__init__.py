@@ -12,7 +12,8 @@ and runs four rule families over it:
   into the float32 fast path (the static twin of the runtime upcast
   sanitizer);
 - **RPL013** async/lock discipline: blocking calls reachable from the
-  serving layer's ``async def`` handlers without an executor hop, and
+  serving layer's event-loop code (``async def`` handlers, protocol
+  callbacks, ``call_soon`` targets) without an executor hop, and
   lock-owning classes written without their lock from handler-reachable
   code;
 - **RPL014** funnel escape: call paths from models/eval/serving into raw

@@ -16,8 +16,9 @@ selection, suppression and ordering, the CLI owns baselines.
   sanitizer.  Uniform-precision calls are never flagged; serving's
   deliberate all-float64 scoring stays clean.
 - **RPL013** (`graph-async-discipline`): blocking work (file I/O,
-  ``time.sleep``, persistence, subprocess) reachable from ``async def``
-  handlers in the serving layer without an executor hop
+  ``time.sleep``, persistence, subprocess) reachable from what the serving
+  event loop runs — ``async def`` handlers, ``asyncio`` protocol callbacks
+  and ``loop.call_soon`` targets — without an executor hop
   (``asyncio.to_thread`` / ``run_in_executor``); plus writes to attributes
   of lock-owning classes from handler-reachable code without the lock held.
 - **RPL014** (`graph-funnel-escape`): call paths from the consumer layers
@@ -326,15 +327,89 @@ def _blocking_witness(
     return witness
 
 
+#: ``asyncio`` protocol classes: the event loop calls their callbacks
+#: synchronously, so each callback runs on the loop like an ``async def``.
+_PROTOCOL_BASES = frozenset(
+    {
+        "asyncio.BaseProtocol",
+        "asyncio.Protocol",
+        "asyncio.BufferedProtocol",
+        "asyncio.DatagramProtocol",
+        "asyncio.SubprocessProtocol",
+    }
+)
+_PROTOCOL_CALLBACKS = frozenset(
+    {
+        "connection_made",
+        "connection_lost",
+        "data_received",
+        "eof_received",
+        "pause_writing",
+        "resume_writing",
+        "get_buffer",
+        "buffer_updated",
+        "datagram_received",
+        "error_received",
+        "pipe_data_received",
+        "pipe_connection_lost",
+        "process_exited",
+    }
+)
+
+#: Event-loop scheduling methods and the position of the callback each runs.
+_LOOP_CALLBACK_ARG = {"call_soon": 0, "call_soon_threadsafe": 0, "call_later": 1, "call_at": 1}
+
+
+def _is_protocol_callback(graph: ProgramGraph, fn: FnInfo) -> bool:
+    if fn.qualpath.rsplit(".", 1)[-1] not in _PROTOCOL_CALLBACKS:
+        return False
+    cls_fqn = graph.class_of_method(fn)
+    return cls_fqn is not None and any(
+        base in _PROTOCOL_BASES for base in graph.classes[cls_fqn].get("bases", [])
+    )
+
+
+def _scheduled_callbacks(graph: ProgramGraph, fn: FnInfo) -> List[str]:
+    """Project functions ``fn`` hands to ``loop.call_soon`` and its kin."""
+    out = []
+    for site in fn.summary.get("calls", []):
+        tspec = site.get("t", ["u"])
+        if tspec[0] != "m" or tspec[2] not in _LOOP_CALLBACK_ARG:
+            continue
+        args = site.get("args", [])
+        position = _LOOP_CALLBACK_ARG[tspec[2]]
+        if position >= len(args):
+            continue
+        ref = args[position]
+        # The callback is a value, not a call: read it as the call target
+        # it would be (`self._flush` as `self._flush()`).
+        as_target = {"a": ["m"] + ref[1:], "n": ["l"] + ref[1:], "q": ref}.get(ref[0])
+        if as_target is None:
+            continue
+        target = graph.resolve_target(fn, {"t": as_target})
+        if target.kind == "fn":
+            out.append(target.name)
+    return out
+
+
 def _handler_reachable(graph: ProgramGraph, config) -> Set[str]:
-    """Project functions reachable from serving-layer async handlers."""
-    roots = [
-        fn.fqn
+    """Project functions reachable from what runs on the serving event loop.
+
+    Roots are the functions under ``async_paths`` that the loop runs: every
+    ``async def``, every ``asyncio`` protocol callback (``data_received``
+    and its kin), and every function scheduled with ``loop.call_soon`` /
+    ``call_soon_threadsafe`` / ``call_later`` / ``call_at``.
+    """
+    serving = [
+        fn
         for fn in graph.iter_functions()
-        if fn.summary.get("async")
-        and _matches(fn.path, config.async_paths)
-        and not _matches(fn.path, config.exempt_paths)
+        if _matches(fn.path, config.async_paths) and not _matches(fn.path, config.exempt_paths)
     ]
+    roots = [
+        fn.fqn for fn in serving if fn.summary.get("async") or _is_protocol_callback(graph, fn)
+    ]
+    for fn in serving:
+        roots.extend(_scheduled_callbacks(graph, fn))
     seen: Set[str] = set(roots)
     queue = deque(roots)
     while queue:

@@ -23,10 +23,9 @@ from repro.analysis.lint.rules.base import Rule
 __all__ = ["AdHocPersistenceRule"]
 
 #: Fully-qualified numpy persistence entry points the funnel layers wrap.
-#: The memmap/fromfile family is included so out-of-core code (streamed
-#: traces, chunked builders) cannot grow private block formats on the side:
-#: block payloads go through ArtifactStore like every other array, keeping
-#: sha256 verification and atomic writes on the scale path too.
+#: The memmap/fromfile family is included so no code can grow a private
+#: on-disk array format on the side: payloads go through ArtifactStore like
+#: every other array, keeping sha256 verification and atomic writes.
 _PERSISTENCE_CALLS = frozenset(
     {
         "numpy.save",

@@ -7,22 +7,19 @@ sampling that pairs each observed interaction with an item the user has not
 consumed.
 """
 
-from repro.data.interactions import InteractionDataset, trace_to_interactions
-from repro.data.sampling import BPRSampler, ShardedBPRSampler, check_pair_key_space
-from repro.data.split import TrainTestSplit, per_user_split
-from repro.data.streaming import (
-    blocked_per_user_split,
-    streamed_trace_to_interactions,
+from repro.data.interactions import (
+    InteractionDataset,
+    check_pair_key_space,
+    trace_to_interactions,
 )
+from repro.data.sampling import BPRSampler
+from repro.data.split import TrainTestSplit, per_user_split
 
 __all__ = [
     "InteractionDataset",
     "trace_to_interactions",
-    "streamed_trace_to_interactions",
     "TrainTestSplit",
     "per_user_split",
-    "blocked_per_user_split",
     "BPRSampler",
-    "ShardedBPRSampler",
     "check_pair_key_space",
 ]

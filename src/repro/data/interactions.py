@@ -19,6 +19,7 @@ __all__ = [
     "InteractionDataset",
     "trace_to_interactions",
     "kcore_filter_masks",
+    "check_pair_key_space",
     "KCORE_MAX_ROUNDS",
 ]
 
@@ -114,6 +115,22 @@ def _is_sorted_pairs(users: np.ndarray, items: np.ndarray) -> bool:
     return bool(((step > 0) | (items[1:] >= items[:-1])).all())
 
 
+def check_pair_key_space(num_users: int, num_items: int) -> None:
+    """Guard the ``user * num_items + item`` key encoding against overflow.
+
+    The largest key is ``num_users * num_items - 1``; past ``2**63 - 1`` the
+    int64 product wraps silently and membership tests start comparing
+    garbage.  No plausible catalog gets there by accident, but a mistyped id
+    space does — fail loudly at construction, not probabilistically at
+    sample time.
+    """
+    if int(num_users) * int(num_items) - 1 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"user/item key space {num_users} * {num_items} overflows int64; "
+            "pair-membership keys (user * num_items + item) would wrap"
+        )
+
+
 #: Safety bound on k-core rounds.  Each round that does not converge drops at
 #: least one user or item, so ``max(num_users, num_items)`` rounds always
 #: suffice; this constant only exists to turn a logic bug into a loud error
@@ -122,7 +139,8 @@ KCORE_MAX_ROUNDS = 10_000
 
 
 def kcore_filter_masks(
-    pair_chunks,
+    users: np.ndarray,
+    items: np.ndarray,
     num_users: int,
     num_items: int,
     min_user_interactions: int,
@@ -131,30 +149,24 @@ def kcore_filter_masks(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Fixed point of the alternating item/user degree filter.
 
-    ``pair_chunks`` is a callable returning a fresh iterator of deduplicated
-    ``(users, items)`` array chunks; it is consumed twice per round (once per
-    degree recount), so scratch memory stays at degree-vector size however
-    large the pair set is.  Each round recounts item degrees over surviving
-    pairs, drops items below ``min_item_interactions``, then does the same
-    for users — the item-then-user order of the original single pass —
-    until neither mask changes.  Returns boolean ``(user_keep, item_keep)``.
+    ``users`` and ``items`` are the deduplicated pairs.  Each round recounts
+    item degrees over surviving pairs, drops items below
+    ``min_item_interactions``, then does the same for users — the
+    item-then-user order of the original single pass — until neither mask
+    changes.  Returns boolean ``(user_keep, item_keep)``.
     """
     user_keep = np.ones(num_users, dtype=bool)
     item_keep = np.ones(num_items, dtype=bool)
     for _ in range(max_rounds):
         changed = False
-        item_deg = np.zeros(num_items, dtype=np.int64)
-        for users, items in pair_chunks():
-            alive = user_keep[users] & item_keep[items]
-            item_deg += np.bincount(items[alive], minlength=num_items)
+        alive = user_keep[users] & item_keep[items]
+        item_deg = np.bincount(items[alive], minlength=num_items)
         new_item = item_keep & (item_deg >= min_item_interactions)
         if not np.array_equal(new_item, item_keep):
             item_keep = new_item
             changed = True
-        user_deg = np.zeros(num_users, dtype=np.int64)
-        for users, items in pair_chunks():
-            alive = user_keep[users] & item_keep[items]
-            user_deg += np.bincount(users[alive], minlength=num_users)
+        alive = user_keep[users] & item_keep[items]
+        user_deg = np.bincount(users[alive], minlength=num_users)
         new_user = user_keep & (user_deg >= min_user_interactions)
         if not np.array_equal(new_user, user_keep):
             user_keep = new_user
@@ -188,9 +200,11 @@ def trace_to_interactions(
     """
     if min_user_interactions < 1 or min_item_interactions < 1:
         raise ValueError("minimum interaction counts must be >= 1")
+    check_pair_key_space(trace.num_users, trace.num_objects)
     users, items = trace.unique_pairs()
     user_keep, item_keep = kcore_filter_masks(
-        lambda: iter([(users, items)]),
+        users,
+        items,
         trace.num_users,
         trace.num_objects,
         min_user_interactions,

@@ -15,41 +15,31 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.data.interactions import InteractionDataset
+from repro.data.interactions import InteractionDataset, check_pair_key_space
 from repro.utils.rng import ensure_rng
 
-__all__ = ["BPRSampler", "ShardedBPRSampler", "check_pair_key_space"]
-
-
-def check_pair_key_space(num_users: int, num_items: int) -> None:
-    """Guard the ``user * num_items + item`` key encoding against overflow.
-
-    The largest key is ``num_users * num_items - 1``; past ``2**63 - 1`` the
-    int64 product wraps silently and membership tests start comparing
-    garbage.  No plausible catalog gets there by accident, but a mistyped id
-    space does — fail loudly at construction, not probabilistically at
-    sample time.
-    """
-    if int(num_users) * int(num_items) - 1 > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"user/item key space {num_users} * {num_items} overflows int64; "
-            "pair-membership keys (user * num_items + item) would wrap"
-        )
+__all__ = ["BPRSampler"]
 
 
 def _sorted_membership(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Vectorized ``keys ∈ sorted_keys`` via searchsorted.
 
-    An empty key array returns all-False: the old clip-then-compare probe
-    clipped the searchsorted index to ``-1`` and fancy-indexed whatever lived
-    past the end — unreachable when samplers reject empty datasets, but any
-    empty user shard of :class:`ShardedBPRSampler` hits it.
+    The queries are looked up in ascending order: on a training-set-sized
+    key array, a sorted sweep touches neighbouring cache lines where an
+    unsorted one misses on nearly every probe, and the ``argsort`` of one
+    batch costs far less than the misses.  An empty key array returns
+    all-False instead of fancy-indexing past its end.
     """
+    keys = np.asarray(keys)
     if sorted_keys.size == 0:
-        return np.zeros(np.asarray(keys).shape, dtype=bool)
-    idx = np.searchsorted(sorted_keys, keys)
-    idx = np.minimum(idx, len(sorted_keys) - 1)
-    return sorted_keys[idx] == keys
+        return np.zeros(keys.shape, dtype=bool)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    idx = np.searchsorted(sorted_keys, ordered)
+    np.minimum(idx, len(sorted_keys) - 1, out=idx)
+    found = np.empty(keys.shape, dtype=bool)
+    found[order] = sorted_keys[idx] == ordered
+    return found
 
 
 class BPRSampler:
@@ -89,12 +79,16 @@ class BPRSampler:
         Bounded rejection sampling: any entry still positive after
         ``max_rejection_rounds`` redraws keeps its last random item (only
         reachable for users whose positives cover the whole catalog).
+        Only the entries a round redrew are tested again — the others kept
+        a negative that already passed — and they are redrawn in ascending
+        batch position, so the random numbers land where a full re-test of
+        the batch would put them.
         """
-        bad = self.is_positive(users, neg)
+        redraw = np.flatnonzero(self.is_positive(users, neg))
         rounds = 0
-        while bad.any() and rounds < self.max_rejection_rounds:
-            neg[bad] = rng.integers(0, self.data.num_items, size=int(bad.sum()))
-            bad = self.is_positive(users, neg)
+        while redraw.size and rounds < self.max_rejection_rounds:
+            neg[redraw] = rng.integers(0, self.data.num_items, size=redraw.size)
+            redraw = redraw[self.is_positive(users[redraw], neg[redraw])]
             rounds += 1
         return neg
 
@@ -115,114 +109,3 @@ class BPRSampler:
             neg = rng.integers(0, self.data.num_items, size=len(pick))
             yield users, pos, self._reject_negatives(users, neg, rng)
 
-
-class ShardedBPRSampler:
-    """BPR sampler over contiguous user shards with shard-local key arrays.
-
-    :class:`BPRSampler` keeps one sorted key per training interaction — fine
-    until the training set itself is the memory budget.  This sampler visits
-    users in contiguous shards of ``users_per_shard`` and builds each shard's
-    membership keys lazily from the dataset's CSR slice
-    (``user_offsets[lo:hi]``): because interactions are sorted by (user,
-    item), the slice's ``user * num_items + item`` keys are already sorted
-    and cost one shard's worth of scratch, freed when the shard completes.
-    The global sorted key array is never materialized.
-
-    An epoch still covers every interaction exactly once: shards are visited
-    in ascending order and each shard's interactions in a fresh random
-    permutation.  (The trade against :class:`BPRSampler` is permutation
-    locality — batches mix users within one shard rather than globally —
-    which leaves BPR's per-interaction gradient unbiased.)
-    """
-
-    def __init__(
-        self,
-        data: InteractionDataset,
-        users_per_shard: int = 8192,
-        max_rejection_rounds: int = 50,
-    ):
-        if len(data) == 0:
-            raise ValueError("cannot sample from an empty interaction dataset")
-        if users_per_shard <= 0:
-            raise ValueError(f"users_per_shard must be positive, got {users_per_shard}")
-        check_pair_key_space(data.num_users, data.num_items)
-        self.data = data
-        self.users_per_shard = int(users_per_shard)
-        self.max_rejection_rounds = max_rejection_rounds
-        self.num_shards = -(-data.num_users // self.users_per_shard)
-
-    def shard_users(self, shard: int) -> Tuple[int, int]:
-        """The user id range ``[lo, hi)`` of one shard."""
-        if not 0 <= shard < self.num_shards:
-            raise IndexError(f"shard {shard} out of range [0, {self.num_shards})")
-        lo = shard * self.users_per_shard
-        return lo, min(lo + self.users_per_shard, self.data.num_users)
-
-    def shard_records(self, shard: int) -> Tuple[int, int]:
-        """The interaction index range ``[lo, hi)`` of one shard's users."""
-        user_lo, user_hi = self.shard_users(shard)
-        return int(self.data.user_offsets[user_lo]), int(self.data.user_offsets[user_hi])
-
-    def shard_keys(self, shard: int) -> np.ndarray:
-        """Sorted membership keys of one shard (shard-sized scratch)."""
-        lo, hi = self.shard_records(shard)
-        return self.data.user_ids[lo:hi] * np.int64(self.data.num_items) + self.data.item_ids[
-            lo:hi
-        ]
-
-    def shard_is_positive(
-        self, shard: int, users: np.ndarray, items: np.ndarray
-    ) -> np.ndarray:
-        """Membership test against one shard's keys.
-
-        Callers must pass users belonging to the shard — pairs of foreign
-        users always test False (their keys cannot appear in this slice).
-        An empty shard (users with no training interactions) is all-False.
-        """
-        keys = np.asarray(users, dtype=np.int64) * np.int64(self.data.num_items) + np.asarray(
-            items, dtype=np.int64
-        )
-        return _sorted_membership(self.shard_keys(shard), keys)
-
-    def _reject_negatives(
-        self,
-        keys: np.ndarray,
-        users: np.ndarray,
-        neg: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        num_items = self.data.num_items
-        bad = _sorted_membership(keys, users * np.int64(num_items) + neg)
-        rounds = 0
-        while bad.any() and rounds < self.max_rejection_rounds:
-            neg[bad] = rng.integers(0, num_items, size=int(bad.sum()))
-            bad = _sorted_membership(keys, users * np.int64(num_items) + neg)
-            rounds += 1
-        return neg
-
-    def _shard_batches(
-        self, shard: int, batch_size: int, rng: np.random.Generator
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """One shard's batches: a fresh permutation of its interactions,
-        negatives rejection-sampled per batch against its membership keys."""
-        rec_lo, rec_hi = self.shard_records(shard)
-        if rec_hi == rec_lo:
-            return
-        keys = self.shard_keys(shard)
-        order = rng.permutation(rec_hi - rec_lo) + rec_lo
-        for start in range(0, len(order), batch_size):
-            pick = order[start : start + batch_size]
-            users = self.data.user_ids[pick]
-            pos = self.data.item_ids[pick]
-            neg = rng.integers(0, self.data.num_items, size=len(pick))
-            yield users, pos, self._reject_negatives(keys, users, neg, rng)
-
-    def epoch_batches(
-        self, batch_size: int, seed=0
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield one epoch of (users, pos, neg) batches, shard by shard."""
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        rng = ensure_rng(seed)
-        for shard in range(self.num_shards):
-            yield from self._shard_batches(shard, batch_size, rng)

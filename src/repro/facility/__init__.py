@@ -40,7 +40,6 @@ from repro.facility.catalog import (
 from repro.facility.gage import GAGEConfig, build_gage_catalog
 from repro.facility.geo import GeoPoint, Region, haversine_km
 from repro.facility.ooi import OOIConfig, build_ooi_catalog
-from repro.facility.stream import TraceBlock, TraceReader, load_trace_stream, stream_trace
 from repro.facility.trace import QueryTrace, TraceGenerator, generate_trace
 from repro.facility.users import Organization, UserPopulation, build_user_population
 
@@ -65,8 +64,4 @@ __all__ = [
     "QueryTrace",
     "TraceGenerator",
     "generate_trace",
-    "TraceBlock",
-    "TraceReader",
-    "stream_trace",
-    "load_trace_stream",
 ]

@@ -43,6 +43,12 @@ __all__ = ["AffinityModel", "OOI_AFFINITY", "GAGE_AFFINITY"]
 #: than one block of all keys, and 1.3x faster than 2**14 or 2**15 cells.
 _MIXTURE_BLOCK_CELLS = 1 << 13
 
+#: Fewest keys in a block.  On a catalog of thousands of objects the cell
+#: budget alone allows one or two keys per block, and then the per-block
+#: Python overhead outweighs any cache gain (the scale recipe's 3,287
+#: objects would take ~1,500 blocks).  OOI full keeps its 10 keys a block.
+_MIXTURE_BLOCK_MIN_KEYS = 8
+
 
 @dataclasses.dataclass(frozen=True)
 class AffinityModel:
@@ -164,7 +170,8 @@ class AffinityModel:
         """Expected item distributions of K (region, dtype[, site]) keys, shape (K, N).
 
         One broadcast over (key, object), run in key blocks of at most
-        ``_MIXTURE_BLOCK_CELLS`` cells so the temporaries stay small on
+        ``_MIXTURE_BLOCK_CELLS`` cells (but at least
+        ``_MIXTURE_BLOCK_MIN_KEYS`` keys) so the temporaries stay small on
         catalogs with thousands of keys.  A row does not depend on its
         block: its elementwise steps run in the one-key order, and a row sum
         over the last axis of a C-contiguous block is the 1-D sum of that
@@ -178,7 +185,7 @@ class AffinityModel:
         free = pop / pop.sum()
         pr, pd = self.p_region, self.p_dtype
         out = np.empty((len(regions), n), dtype=np.float64)
-        block = max(1, _MIXTURE_BLOCK_CELLS // max(n, 1))
+        block = max(_MIXTURE_BLOCK_MIN_KEYS, _MIXTURE_BLOCK_CELLS // max(n, 1))
         for lo in range(0, len(regions), block):
             keys = slice(lo, lo + block)
             # Boolean masks multiply as 0.0/1.0, so these products are the

@@ -25,8 +25,6 @@ __all__ = [
     "QueryTrace",
     "TraceGenerator",
     "generate_trace",
-    "categorical_cdfs",
-    "draw_from_cdfs",
     "draw_categorical",
     "sorted_unique_pairs",
 ]
@@ -57,8 +55,19 @@ def sorted_unique_pairs(
     return keys // num_objects, keys % num_objects
 
 
-def categorical_cdfs(rows: np.ndarray) -> np.ndarray:
-    """``Generator.choice``'s ``cdf = p.cumsum(); cdf /= cdf[-1]`` for each of ``rows``.
+def draw_categorical(
+    rows: np.ndarray, row_of_record: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """For each record ``i``, one draw from the categorical ``rows[row_of_record[i]]``.
+
+    Bit-identical to ``rng.choice(N, p=rows[row_of_record[i]])`` run record
+    by record (or per user, over each user's run of records), and consumes
+    ``rng`` the same way.  With replacement and ``p``, ``choice`` searches
+    ``cdf = p.cumsum(); cdf /= cdf[-1]`` with side ``"right"`` for
+    ``random(size)`` draws, and consecutive ``random`` calls consume the
+    stream exactly as one call over their concatenation.  So one
+    ``random(len(row_of_record))`` call, then one ``searchsorted`` per row
+    that has records, over their draws, gives the same objects.
 
     Rows get ``choice``'s checks on ``p``: a negative or non-finite entry,
     or a sum off 1 by more than ``sqrt(eps)``, raises ``ValueError``.
@@ -73,13 +82,6 @@ def categorical_cdfs(rows: np.ndarray) -> np.ndarray:
         raise ValueError("probabilities do not sum to 1")
     cdfs = rows.cumsum(axis=1)
     cdfs /= cdfs[:, -1:].copy()
-    return cdfs
-
-
-def draw_from_cdfs(
-    cdfs: np.ndarray, row_of_record: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """:func:`draw_categorical` over a table :func:`categorical_cdfs` built once."""
     draws = rng.random(len(row_of_record))
     by_row = np.argsort(row_of_record, kind="stable")
     counts = np.bincount(row_of_record, minlength=len(cdfs))
@@ -90,25 +92,6 @@ def draw_from_cdfs(
         records = by_row[start:end]
         out[records] = cdfs[row].searchsorted(draws[records], side="right")
     return out
-
-
-def draw_categorical(
-    rows: np.ndarray, row_of_record: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """For each record ``i``, one draw from the categorical ``rows[row_of_record[i]]``.
-
-    Bit-identical to ``rng.choice(N, p=rows[row_of_record[i]])`` run record
-    by record (or per user, over each user's run of records), and consumes
-    ``rng`` the same way.  With replacement and ``p``, ``choice`` searches
-    ``cdf = p.cumsum(); cdf /= cdf[-1]`` with side ``"right"`` for
-    ``random(size)`` draws, and consecutive ``random`` calls consume the
-    stream exactly as one call over their concatenation.  So one
-    ``random(len(row_of_record))`` call, then one ``searchsorted`` per row
-    that has records, over their draws, gives the same objects.  The
-    streamed trace builds the table once (:func:`categorical_cdfs`) and
-    draws per chunk (:func:`draw_from_cdfs`).
-    """
-    return draw_from_cdfs(categorical_cdfs(rows), row_of_record, rng)
 
 
 @dataclasses.dataclass

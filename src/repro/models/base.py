@@ -143,7 +143,6 @@ class Recommender:
         checkpoint_path: Optional[PathLike] = None,
         resume_from: Optional[PathLike] = None,
         logger: Optional[RunLogger] = None,
-        sampler: Optional[object] = None,
     ) -> FitResult:
         """Train with epoch-wise BPR minibatches and Adam.
 
@@ -175,11 +174,6 @@ class Recommender:
         logger:
             Optional :class:`~repro.utils.telemetry.RunLogger`; emits one
             JSONL event per epoch plus run/eval/checkpoint events.
-        sampler:
-            Optional replacement for the default
-            :class:`~repro.data.sampling.BPRSampler`; anything exposing
-            ``epoch_batches(batch_size, seed)`` yielding (users, pos, neg)
-            triples works.
         """
         return TrainEngine(self).fit(
             train,
@@ -189,7 +183,6 @@ class Recommender:
             checkpoint_path=checkpoint_path,
             resume_from=resume_from,
             logger=logger,
-            sampler=sampler,
         )
 
     # ------------------------------------------------------------ inference

@@ -242,21 +242,12 @@ class TrainEngine:
         checkpoint_path: Optional[PathLike] = None,
         resume_from: Optional[PathLike] = None,
         logger: Optional[RunLogger] = None,
-        sampler: Optional[object] = None,
     ) -> FitResult:
-        """Train ``self.model``; see ``Recommender.fit`` for the parameters.
-
-        ``train`` may be ``None`` when an explicit ``sampler`` is supplied.
-        """
+        """Train ``self.model``; see ``Recommender.fit`` for the parameters."""
         model = self.model
         config = config or FitConfig()
-        if train is None and sampler is None:
-            raise ValueError("fit needs a training dataset or an explicit sampler")
-        if (
-            train is not None
-            and hasattr(train, "num_users")
-            and hasattr(model, "num_users")
-            and (train.num_users != model.num_users or train.num_items != model.num_items)
+        if hasattr(model, "num_users") and (
+            train.num_users != model.num_users or train.num_items != model.num_items
         ):
             raise ValueError(
                 f"dataset shape ({train.num_users}×{train.num_items}) does not match model "
@@ -275,13 +266,9 @@ class TrainEngine:
         if checkpoint_every > 0 and checkpoint_path is None:
             raise ValueError("checkpoint_every > 0 requires checkpoint_path")
         rng = ensure_rng(config.seed)
-        # An injected sampler only needs epoch_batches(batch_size, seed) —
-        # e.g. data.ShardedBPRSampler, whose shard-local membership keys keep
-        # million-user training sets out of the global-key memory regime.
-        if sampler is None:
-            from repro.data.sampling import BPRSampler  # deferred: keeps layering acyclic
+        from repro.data.sampling import BPRSampler  # deferred: keeps layering acyclic
 
-            sampler = BPRSampler(train)
+        sampler = BPRSampler(train)
         params = model.parameters()
         keys = parameter_keys(params)
         optimizer = Adam(params, lr=config.lr)

@@ -176,3 +176,40 @@ class TestTable4And5Harnesses:
         results, text = tables.table3(datasets=[small_ooi], epochs=2, seed=0)
         assert len(results) == len(tables.TABLE3_COMBINATIONS)
         assert "Table III" in text
+
+
+class TestScalePipelineSmoke:
+    def test_tiny_end_to_end(self):
+        from repro.experiments.scale import run_scale_pipeline
+
+        num_users = 600
+        stats = run_scale_pipeline(
+            num_users=num_users,
+            num_orgs=30,
+            num_cities=10,
+            num_sites=30,
+            queries_per_user_mean=20.0,
+            min_user_interactions=2,
+            dim=4,
+            batch_size=256,
+            epochs=1,
+            eval_users=100,
+            seed=11,
+        )
+        assert stats["num_interactions"] > 0
+        assert set(stats["phases"]) == {
+            "facility",
+            "trace",
+            "interactions",
+            "split",
+            "train",
+            "eval",
+        }
+        assert stats["peak_rss_mb"] > 0
+        assert all(np.isfinite(v) for v in stats["metrics"].values())
+        # The evaluated users are spread over the whole id range, not the
+        # lowest ids.
+        evaluated = stats["phases"]["eval"]
+        assert evaluated["users"] == 100
+        lo, hi = evaluated["user_range"]
+        assert lo < num_users // 10 and hi >= num_users - num_users // 10

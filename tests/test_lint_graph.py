@@ -337,3 +337,38 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert "no longer matches" in captured.err
+
+
+# ------------------------------------------------ RPL013 on the real server
+@pytest.mark.parametrize(
+    "anchor",
+    [
+        # An asyncio.Protocol callback: every request starts here.
+        "    def data_received(self, data: bytes) -> None:\n",
+        # A loop.call_soon target: every /recommend batch is scored here.
+        "    def _flush(self) -> None:\n",
+    ],
+    ids=["protocol_callback", "call_soon_target"],
+)
+def test_rpl013_flags_sleep_planted_in_server_loop_callback(tmp_path, anchor):
+    """A ``time.sleep`` in a sync function the event loop runs is flagged.
+
+    The serving package is copied and the sleep planted at the first line
+    of the method's body; the rest of the copy is the shipped code.
+    """
+    pkg = tmp_path / "repro"
+    shutil.copytree(REPO_ROOT / "src" / "repro" / "serving", pkg / "serving")
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    server = pkg / "serving" / "server.py"
+    source = server.read_text(encoding="utf-8")
+    body = source.index(anchor) + len(anchor)
+    if source[body:].lstrip().startswith('"""'):  # plant after the docstring
+        opening = source.index('"""', body)
+        body = source.index("\n", source.index('"""', opening + 3)) + 1
+    planted = source[:body] + "        time.sleep(0.01)\n" + source[body:]
+    server.write_text(planted, encoding="utf-8")
+    line = planted[:body].count("\n") + 1
+
+    report = run_lint([pkg], config=LintConfig(), cache_path=None)
+    hits = {(pathlib.Path(f.path).name, f.line) for f in report.findings if f.code == "RPL013"}
+    assert ("server.py", line) in hits

@@ -144,10 +144,6 @@ class TestExecutorFingerprint:
 
 
 class TestEngineValidation:
-    def test_needs_data_or_sampler(self):
-        with pytest.raises(ValueError, match="training dataset or an explicit sampler"):
-            TrainEngine(BPRMF(4, 5, dim=2)).fit(None, FitConfig(epochs=1))
-
     def test_shape_mismatch(self, tiny_data):
         with pytest.raises(ValueError, match="does not match model"):
             BPRMF(41, 60, dim=4).fit(tiny_data, FitConfig(epochs=1))

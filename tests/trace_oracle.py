@@ -1,25 +1,19 @@
-"""Reference trace draws: the per-key mixture loop and one ``rng.choice`` per user or record.
+"""Reference trace draws: the per-key mixture loop and one ``rng.choice`` per user.
 
 ``AffinityModel.unique_user_mixtures`` builds every mixture row in one
 broadcast, and ``TraceGenerator.generate`` draws every record from one
 ``random`` call.  These are the loops they replaced, kept verbatim as the
 independent check that the batched code is bit-identical
 (``tests/test_ingest_bit_identity.py``) and as the baseline of the draw's
-speed gate (``benchmarks/test_bench_ingest.py``).  :func:`stream` is the
-same kind of reference for the streamed trace (``repro.facility.stream``):
-one ``rng.choice`` per record on each chunk's child RNG
-(``tests/test_streaming.py`` and the stream's gate).  Test code only.
+speed gate (``benchmarks/test_bench_ingest.py``).  Test code only.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import math
-
 import numpy as np
 
-from repro.facility import stream as facility_stream
 from repro.facility.affinity import AffinityModel
 from repro.facility.catalog import FacilityCatalog
 from repro.facility.trace import SECONDS_PER_YEAR, QueryTrace, TraceGenerator
@@ -116,46 +110,3 @@ def generate(generator: TraceGenerator, seed=0) -> QueryTrace:
         num_objects=num_objects,
     )
 
-
-def stream(
-    catalog: FacilityCatalog,
-    population: UserPopulation,
-    affinity: AffinityModel,
-    seed: int,
-    queries_per_user_mean: float,
-    lognormal_sigma: float = 1.2,
-) -> QueryTrace:
-    """``stream_trace``'s records, materialized, with one ``rng.choice`` per record.
-
-    Chunk by chunk on the stream's child RNGs: the per-user lognormal
-    counts, then one ``rng.choice(N, p=row)`` per record in user-major
-    order, then the timestamps, sorted within each user.
-    """
-    gen_chunk = facility_stream.GEN_CHUNK
-    rows, inverse = unique_user_mixtures(
-        affinity,
-        catalog,
-        population,
-        facility_stream._stream_rng(seed, facility_stream._KIND_MIXTURE, 0),
-    )
-    num_users, num_objects = population.num_users, catalog.num_objects
-    mu = np.log(queries_per_user_mean) - 0.5 * lognormal_sigma**2
-    users, objects, stamps = [], [], []
-    for index in range(math.ceil(num_users / gen_chunk)):
-        lo, hi = index * gen_chunk, min((index + 1) * gen_chunk, num_users)
-        rng = facility_stream._stream_rng(seed, facility_stream._KIND_CHUNK, index)
-        counts = np.ceil(rng.lognormal(mu, lognormal_sigma, size=hi - lo)).astype(np.int64)
-        counts = np.maximum(counts, 1)
-        chunk_users = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-        chunk_objects = np.array(
-            [rng.choice(num_objects, p=rows[inverse[u]]) for u in chunk_users.tolist()],
-            dtype=np.int64,
-        )
-        chunk_stamps = rng.uniform(0.0, SECONDS_PER_YEAR, size=len(chunk_users))
-        users.append(chunk_users)
-        objects.append(chunk_objects)
-        stamps.append(chunk_stamps[np.lexsort((chunk_stamps, chunk_users))])
-    return QueryTrace(
-        np.concatenate(users), np.concatenate(objects), np.concatenate(stamps),
-        num_users, num_objects,
-    )
