@@ -4,14 +4,22 @@ How much faster is the loop-free evaluator than the per-user-loop baseline
 it replaced (``_per_user_loop`` below), on a synthetic dataset big enough to
 expose the asymptotics (2k+ users)?  ``test_vectorized_speedup`` asserts
 ≥ 3× and agreement to 1e-12; it carries the ``gate_smoke`` marker, so
-``make bench-smoke`` runs it.  The pytest-benchmark cases track both paths'
-absolute times.
+``make bench-smoke`` runs it.  It times both paths in a fresh subprocess
+with one BLAS/OpenMP thread (run as a script, this file prints that
+measurement), so the thread pools and heap other benchmarks leave in the
+pytest process do not move it.  The pytest-benchmark cases track both
+paths' absolute times.
 
 Run with ``pytest benchmarks/test_bench_eval.py --benchmark-only`` for the
 tracked numbers; the speedup assertion also runs in plain mode.
 """
 
+import json
+import os
+import pathlib
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -21,6 +29,8 @@ from conftest import write_bench_json, write_result
 
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import EvaluationResult, RankingEvaluator
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 N_USERS = 2048
 N_ITEMS = 1200
@@ -105,44 +115,78 @@ def _time(fn):
     return time.perf_counter() - t0, value
 
 
-@pytest.mark.gate_smoke
-def test_vectorized_speedup(eval_problem):
-    """The loop-free path must beat the per-user loop by ≥ 3×."""
-    train, test, scorer = eval_problem
+def _interleaved_times(seed: int = 0) -> dict:
+    """Per-round seconds of the per-user loop and the vectorized path.
+
+    Each side gets an untimed warm-up, so neither pays the cold start; the
+    rounds interleave the two, so machine drift hits both sides.
+    """
+    train, test, scorer = _synthetic_eval_problem(seed)
     ev = RankingEvaluator(train, test, k=20)
-    # Untimed warm-up of each side, so neither timed side pays the cold start.
     _per_user_loop(ev, scorer)
     ev.evaluate(scorer)
     times = {"legacy": [], "fast": []}
-    for _ in range(ROUNDS):  # interleaved so machine drift hits both sides
+    for _ in range(ROUNDS):
         elapsed, legacy = _time(lambda: _per_user_loop(ev, scorer))
         times["legacy"].append(elapsed)
         elapsed, fast = _time(lambda: ev.evaluate(scorer))
         times["fast"].append(elapsed)
-    t_legacy = statistics.median(times["legacy"])
-    t_fast = statistics.median(times["fast"])
-    assert abs(fast.recall - legacy.recall) < 1e-12
-    assert abs(fast.ndcg - legacy.ndcg) < 1e-12
-    assert fast.num_users == legacy.num_users
+    return {
+        "legacy_seconds_all": times["legacy"],
+        "fast_seconds_all": times["fast"],
+        "recall_gap": abs(fast.recall - legacy.recall),
+        "ndcg_gap": abs(fast.ndcg - legacy.ndcg),
+        "num_users": [fast.num_users, legacy.num_users],
+        "recall": fast.recall,
+        "ndcg": fast.ndcg,
+    }
+
+
+@pytest.mark.gate_smoke
+def test_vectorized_speedup():
+    """The loop-free path must beat the per-user loop by ≥ 3×.
+
+    Measured by :func:`_interleaved_times` in a fresh subprocess with one
+    BLAS/OpenMP thread.
+    """
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, __file__],
+        env=env,
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    stats = json.loads(proc.stdout)
+    assert stats["recall_gap"] < 1e-12
+    assert stats["ndcg_gap"] < 1e-12
+    assert stats["num_users"][0] == stats["num_users"][1]
+    t_legacy = statistics.median(stats["legacy_seconds_all"])
+    t_fast = statistics.median(stats["fast_seconds_all"])
     speedup = t_legacy / t_fast
     write_result(
         "bench_eval_vectorized",
-        f"full-ranking evaluation, {N_USERS} users x {N_ITEMS} items, k=20\n"
+        f"full-ranking evaluation, {N_USERS} users x {N_ITEMS} items, k=20, 1 BLAS thread\n"
         f"  per-user loop : {t_legacy * 1e3:8.1f} ms  (median of {ROUNDS})\n"
         f"  vectorized    : {t_fast * 1e3:8.1f} ms  ({speedup:.1f}x)\n"
-        f"  recall@20={fast.recall:.4f} ndcg@20={fast.ndcg:.4f}",
+        f"  recall@20={stats['recall']:.4f} ndcg@20={stats['ndcg']:.4f}",
     )
     write_bench_json(
         "eval",
         {
             "legacy_seconds": t_legacy,
             "fast_seconds": t_fast,
-            "legacy_seconds_all": times["legacy"],
-            "fast_seconds_all": times["fast"],
+            "legacy_seconds_all": stats["legacy_seconds_all"],
+            "fast_seconds_all": stats["fast_seconds_all"],
             "speedup": speedup,
             "gate": 3.0,
             "users": N_USERS,
             "items": N_ITEMS,
+            "blas_threads": 1,
         },
     )
     assert speedup >= 3.0, f"vectorized path only {speedup:.2f}x faster than legacy"
@@ -161,3 +205,7 @@ def test_bench_eval_vectorized(benchmark, eval_problem):
     result = benchmark(ev.evaluate, scorer)
     assert result.num_users == N_USERS
 
+
+
+if __name__ == "__main__":
+    print(json.dumps(_interleaved_times()))

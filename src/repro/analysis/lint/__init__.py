@@ -1,8 +1,8 @@
 """reprolint — project-aware static analysis for the reproduction.
 
 One engine, one parse per file.  The lexical rules are visitors over that
-parse; the interprocedural rules run over a program graph built from the
-per-module summaries extracted from the same parse:
+parse; the one interprocedural rule runs over a program graph built from
+the per-module summaries extracted from the same parse:
 
 - **RPL000** the file does not parse (a finding, not an internal error);
 - **RPL001/RPL002** seeded randomness: no legacy global ``np.random`` state
@@ -14,15 +14,20 @@ per-module summaries extracted from the same parse:
 - **RPL007** tape-safe ``Tensor.data`` mutation;
 - **RPL008** no ``np.add.at`` scatter in the gradient engine;
 - **RPL009** raw numpy save/load only inside the persistence funnels;
-- **RPL010** kernel consumers import ``repro.kernels.dispatch`` only;
-- **RPL011** (graph) unseeded RNG values reaching determinism sinks;
-- **RPL012** (graph) float64/float32 mixing at fast-path calls;
+- **RPL010** code outside ``repro/kernels/`` imports
+  ``repro.kernels.dispatch`` only;
 - **RPL013** (graph) blocking work or unlocked writes reachable from
   serving event-loop code (``async def``, protocol callbacks,
   ``call_soon`` targets);
-- **RPL014** (graph) call paths escaping the kernel/persistence funnels
-  through helpers;
 - **RPL015** optimizers are driven by the training engine, not model code.
+
+Each rule has a tier-1 test that plants its bug in a copy of a real
+``src/`` file (``tests/test_lint_rules.py``, ``tests/test_lint_graph.py``).
+Unseeded generators reaching a model, float64/float32 mixing and helpers
+that reach around the funnels have no graph rule, because something else
+catches each: ``ensure_rng`` rejects a ``None`` seed, the sanitizer's
+upcast check trains CKAT in tier-1, and RPL009/RPL010 flag the helper's
+own line (DESIGN §12 has the audit).
 
 :func:`run_lint` caches each file's parse results (module summary,
 suppression map, lexical findings) by content hash, so a warm run parses

@@ -32,8 +32,7 @@ class LintConfig:
     rules alike).
 
     ``*_paths`` fields are substring matches against the posix-normalized
-    file path; ``*_modules`` fields are dotted-module prefixes.  An empty
-    tuple disables the corresponding gate.
+    file path.  An empty tuple disables the corresponding gate.
     """
 
     select: Optional[FrozenSet[str]] = None
@@ -43,7 +42,7 @@ class LintConfig:
     exempt_paths: Tuple[str, ...] = ("tests/", "fixtures/", "conftest")
     """Test and fixture code, which may pin seeds, use throwaway generators
     or block freely: the randomness and funnel rules skip these files, and
-    graph findings are never reported at call sites inside them."""
+    RPL013 findings are never reported at call sites inside them."""
 
     dtype_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/")
     """Paths on the float32-sensitive fast path where RPL004 requires every
@@ -71,35 +70,20 @@ class LintConfig:
     step scheduling and checkpointed optimizer state); auxiliary phases use
     the engine's step callable."""
 
-    kernel_consumer_paths: Tuple[str, ...] = ("models/", "eval/", "serving/")
-    """Layers that must stay behind the kernel/persistence funnels.  RPL010
-    requires every ``repro.kernels`` import here to name ``dispatch`` — the
-    oracle fallback and the ops the op registry instruments (its
-    ``TENSOR_OPS``) live there, and raw backend imports silently bypass both (``serving/`` scores every
-    request through the same funnel, so its ranking stays bit-identical to
-    offline evaluation).  RPL014 follows call paths out of these layers
-    into raw backends or the ``np.save`` family through helpers."""
-
-    taint_sink_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/", "serving/")
-    """RPL011: functions defined here are determinism-sensitive sinks — an
-    unseeded RNG argument reaching them is a violation."""
-
-    dtype_sink_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/", "kernels/dispatch")
-    """RPL012: calls into functions defined here are checked for mixed
-    float64/float32 arguments."""
+    kernel_paths: Tuple[str, ...] = ("repro/kernels/",)
+    """The kernel package, the only place that may import a raw backend.
+    Everywhere else RPL010 requires every ``repro.kernels`` import to name
+    ``dispatch``: the oracle fallback and the ops the op registry
+    instruments (its ``TENSOR_OPS``) live there, and a raw backend import
+    silently bypasses both — directly in a model, or through a helper in
+    ``utils/`` that a model calls (``serving/`` scores every request
+    through the same funnel, so its ranking stays bit-identical to offline
+    evaluation)."""
 
     async_paths: Tuple[str, ...] = ("serving/",)
     """RPL013: ``async def`` functions, ``asyncio`` protocol callbacks and
     ``loop.call_soon`` targets here run on the event loop; blocking work
     they reach is reported at the last call site inside these paths."""
-
-    funnel_modules: Tuple[str, ...] = ("repro.io", "repro.store", "repro.kernels.dispatch")
-    """RPL014: sanctioned funnel modules (dotted prefixes) — escape
-    propagation stops here."""
-
-    kernel_backend_modules: Tuple[str, ...] = ("repro.kernels.numpy_backend",)
-    """RPL014: raw kernel implementations (dotted prefixes); calling these
-    directly bypasses the oracle fallback and the instrumentation."""
 
 
 DEFAULT_CONFIG = LintConfig()
@@ -112,7 +96,9 @@ def _matches(path: str, needles: Tuple[str, ...]) -> bool:
 class LintContext:
     """Mutable per-file state handed to every rule invocation."""
 
-    def __init__(self, path: str, tree: ast.AST, config: LintConfig = DEFAULT_CONFIG):
+    def __init__(
+        self, path: str, aliases: Dict[str, str], config: LintConfig = DEFAULT_CONFIG
+    ):
         self.path = path.replace("\\", "/")
         self.config = config
         self.findings: List[Finding] = []
@@ -123,7 +109,9 @@ class LintContext:
         #: ids of Call.func nodes, so attribute rules can skip expressions
         #: already examined as call targets (avoids double reports).
         self.call_func_ids: Set[int] = set()
-        self.aliases = collect_aliases(tree)
+        #: the module's import-alias table (:func:`collect_aliases`), built
+        #: once per file and shared with the module summary
+        self.aliases = aliases
 
     # ----------------------------------------------------------- path policy
     @property
@@ -147,8 +135,8 @@ class LintContext:
         return _matches(self.path, self.config.persistence_paths)
 
     @property
-    def in_kernel_consumer_path(self) -> bool:
-        return _matches(self.path, self.config.kernel_consumer_paths)
+    def in_kernel_path(self) -> bool:
+        return _matches(self.path, self.config.kernel_paths)
 
     @property
     def in_optimizer_funnel_path(self) -> bool:

@@ -7,14 +7,15 @@ A run has two stages:
    (enclosing function/class stacks, ``with no_grad():`` depth) and
    dispatches each node to the rules subscribed to its type — and
    :func:`~repro.analysis.lint.graph.summary.summarize_module`, the
-   function-summary extractor of the interprocedural rules.  The stage
+   function-summary extractor of the interprocedural rule.  Both read one
+   import-alias table, built once per file.  The stage
    returns the module summary, the inline-suppression map and the raw
    lexical findings; the content-hash
    :class:`~repro.analysis.lint.graph.cache.SummaryCache` stores exactly
    that, so a warm run parses nothing.
 2. **Per program** (:func:`run_lint`): one
    :class:`~repro.analysis.lint.graph.program.ProgramGraph` over every
-   summary, the RPL011–RPL014 checkers over it, then rule selection and
+   summary, the RPL013 checker over it, then rule selection and
    suppressions, applied once over all findings from the cached maps.
 
 Exit-code contract (consumed by ``make verify`` and CI):
@@ -36,7 +37,12 @@ import json
 import pathlib
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.analysis.lint.context import DEFAULT_CONFIG, LintConfig, LintContext
+from repro.analysis.lint.context import (
+    DEFAULT_CONFIG,
+    LintConfig,
+    LintContext,
+    collect_aliases,
+)
 from repro.analysis.lint.findings import PARSE_ERROR_CODE, Finding
 from repro.analysis.lint.graph.cache import SummaryCache
 from repro.analysis.lint.graph.program import ProgramGraph
@@ -155,10 +161,11 @@ def analyze_source(source: str, path: str, config: LintConfig = DEFAULT_CONFIG) 
             "suppressions": {},
             "findings": [dataclasses.asdict(finding)],
         }
-    ctx = LintContext(norm, tree, config)
+    aliases = collect_aliases(tree)
+    ctx = LintContext(norm, aliases, config)
     _Walker(ctx, _build_dispatch(all_rules())).walk(tree)
     return {
-        "summary": summarize_module(tree, norm),
+        "summary": summarize_module(tree, norm, aliases),
         # JSON object keys must be strings; ``apply_suppressions`` recognises
         # the "*" wildcard by membership, so it survives the round-trip.
         "suppressions": {
@@ -192,7 +199,7 @@ def lint_source(
     source: str, path: str = "<string>", config: LintConfig = DEFAULT_CONFIG
 ) -> List[Finding]:
     """Lint one in-memory module with the lexical rules (the interprocedural
-    rules need a whole tree: use :func:`run_lint`)."""
+    rule needs a whole tree: use :func:`run_lint`)."""
     rules_for(config.select)  # validate selection eagerly
     norm = str(path).replace("\\", "/")
     result = analyze_source(source, norm, config)

@@ -43,8 +43,8 @@ class Finding:
     rule: str
     end_col: int = 0
     """End column of the flagged expression (0 when the node has no
-    ``end_col_offset``); lets CI diffs and baseline matching distinguish two
-    findings of one rule on the same line."""
+    ``end_col_offset``); lets CI diffs distinguish two findings of one rule
+    on the same line."""
 
     def as_dict(self) -> dict:
         return {

@@ -2,30 +2,25 @@
 
 One :func:`summarize_module` call reduces every function of a module —
 parsed once by the lint engine, whose lexical rules walk the same tree — to
-a JSON-serializable :data:`FunctionSummary` dict: its parameters (with
-default-value and annotation information), a flow-insensitive map of local
-assignments, the abstract shape of its return values, and one record per
-call site.  The whole-program engine
-(:mod:`~repro.analysis.lint.graph.program`) never re-reads source — it
-resolves and evaluates these summaries, which is what makes the content-
-hash cache (:mod:`~repro.analysis.lint.graph.cache`) sufficient for warm
-runs.
+a JSON-serializable :data:`FunctionSummary` dict: its parameters and their
+annotations, a flow-insensitive map of local assignments, one record per
+call site, and its writes to ``self`` attributes with the locks held.  The
+whole-program engine (:mod:`~repro.analysis.lint.graph.program`) never
+re-reads source — it resolves these summaries, which is what makes the
+content-hash cache (:mod:`~repro.analysis.lint.graph.cache`) sufficient for
+warm runs.
 
 Abstract **value references** describe where a value came from without
 keeping the AST around (all plain lists, so summaries round-trip through
-JSON)::
+JSON); they carry what RPL013 resolves — the static class of a method
+call's receiver and whether a value is an open file::
 
-    ["c", tag]            literal constant ("none", "int", "pyfloat", "str", …)
-    ["c", "str", value]   string literal with its value (dtype strings matter)
-    ["p", i]              the enclosing function's i-th parameter
+    ["c"]                 a literal constant
     ["r", i]              the result of call site i of this function
     ["n", name]           a local (or enclosing-scope) name, resolved lazily
     ["q", dotted]         an imported attribute path ("numpy.float64")
     ["a", ref, attr]      attribute read off another value ("self._fh")
-    ["s", ref]            subscript of a value (kind-preserving for arrays)
-    ["b", ref, ref]       binary operation (kind join, float64-dominant)
-    ["j", ref, ...]       join of alternatives (ternary, list elements)
-    ["u"]                 unknown
+    ["u"]                 anything else (calls inside it are still recorded)
 
 Call **target references** are the same idea for the callee expression::
 
@@ -45,13 +40,13 @@ from __future__ import annotations
 import ast
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.lint.context import collect_aliases, resolve_qualname
+from repro.analysis.lint.context import resolve_qualname
 
 __all__ = ["SUMMARY_VERSION", "summarize_module"]
 
 #: Bump whenever the summary shape changes — stale cache entries are then
 #: misses, never misreads.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 Ref = List[Any]
 
@@ -61,24 +56,6 @@ UNKNOWN: Ref = ["u"]
 #: non-blocking, and the callee it ships is sanctioned to block.
 _EXECUTOR_HOP_QUALS = frozenset({"asyncio.to_thread"})
 _EXECUTOR_HOP_METHODS = frozenset({"run_in_executor"})
-
-
-def _const_tag(value: Any) -> Ref:
-    if value is None:
-        return ["c", "none"]
-    if isinstance(value, bool):
-        return ["c", "bool"]
-    if isinstance(value, int):
-        return ["c", "int"]
-    if isinstance(value, float):
-        return ["c", "pyfloat"]
-    if isinstance(value, complex):
-        return ["c", "complex"]
-    if isinstance(value, str):
-        return ["c", "str", value]
-    if isinstance(value, bytes):
-        return ["c", "bytes"]
-    return ["c", "other"]
 
 
 _WRAPPER_ANNOTATIONS = {"Optional", "Union", "Annotated", "Final", "ClassVar", "List", "Sequence"}
@@ -128,14 +105,11 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.calls: List[dict] = []
         self.assigns: Dict[str, Ref] = {}
         self.annots: Dict[str, Optional[str]] = {}
-        self.returns: List[Ref] = []
         self.awrites: List[dict] = []
         self.locals_defs: Dict[str, str] = {}
         self._lock_stack: List[str] = []
-        self._await_depth = 0
         self._call_index: Dict[int, int] = {}
         self.params: List[str] = []
-        self.defaults: Dict[str, Ref] = {}
         self._extract_signature()
 
     # ------------------------------------------------------------ signature
@@ -143,22 +117,16 @@ class _FunctionExtractor(ast.NodeVisitor):
         args = getattr(self.fn, "args", None)
         if args is None:
             return
-        ordered = list(args.posonlyargs) + list(args.args)
-        for a in ordered:
+        for a in list(args.posonlyargs) + list(args.args):
             self.params.append(a.arg)
             if a.annotation is not None:
                 self.annots[a.arg] = _annotation_name(a.annotation, self.aliases)
-        # Positional defaults align with the tail of the ordered params.
-        for a, default in zip(ordered[len(ordered) - len(args.defaults) :], args.defaults):
-            self.defaults[a.arg] = self._ref(default)
         if args.vararg:
             self.params.append("*" + args.vararg.arg)
-        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        for a in args.kwonlyargs:
             self.params.append(a.arg)
             if a.annotation is not None:
                 self.annots[a.arg] = _annotation_name(a.annotation, self.aliases)
-            if default is not None:
-                self.defaults[a.arg] = self._ref(default)
         if args.kwarg:
             self.params.append("**" + args.kwarg.arg)
 
@@ -174,7 +142,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         if node is None:
             return list(UNKNOWN)
         if isinstance(node, ast.Constant):
-            return _const_tag(node.value)
+            return ["c"]
         if isinstance(node, ast.Name):
             return ["n", node.id]
         if isinstance(node, ast.Attribute):
@@ -182,33 +150,19 @@ class _FunctionExtractor(ast.NodeVisitor):
             if qual is not None:
                 return ["q", qual]
             return ["a", self._ref(node.value), node.attr]
-        if isinstance(node, ast.Subscript):
-            return ["s", self._ref(node.value)]
-        if isinstance(node, ast.BinOp):
-            return ["b", self._ref(node.left), self._ref(node.right)]
-        if isinstance(node, ast.UnaryOp):
-            return self._ref(node.operand)
-        if isinstance(node, ast.IfExp):
-            return ["j", self._ref(node.body), self._ref(node.orelse)]
-        if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-            elts = [self._ref(e) for e in node.elts if not isinstance(e, ast.Starred)]
-            if elts:
-                return ["j"] + elts
-            return list(UNKNOWN)
         if isinstance(node, ast.Call):
             return ["r", self._record_call(node)]
         if isinstance(node, ast.Await):
             return self._ref(node.value)
-        if isinstance(node, ast.JoinedStr):
-            return ["c", "str"]
         if isinstance(node, ast.NamedExpr):
             ref = self._ref(node.value)
             if isinstance(node.target, ast.Name):
                 self.assigns[node.target.id] = ref
             return ref
-        # Opaque expression shapes (comprehensions, dicts, compares, …):
-        # the value is unknown, but any calls buried inside still matter for
-        # reachability/blocking analysis — record them (idempotently).
+        # Every other shape (operators, subscripts, containers,
+        # comprehensions, …): the value is unknown, but any calls buried
+        # inside still matter for reachability/blocking analysis — record
+        # them (idempotently).
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 self._record_call(sub)
@@ -239,24 +193,18 @@ class _FunctionExtractor(ast.NodeVisitor):
             hop = True
         elif target[0] == "m" and target[2] in _EXECUTOR_HOP_METHODS:
             hop = True
+        args = [self._ref(a) for a in node.args if not isinstance(a, ast.Starred)]
+        for kw in node.keywords:
+            if kw.arg is not None:
+                self._ref(kw.value)  # records the calls inside the argument
         record = {
             "t": target,
-            "args": [
-                self._ref(a) for a in node.args if not isinstance(a, ast.Starred)
-            ],
-            "kw": {
-                kw.arg: self._ref(kw.value)
-                for kw in node.keywords
-                if kw.arg is not None
-            },
+            "args": args,
             "line": node.lineno,
             "col": node.col_offset,
             "end": getattr(node, "end_col_offset", None) or 0,
             "hop": hop,
-            "locks": list(self._lock_stack),
         }
-        if self._await_depth:
-            record["await"] = True
         index = self._call_index[id(node)]
         self.calls[index] = record
         return index
@@ -268,14 +216,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         # the func expression still need a walk for completeness of nested
         # call discovery.
         self._record_call(node)
-
-    def visit_Await(self, node: ast.Await) -> None:
-        self._await_depth += 1
-        self.visit(node.value)
-        self._await_depth -= 1
-
-    def visit_Return(self, node: ast.Return) -> None:
-        self.returns.append(self._ref(node.value))
 
     def visit_Assign(self, node: ast.Assign) -> None:
         ref = self._ref(node.value)
@@ -289,10 +229,9 @@ class _FunctionExtractor(ast.NodeVisitor):
         self._assign_target(node.target, ref, node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        value = self._ref(node.value)
+        self._ref(node.value)
         if isinstance(node.target, ast.Name):
-            prior = self.assigns.get(node.target.id, ["p?", node.target.id])
-            self.assigns[node.target.id] = ["b", prior, value]
+            self.assigns[node.target.id] = list(UNKNOWN)
         elif isinstance(node.target, ast.Attribute):
             self._record_attr_write(node.target, node)
 
@@ -391,16 +330,13 @@ class _FunctionExtractor(ast.NodeVisitor):
             elif "classmethod" in decorators:
                 kind = "classmethod"
         return {
-            "line": self.fn.lineno,
             "async": isinstance(self.fn, ast.AsyncFunctionDef),
             "kind": kind,
             "class": self.class_name,
             "params": self.params,
-            "defaults": self.defaults,
             "annots": self.annots,
             "rann": _annotation_name(getattr(self.fn, "returns", None), self.aliases),
             "assigns": self.assigns,
-            "returns": self.returns,
             "calls": self.calls,
             "awrites": self.awrites,
             "locals": self.locals_defs,
@@ -450,22 +386,17 @@ def _class_summary(
             bases.append(qual)
         elif isinstance(base, ast.Name):
             bases.append("." + base.id)
-    methods = sorted(
-        key.split(".", 1)[1] for key in functions if key.startswith(node.name + ".")
-    )
-    return {
-        "line": node.lineno,
-        "bases": bases,
-        "attrs": attrs,
-        "lock_attrs": lock_attrs,
-        "methods": methods,
-    }
+    return {"bases": bases, "attrs": attrs, "lock_attrs": lock_attrs}
 
 
-def summarize_module(tree: ast.Module, path: str) -> dict:
-    """Reduce one parsed module to its JSON-serializable summary dict."""
+def summarize_module(tree: ast.Module, path: str, aliases: Dict[str, str]) -> dict:
+    """Reduce one parsed module to its JSON-serializable summary dict.
+
+    ``aliases`` is the module's import-alias table
+    (:func:`~repro.analysis.lint.context.collect_aliases`), which the
+    engine builds once per file for the lexical rules and this summary.
+    """
     norm = str(path).replace("\\", "/")
-    aliases = collect_aliases(tree)
     functions: Dict[str, dict] = {}
 
     def extract_function(

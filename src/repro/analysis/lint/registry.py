@@ -2,8 +2,8 @@
 
 Keeping registration declarative means adding a rule is one new module under
 :mod:`repro.analysis.lint.rules` — the engine, CLI, and docs all pick it up
-from the registry without edits.  The interprocedural rules are the
-entries of :data:`~repro.analysis.lint.graph.rules.GRAPH_CHECKERS`;
+from the registry without edits.  The interprocedural rule is the entry
+of :data:`~repro.analysis.lint.graph.rules.GRAPH_CHECKERS`;
 :func:`known_codes` and :func:`rules_for` validate both sets as one.
 """
 

@@ -189,21 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to run (e.g. RPL001,RPL013); default all",
     )
     p_lint.add_argument(
-        "--baseline",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="ratchet file: findings recorded there are tolerated, only new "
-        "ones fail the run (stale entries are reported to stderr)",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write the current findings to PATH as the new baseline and exit 0",
-    )
-    p_lint.add_argument(
         "--cache",
         type=str,
         default=".reprolint-cache.json",
@@ -512,7 +497,6 @@ def _cmd_lint(args) -> int:
         render_text,
         run_lint,
     )
-    from repro.analysis.lint.graph import apply_baseline, load_baseline, write_baseline
 
     try:
         select = None
@@ -533,31 +517,10 @@ def _cmd_lint(args) -> int:
         print(f"reprolint: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(
-            f"reprolint: wrote baseline with {len(findings)} entries "
-            f"to {args.write_baseline}"
-        )
-        return 0
-    stale = []
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"reprolint: internal error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL_ERROR
-        findings, _matched, stale = apply_baseline(findings, entries)
     if args.format == "json":
         print(render_json(findings, report.files_checked))
     else:
         print(render_text(findings, report.files_checked))
-    for entry in stale:
-        print(
-            "reprolint: baseline entry no longer matches (fixed?): "
-            f"{entry['path']}:{entry['line']} {entry['code']}",
-            file=sys.stderr,
-        )
     return 1 if findings else 0
 
 

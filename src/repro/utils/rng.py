@@ -14,18 +14,24 @@ from typing import Optional, Union
 
 import numpy as np
 
-SeedLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
+SeedLike = Union[int, np.random.Generator, np.random.SeedSequence]
 
 __all__ = ["ensure_rng", "SeedSequenceFactory"]
 
 
-def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
+def ensure_rng(seed: SeedLike) -> np.random.Generator:
     """Coerce ``seed`` into a :class:`numpy.random.Generator`.
 
-    ``None`` yields a nondeterministic generator; an existing generator is
-    returned unchanged (not copied), so callers sharing one advance it
-    together by design.
+    An existing generator is returned unchanged (not copied), so callers
+    sharing one advance it together by design.  ``None`` raises
+    ``ValueError``: it would draw OS entropy, and a run seeded that way can
+    be neither repeated nor resumed.
     """
+    if seed is None:
+        raise ValueError(
+            "ensure_rng: missing seed (got None); pass an int, a SeedSequence "
+            "or a Generator"
+        )
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):

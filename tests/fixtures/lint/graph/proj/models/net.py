@@ -1,30 +1,12 @@
-"""Determinism- and dtype-sensitive sink functions, plus in-layer flows."""
+"""A model-layer module: lexical findings for the cache tests."""
 
 import numpy as np
 
-from proj.utils import make_rng
-
 
 def fit(rng, x):
-    """Taint sink: training must only ever see seeded generators."""
     return rng, x
-
-
-def score(a, b):
-    """Dtype sink: mixed float64/float32 operands upcast silently."""
-    return a, b
 
 
 def train_unseeded():
     rng = np.random.default_rng()
-    return fit(rng, None)  # expect: RPL011
-
-
-def train_via_helper():
-    rng = make_rng()
-    return fit(rng, None)  # expect: RPL011
-
-
-def train_seeded():
-    rng = np.random.default_rng(7)
     return fit(rng, None)

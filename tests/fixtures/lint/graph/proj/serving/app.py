@@ -1,6 +1,7 @@
 """Async handlers: blocking-call and lock-discipline cases for RPL013."""
 
 import asyncio
+import io
 import threading
 import time
 
@@ -20,6 +21,25 @@ class Counter:
     def bump_locked(self):
         with self._lock:
             self.total += 1
+
+
+class Journal:
+    """Writes through a file handle opened at construction."""
+
+    def __init__(self, path):
+        self._fh = open(path, "a")
+        self._buf = io.StringIO()
+
+    def append(self, line):
+        self._fh.write(line)  # expect: RPL013
+
+    def append_buffered(self, line):
+        self._buf.write(line)
+
+
+async def log_handler(journal: Journal, line):
+    journal.append(line)
+    journal.append_buffered(line)
 
 
 async def handler(path):

@@ -108,7 +108,8 @@ class TestSelection:
 
     def test_known_codes_cover_rule_set(self):
         # One registry: lexical visitors and graph checkers validate together.
-        assert set(known_codes()) == {f"RPL{i:03d}" for i in range(1, 16)}
+        lexical = {f"RPL{i:03d}" for i in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15)}
+        assert set(known_codes()) == lexical | {"RPL013"}
         assert rules_for(frozenset({"RPL013"})) == []
 
     def test_every_rule_documented(self):

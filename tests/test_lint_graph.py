@@ -1,9 +1,9 @@
-"""Interprocedural lint tests: fixture packages with ``# expect:`` markers
-pin each RPL011–RPL014 finding to an exact location, clean twins must stay
+"""Interprocedural lint tests: a fixture package with ``# expect:`` markers
+pins each RPL013 finding to an exact location, clean twins must stay
 silent, suppressions work for every graph code, the per-file cache hits warm
 (lexical findings included), invalidates on change and never serves results
-computed under another path policy, and the baseline ratchet absorbs known
-findings while failing new ones."""
+computed under another path policy, and RPL013 flags a blocking call
+planted in a copy of the real server."""
 
 import ast
 import dataclasses
@@ -15,13 +15,8 @@ import shutil
 import pytest
 
 from repro.analysis.lint import LintConfig, run_lint
-from repro.analysis.lint.graph import (
-    GRAPH_CODES,
-    apply_baseline,
-    load_baseline,
-    summarize_module,
-    write_baseline,
-)
+from repro.analysis.lint.context import collect_aliases
+from repro.analysis.lint.graph import GRAPH_CODES, summarize_module
 from repro.analysis.lint.graph.program import ProgramGraph
 from repro.cli import main
 
@@ -29,18 +24,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint" / "graph"
 PROJ = FIXTURES / "proj"
 
-#: Path/module policy matching the fixture package instead of src/repro,
-#: restricted to the graph rules (the fixtures are not lexically clean).
-FIXTURE_CONFIG = LintConfig(
-    select=GRAPH_CODES,
-    exempt_paths=(),
-    taint_sink_paths=("models/", "serving/", "eval/"),
-    dtype_sink_paths=("models/",),
-    async_paths=("serving/",),
-    kernel_consumer_paths=("models/", "eval/", "serving/"),
-    funnel_modules=("proj.kernels.dispatch",),
-    kernel_backend_modules=("proj.kernels.backend",),
-)
+#: Path policy for the fixture package, restricted to the graph rule (the
+#: fixtures are not lexically clean).
+FIXTURE_CONFIG = LintConfig(select=GRAPH_CODES, exempt_paths=())
 
 _EXPECT = re.compile(r"#\s*expect:\s*(RPL\d+)")
 _DISABLE = re.compile(r"#\s*reprolint:\s*disable=(RPL\d+)")
@@ -70,7 +56,7 @@ def test_fixture_findings_match_expect_markers_exactly():
     assert got == _markers(PROJ)
 
 
-@pytest.mark.parametrize("code", sorted(["RPL011", "RPL012", "RPL013", "RPL014"]))
+@pytest.mark.parametrize("code", sorted(GRAPH_CODES))
 def test_each_rule_has_true_positive_fixture(code):
     rep = _run(select={code})
     got = {(f.path, f.line, f.code) for f in rep.findings}
@@ -82,7 +68,7 @@ def test_each_rule_has_true_positive_fixture(code):
 def test_clean_twins_stay_silent():
     rep = _run()
     reported_lines = {(f.path, f.line) for f in rep.findings}
-    # Seeded / uniform / funneled twins sit in the same files; every finding
+    # Locked / buffered / executor-hop twins sit in the same files; every finding
     # must be on a marked line, so twins are provably silent.
     for path, line, _ in {(f.path, f.line, f.code) for f in rep.findings}:
         assert (path, line) in {(m[0], m[1]) for m in _markers(PROJ)}
@@ -191,41 +177,13 @@ def test_cache_never_serves_another_path_policy(tmp_path):
 def test_select_on_warm_cache_equals_cold_selected_run(tmp_path):
     cache = tmp_path / "cache.json"
     run_lint([PROJ], config=ALL_RULES_CONFIG, cache_path=cache)
-    for select in ({"RPL009"}, {"RPL001", "RPL013"}, {"RPL014"}):
+    for select in ({"RPL009"}, {"RPL001", "RPL013"}, {"RPL013"}):
         config = dataclasses.replace(ALL_RULES_CONFIG, select=frozenset(select))
         cold = run_lint([PROJ], config=config)
         warm = run_lint([PROJ], config=config, cache_path=cache)
         assert warm.cache_misses == 0
         assert warm.findings == cold.findings
         assert {f.code for f in cold.findings} == select
-
-
-# ------------------------------------------------------------------ baseline
-def test_baseline_absorbs_known_findings_and_reports_stale(tmp_path):
-    rep = _run()
-    baseline = tmp_path / "baseline.json"
-    write_baseline(baseline, rep.findings)
-    entries = load_baseline(baseline)
-    new, matched, stale = apply_baseline(rep.findings, entries)
-    assert new == [] and matched == len(rep.findings) and stale == []
-
-    # A finding missing from the baseline fails the run.
-    new2, _, _ = apply_baseline(rep.findings, entries[1:])
-    assert len(new2) == 1
-
-    # A fixed finding leaves its entry stale (reported, not failing).
-    new3, matched3, stale3 = apply_baseline(rep.findings[1:], entries)
-    assert new3 == [] and matched3 == len(rep.findings) - 1 and len(stale3) == 1
-
-
-def test_malformed_baseline_fails_loudly(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{}", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-    bad.write_text("not json", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_baseline(bad)
 
 
 # ------------------------------------------------------------------- engine
@@ -235,11 +193,10 @@ def test_unknown_graph_select_raises():
 
 
 def test_module_naming_walks_up_through_init_files():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PROJ.rglob("*.py"))}
     summaries = {
-        str(p).replace("\\", "/"): summarize_module(
-            ast.parse(p.read_text(encoding="utf-8")), str(p)
-        )
-        for p in sorted(PROJ.rglob("*.py"))
+        str(p).replace("\\", "/"): summarize_module(tree, str(p), collect_aliases(tree))
+        for p, tree in trees.items()
     }
     graph = ProgramGraph(summaries)
     net = str(PROJ / "models" / "net.py").replace("\\", "/")
@@ -250,8 +207,8 @@ def test_module_naming_walks_up_through_init_files():
 
 
 def test_summary_is_json_roundtrippable():
-    source = (PROJ / "serving" / "app.py").read_text(encoding="utf-8")
-    summary = summarize_module(ast.parse(source), "proj/serving/app.py")
+    tree = ast.parse((PROJ / "serving" / "app.py").read_text(encoding="utf-8"))
+    summary = summarize_module(tree, "proj/serving/app.py", collect_aliases(tree))
     assert json.loads(json.dumps(summary)) == summary
     handler = summary["functions"]["handler"]
     assert handler["async"] is True
@@ -267,76 +224,6 @@ def test_cli_fixture_tree_clean_under_default_policy(capsys):
     # the shipped policy (that's what keeps `make lint` quiet), exit 0.
     assert code == 0
     assert "clean" in out
-
-
-def test_cli_graph_on_src_tree_is_clean(capsys):
-    select = ",".join(sorted(GRAPH_CODES))
-    assert main(["lint", "--no-cache", "--select", select, str(REPO_ROOT / "src")]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
-def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
-    # A blocking sleep under serving/ that the default policy does flag.
-    tree = tmp_path / "mini" / "serving"
-    tree.mkdir(parents=True)
-    (tmp_path / "mini" / "__init__.py").write_text("", encoding="utf-8")
-    (tree / "__init__.py").write_text("", encoding="utf-8")
-    (tree / "app.py").write_text(
-        "import time\n\n\nasync def handler():\n    time.sleep(1)\n",
-        encoding="utf-8",
-    )
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--no-cache", str(tmp_path / "mini")]) == 1
-    assert "RPL013" in capsys.readouterr().out
-
-    assert (
-        main(
-            [
-                "lint",
-                "--no-cache",
-                "--write-baseline",
-                str(baseline),
-                str(tmp_path / "mini"),
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    assert load_baseline(baseline)
-
-    assert (
-        main(
-            [
-                "lint",
-                "--no-cache",
-                "--baseline",
-                str(baseline),
-                str(tmp_path / "mini"),
-            ]
-        )
-        == 0
-    )
-    assert "clean" in capsys.readouterr().out
-
-    # Fix the finding: the baseline entry goes stale but does not fail.
-    (tree / "app.py").write_text(
-        "import asyncio\n\n\nasync def handler():\n    await asyncio.sleep(1)\n",
-        encoding="utf-8",
-    )
-    assert (
-        main(
-            [
-                "lint",
-                "--no-cache",
-                "--baseline",
-                str(baseline),
-                str(tmp_path / "mini"),
-            ]
-        )
-        == 0
-    )
-    captured = capsys.readouterr()
-    assert "no longer matches" in captured.err
 
 
 # ------------------------------------------------ RPL013 on the real server

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis.lint import DEFAULT_CONFIG, LintConfig, lint_file, lint_source
+from repro.analysis.lint import DEFAULT_CONFIG, LintConfig, known_codes, lint_file, lint_source
 
 # Fixtures sit under tests/, which the default policy exempts from the
 # randomness rules; strict config lifts that so fixtures lint like library code.
@@ -363,3 +363,119 @@ def test_good_fixture_clean(name):
 
 def test_suppressed_fixture_clean():
     assert lint_file(FIXTURES / "suppressed.py", config=STRICT) == []
+
+
+# ------------------------------------------------------- planted at real sites
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+#: One bug per lexical rule, planted with a one-line edit at a real ``src/``
+#: site: ``(code, file, shipped line, planted line, flagged line)``; lines
+#: are compared stripped, and the finding lands on the planted line unless
+#: a flagged line is named.  RPL013 needs the serving package's call graph;
+#: its plants are in ``tests/test_lint_graph.py``.
+PLANTS = [
+    (
+        "RPL001",
+        "repro/kg/graph_analysis.py",
+        "a, b = rng.choice(items, size=2, replace=False)",
+        "a, b = np.random.choice(items, size=2, replace=False)",
+        None,
+    ),
+    (
+        "RPL002",
+        "repro/models/ckat/model.py",
+        "rng=self._dropout_rng,",
+        "rng=np.random.default_rng(0),",
+        None,
+    ),
+    (
+        "RPL003",
+        "repro/models/ripplenet.py",
+        "rng = ensure_rng(seed)",
+        "import time; rng = ensure_rng(int(time.time()))",
+        None,
+    ),
+    (
+        "RPL004",
+        "repro/models/ckat/layers.py",
+        "return F.astensor(np.zeros(0, dtype=entity_emb.dtype))",
+        "return F.astensor(np.zeros(0))",
+        None,
+    ),
+    (
+        "RPL005",
+        "repro/store/artifacts.py",
+        "np.save(file_path, array, allow_pickle=False)",
+        "np.save(file_path, array, allow_pickle=True)",
+        None,
+    ),
+    (
+        "RPL006",
+        "repro/kg/triples.py",
+        "def __init__(self, names: Sequence[str] = ()):",
+        "def __init__(self, names: Sequence[str] = []):",
+        None,
+    ),
+    (
+        "RPL007",
+        "repro/io/checkpoints.py",
+        "with no_grad():",
+        'with np.errstate(all="raise"):',
+        "p.data[...] = arr",
+    ),
+    (
+        "RPL008",
+        "repro/autograd/functional.py",
+        "out[nonempty] = np.add.reduceat(values.data, offsets[:-1][nonempty], axis=0)",
+        "np.add.at(out, np.repeat(np.arange(num_segments, dtype=np.int64), lengths), values.data)",
+        None,
+    ),
+    (
+        "RPL009",
+        "repro/serving/index.py",
+        "return store.put(self.KIND, config, self.SCHEMA_VERSION, self._arrays(), meta=self.meta)",
+        "return np.savez(store.root / 'index.npz', **self._arrays())",
+        None,
+    ),
+    (
+        "RPL010",
+        "repro/autograd/ops.py",
+        'dispatch = importlib.import_module("repro.kernels.dispatch")',
+        "from repro.kernels import numpy_backend as dispatch",
+        None,
+    ),
+    (
+        "RPL015",
+        "repro/models/bprmf.py",
+        "from repro.autograd import Parameter, Tensor, xavier_uniform",
+        "from repro.autograd import Adam, Parameter, Tensor, xavier_uniform",
+        None,
+    ),
+]
+
+
+def _line_of(lines, text):
+    hits = [i for i, line in enumerate(lines) if line.strip() == text]
+    assert len(hits) == 1, f"{text!r} is not one line of the shipped file"
+    return hits[0]
+
+
+@pytest.mark.parametrize(
+    "code,rel,shipped,planted,flagged", PLANTS, ids=[p[0] for p in PLANTS]
+)
+def test_rule_flags_bug_planted_at_real_site(tmp_path, code, rel, shipped, planted, flagged):
+    """A copy of a shipped file with one line edited gets exactly one
+    finding: the rule's, at the bug.  With the rule deselected the copy
+    lints clean, so no other rule catches the plant."""
+    lines = (SRC / rel).read_text(encoding="utf-8").splitlines(keepends=True)
+    i = _line_of(lines, shipped)
+    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+    lines[i] = indent + planted + "\n"
+    target = tmp_path / "src" / rel
+    target.parent.mkdir(parents=True)
+    target.write_text("".join(lines), encoding="utf-8")
+    line = (i if flagged is None else _line_of(lines, flagged)) + 1
+
+    assert {(f.code, f.line) for f in lint_file(target)} == {(code, line)}
+    others = LintConfig(select=frozenset(known_codes()) - {code})
+    assert lint_file(target, config=others) == []

@@ -1,6 +1,7 @@
 """Runtime numeric sanitizer tests: NaN/Inf injection names the originating
 op, shape drift is caught at the optimizer step, float64 upcasts on float32
-inputs are reported, and enable/disable fully restores the engine."""
+inputs are reported, enable/disable fully restores the engine, and CKAT's
+float32 training runs clean under it in both attention modes."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.autograd import Adam, Parameter, SparseRowGrad, Tensor
 from repro.autograd import functional as F
 from repro.autograd.ops import active_hooks, registered_ops
 from repro.autograd.optim import Optimizer
+from repro.models import CKAT, CKATConfig, FitConfig
 
 
 def _engine():
@@ -277,3 +279,21 @@ def test_training_loop_runs_clean_under_sanitizer():
             losses.append(float(loss.item()))
     assert losses[-1] < losses[0]  # optimized, with no sanitizer trips
     assert np.isfinite(W.data).all()
+
+
+@pytest.mark.parametrize("attention_mode", ["epoch", "batch"])
+def test_ckat_epoch_runs_clean_under_sanitizer(ooi_split, ooi_ckg_best, attention_mode):
+    """CKAT's float32 parameters through every fused op, the BPR and the
+    TransR phase: one epoch trips no upcast, NaN/Inf or shape check.  A
+    float64 constant multiplied into the propagated table in
+    ``CKAT.propagate`` trips the upcast check here, in both modes."""
+    model = CKAT(
+        ooi_split.train.num_users,
+        ooi_split.train.num_items,
+        ooi_ckg_best,
+        CKATConfig(attention_mode=attention_mode),
+        seed=0,
+    )
+    with sanitized():
+        model.fit(ooi_split.train, FitConfig(epochs=1, seed=0))
+    assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}

@@ -25,8 +25,15 @@ class TestEnsureRng:
         g = np.random.default_rng(0)
         assert ensure_rng(g) is g
 
-    def test_none_gives_generator(self):
-        assert isinstance(ensure_rng(None), np.random.Generator)
+    def test_none_rejected(self):
+        with pytest.raises(ValueError, match="missing seed"):
+            ensure_rng(None)
+
+    def test_model_without_seed_rejected(self):
+        from repro.models import BPRMF
+
+        with pytest.raises(ValueError, match="missing seed"):
+            BPRMF(4, 5, dim=2, seed=None)
 
     def test_seed_sequence(self):
         ss = np.random.SeedSequence(3)
